@@ -8,7 +8,8 @@ import (
 )
 
 // These tests exercise the public facade end to end, the way a
-// downstream user would.
+// downstream user would: build a graph or world, declare a Spec, and
+// run it.
 
 func TestFacadeDensityEstimation(t *testing.T) {
 	grid, err := antdensity.NewTorus2D(30)
@@ -21,10 +22,7 @@ func TestFacadeDensityEstimation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ests, err := antdensity.EstimateDensity(world, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ests := runSpec(t, antdensity.DensitySpec(antdensity.WithWorld(world), antdensity.WithRounds(2000))).Estimates
 	if len(ests) != 91 {
 		t.Fatalf("got %d estimates", len(ests))
 	}
@@ -69,10 +67,8 @@ func TestFacadeIndependentSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ests, err := antdensity.EstimateDensityIndependent(world, 80, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ests := runSpec(t, antdensity.IndependentSpec(
+		antdensity.WithWorld(world), antdensity.WithRounds(80), antdensity.WithPolicySeed(9))).Estimates
 	if len(ests) != 501 {
 		t.Fatalf("got %d estimates", len(ests))
 	}
@@ -90,10 +86,7 @@ func TestFacadePropertyFrequency(t *testing.T) {
 	for i := 0; i < 15; i++ {
 		world.SetTagged(i, true)
 	}
-	res, err := antdensity.EstimatePropertyFrequency(world, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSpec(t, antdensity.PropertySpec(antdensity.WithWorld(world), antdensity.WithRounds(500))).Property
 	if len(res.Frequency) != 60 {
 		t.Fatalf("got %d frequencies", len(res.Frequency))
 	}
@@ -117,10 +110,8 @@ func TestFacadeStreamingAndQuorum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	votes, err := antdensity.QuorumDecide(world, 0.1, 800) // d ~ 0.35 >> 0.1
-	if err != nil {
-		t.Fatal(err)
-	}
+	// d ~ 0.35 >> 0.1
+	votes := runSpec(t, antdensity.QuorumSpec(0.1, antdensity.WithWorld(world), antdensity.WithRounds(800))).Votes
 	yes := 0
 	for _, v := range votes {
 		if v {
@@ -143,12 +134,13 @@ func TestFacadeNetworkSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := antdensity.EstimateNetworkSize(g, antdensity.NetworkSizeConfig{
-		Walkers: 40, Steps: 80, Stationary: true, Seed: 13,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSpec(t, antdensity.NetworkSizeSpec(
+		antdensity.WithGraph(g),
+		antdensity.WithWalkers(40),
+		antdensity.WithRounds(80),
+		antdensity.WithStationary(),
+		antdensity.WithSeed(13),
+	)).NetworkSize
 	truth := float64(g.NumNodes())
 	if res.Size < truth/3 || res.Size > truth*3 {
 		t.Errorf("size estimate %v far from %v", res.Size, truth)

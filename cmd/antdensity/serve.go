@@ -457,7 +457,11 @@ type runSnapshot struct {
 }
 
 func snapshotResponse(mr *antdensity.ManagedRun) runSnapshot {
-	snap := mr.Run.Snapshot()
+	return snapshotView(mr, mr.Run.Snapshot())
+}
+
+// snapshotView renders one snapshot of mr in wire form.
+func snapshotView(mr *antdensity.ManagedRun, snap antdensity.Snapshot) runSnapshot {
 	kind := mr.Run.Spec().Kind
 	out := runSnapshot{
 		ID:           mr.ID,

@@ -9,8 +9,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"antdensity"
+	"antdensity/internal/topology"
 )
 
 // sseEvent is one parsed SSE frame.
@@ -153,6 +158,94 @@ func TestServeSSETerminalRun(t *testing.T) {
 	if len(events) != 2 || events[0].name != "snapshot" || events[1].name != "end" {
 		t.Fatalf("terminal-run stream = %+v", events)
 	}
+}
+
+// failingGraph wraps a graph and panics once Degree has been called
+// budget times, turning a run into a failed one partway through.
+type failingGraph struct {
+	topology.Graph
+	budget atomic.Int64
+}
+
+func (g *failingGraph) Degree(v int64) int {
+	if g.budget.Add(-1) < 0 {
+		panic("failingGraph: degree budget exhausted")
+	}
+	return g.Graph.Degree(v)
+}
+
+// TestServeSSEEndsOnTerminalSnapshot follows runs that end while
+// their streams are open: in every stream the last snapshot frame is
+// terminal — carrying the error, for a failed run — and the end frame
+// repeats its state.
+func TestServeSSEEndsOnTerminalSnapshot(t *testing.T) {
+	srv, s := newTestServer(t)
+	var runs []*antdensity.ManagedRun
+	for seed := uint64(1); seed <= 12; seed++ {
+		mr, err := s.m.Submit(antdensity.DensitySpec(
+			antdensity.WithTorus2D(20),
+			antdensity.WithAgents(21),
+			antdensity.WithSeed(seed),
+			antdensity.WithRounds(2000),
+		))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, mr)
+	}
+	g := &failingGraph{Graph: topology.MustTorus(2, 20)}
+	g.budget.Store(21 * 300) // 21 agents fail in round 301
+	failing, err := s.m.Submit(antdensity.DensitySpec(
+		antdensity.WithGraph(g),
+		antdensity.WithAgents(21),
+		antdensity.WithRounds(2000),
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs = append(runs, failing)
+
+	var wg sync.WaitGroup
+	for _, mr := range runs {
+		wg.Add(1)
+		go func(mr *antdensity.ManagedRun) {
+			defer wg.Done()
+			resp, err := http.Get(srv.URL + "/v1/runs/" + mr.ID + "/events")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			events := readSSE(t, resp.Body, 1<<20)
+			n := len(events)
+			if n < 2 || events[n-2].name != "snapshot" || events[n-1].name != "end" {
+				t.Errorf("%s: stream does not finish with snapshot, end: %+v", mr.ID, events)
+				return
+			}
+			var last runSnapshot
+			if err := json.Unmarshal([]byte(events[n-2].data), &last); err != nil {
+				t.Errorf("%s: final snapshot %q: %v", mr.ID, events[n-2].data, err)
+				return
+			}
+			want := "done"
+			if mr == failing {
+				want = "failed"
+				if last.Error == "" {
+					t.Errorf("%s: failed run's final snapshot carries no error: %+v", mr.ID, last)
+				}
+			}
+			if last.State != want {
+				t.Errorf("%s: final snapshot state %q, want %q", mr.ID, last.State, want)
+			}
+			var end struct {
+				State string `json:"state"`
+			}
+			if err := json.Unmarshal([]byte(events[n-1].data), &end); err != nil || end.State != last.State {
+				t.Errorf("%s: end frame %q does not repeat state %q (%v)", mr.ID, events[n-1].data, last.State, err)
+			}
+		}(mr)
+	}
+	wg.Wait()
 }
 
 // waitState polls a run's snapshot until it reaches want.

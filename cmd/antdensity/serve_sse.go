@@ -73,7 +73,11 @@ func (s *sseWriter) end(state string) {
 
 // streamEvents follows a live run: emit the current view, then one
 // snapshot event per publication until the run terminates, the client
-// goes away, or the server drains.
+// goes away, or the server drains. Termination is decided from the
+// snapshot just sent, never from a separate state read: a run stores
+// its terminal state before its final snapshot, so a state read can
+// run ahead of the snapshot and end the stream without its terminal
+// view.
 func (s *server) streamEvents(w http.ResponseWriter, r *http.Request, mr *antdensity.ManagedRun) {
 	sse, ok := newSSEWriter(w)
 	if !ok {
@@ -84,14 +88,15 @@ func (s *server) streamEvents(w http.ResponseWriter, r *http.Request, mr *antden
 		// Arm the wakeup before reading, so a publication landing
 		// between the read and the wait still wakes us.
 		updated := mr.Run.Updated()
-		snap := snapshotResponse(mr)
+		raw := mr.Run.Snapshot()
+		snap := snapshotView(mr, raw)
 		if snap.Round != lastRound || snap.State != lastState {
 			lastRound, lastState = snap.Round, snap.State
 			if err := sse.event("snapshot", snap); err != nil {
 				return // client went away
 			}
 		}
-		if mr.Run.State().Terminal() {
+		if raw.State.Terminal() {
 			sse.end(snap.State)
 			return
 		}

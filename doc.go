@@ -34,8 +34,9 @@
 //     startup, so completed results survive restarts and interrupted
 //     runs are re-run under their original ids.
 //
-// The v1 one-shot wrappers (EstimateDensity and friends) remain as
-// deprecated shims over Spec/Run, bit-identical for fixed seeds.
+// The v1 one-shot wrappers (EstimateDensity and friends) are gone:
+// each was a synchronous Spec run, which Spec.NewRun, Run.Start, and
+// Run.Output express directly.
 //
 // The implementation lives under internal/:
 //
@@ -48,25 +49,26 @@
 //     per-agent RNG streams are parallel flat slices, stepped by
 //     batched kernels that bulk-fill randomness (internal/rng's
 //     Uint64nEach/FloatEach) and apply moves with branch-free
-//     arithmetic; an incrementally maintained occupancy index (dense
-//     array with cache-blocked updates, or a split-array open-address
-//     table, chosen by a memory-budget rule) serves counts; a
-//     persistent worker pool behind StepParallel splits agents on
-//     cache-line-aligned chunk boundaries. For 10M+ agent worlds,
-//     Config.Shards (Spec.WithShards, CLI -shards) partitions the
-//     graph into contiguous node-range slabs via internal/shard: each
-//     shard owns its agents' hot state and a slab-local occupancy
-//     index, rounds run as shard-local batched stepping plus
-//     deterministic cross-shard migration through per-(src,dst)
+//     arithmetic; worlds without a batched kernel for their policy
+//     take the scalar Policy.Step loop, the only other step path. An
+//     incrementally maintained occupancy index (dense array, or a
+//     split-array open-address table, chosen by a memory-budget rule)
+//     serves counts. Config.Shards (Spec.WithShards, CLI -shards)
+//     partitions the graph into contiguous node-range slabs via
+//     internal/shard: each shard owns its agents' hot state and a
+//     slab-local occupancy index, rounds run as shard-local stepping
+//     plus deterministic cross-shard migration through per-(src,dst)
 //     mailboxes merged in fixed order, and the dense-index memory
 //     budget applies per slab — so graphs too large for a flat dense
-//     index get dense per-shard indexes. Every fast path is proven
-//     bit-identical to the scalar reference by a property-test matrix
-//     (batched × fused × scalar, dense × sparse, serial × parallel,
-//     shards ∈ {1,2,7}) — the bulk RNG fills advance each agent's
-//     stream exactly as scalar draws would, and migrants carry their
-//     private streams with them, so results never depend on which
-//     path executed or how the world is partitioned (sharding is
+//     index get dense per-shard indexes. The shard is also sim's only
+//     parallel grain: StepParallel hands whole shards to a persistent
+//     worker pool, and on an unsharded world it is Step. The batched
+//     path is proven bit-identical to the scalar reference by a
+//     property-test matrix (uniform × per-agent stepping, dense ×
+//     sparse, shards ∈ {1,2,7}) — the bulk RNG fills advance each
+//     agent's stream exactly as scalar draws would, and migrants carry
+//     their private streams with them, so results never depend on
+//     which path executed or how the world is partitioned (sharding is
 //     excluded from the Spec fingerprint for exactly this reason).
 //
 // Estimation runs through sim's streaming observation pipeline: Run

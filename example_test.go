@@ -1,6 +1,7 @@
 package antdensity_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,10 +24,18 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	estimates, err := antdensity.EstimateDensity(world, 5000)
+	run, err := antdensity.DensitySpec(
+		antdensity.WithWorld(world),
+		antdensity.WithRounds(5000),
+	).Start(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
+	out, err := run.Output() // blocks until the run finishes
+	if err != nil {
+		log.Fatal(err)
+	}
+	estimates := out.Estimates
 	var sum float64
 	for _, e := range estimates {
 		sum += e
@@ -39,30 +48,29 @@ func Example() {
 	// mean estimate within 10%: true
 }
 
-// ExampleQuorumDecide shows threshold detection: agents vote on
-// whether the local density exceeds a quorum level.
-func ExampleQuorumDecide() {
-	grid, err := antdensity.NewTorus2D(20)
+// ExampleQuorumSpec shows threshold detection: agents vote on whether
+// the local density exceeds a quorum level.
+func ExampleQuorumSpec() {
+	run, err := antdensity.QuorumSpec(0.1, // theta = 0.1
+		antdensity.WithTorus2D(20),
+		antdensity.WithAgents(121), // d = 0.3
+		antdensity.WithSeed(4),
+		antdensity.WithRounds(2000),
+	).Start(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
-	world, err := antdensity.NewWorld(antdensity.WorldConfig{
-		Graph: grid, NumAgents: 121, Seed: 4, // d = 0.3
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	votes, err := antdensity.QuorumDecide(world, 0.1, 2000) // theta = 0.1
+	out, err := run.Output()
 	if err != nil {
 		log.Fatal(err)
 	}
 	yes := 0
-	for _, v := range votes {
+	for _, v := range out.Votes {
 		if v {
 			yes++
 		}
 	}
-	fmt.Printf("most agents detect quorum: %v\n", yes > len(votes)/2)
+	fmt.Printf("most agents detect quorum: %v\n", yes > len(out.Votes)/2)
 	// Output:
 	// most agents detect quorum: true
 }

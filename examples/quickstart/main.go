@@ -77,25 +77,4 @@ func main() {
 	fails := stats.FailureRate(estimates, d, eps)
 	fmt.Printf("Theorem 1 eps:         %.3f (c1 = 0.35, delta = %.2f)\n", eps, delta)
 	fmt.Printf("agents outside band:   %.1f%% (paper predicts <= %.0f%%)\n", 100*fails, 100*delta)
-
-	// The deprecated v1 wrapper remains supported and bit-identical:
-	// the same graph, agent count, and seed produce the same
-	// estimates through the legacy one-shot path.
-	grid, err := antdensity.NewTorus2D(side)
-	if err != nil {
-		log.Fatal(err)
-	}
-	world, err := antdensity.NewWorld(antdensity.WorldConfig{Graph: grid, NumAgents: agents, Seed: 42})
-	if err != nil {
-		log.Fatal(err)
-	}
-	legacy, err := antdensity.EstimateDensity(world, rounds) // v1 path
-	if err != nil {
-		log.Fatal(err)
-	}
-	identical := len(legacy) == len(estimates)
-	for i := range legacy {
-		identical = identical && legacy[i] == estimates[i]
-	}
-	fmt.Printf("v1 shim bit-identical: %v\n", identical)
 }

@@ -11,8 +11,8 @@ type Spec struct {
 }
 
 var fingerprintExcluded = []string{
-	"Rounds",     // want "fingerprintcover: Spec field Rounds is both hashed by Fingerprint and listed in fingerprintExcluded"
-	"Departed",   // want "fingerprintcover: fingerprintExcluded names \"Departed\", which is not a Spec field"
+	"Rounds",   // want "fingerprintcover: Spec field Rounds is both hashed by Fingerprint and listed in fingerprintExcluded"
+	"Departed", // want "fingerprintcover: fingerprintExcluded names \"Departed\", which is not a Spec field"
 }
 
 func (s *Spec) Fingerprint() string {

@@ -31,7 +31,7 @@ func builtins(n int) []int {
 
 //antlint:noalloc
 func appends(dst, src []int) []int {
-	dst = append(dst, 1) // self-append: trusted as cap-sufficient
+	dst = append(dst, 1)  // self-append: trusted as cap-sufficient
 	out := append(src, 2) // want "noalloc: append into a different destination"
 	_ = out
 	return dst
@@ -39,10 +39,10 @@ func appends(dst, src []int) []int {
 
 //antlint:noalloc
 func strcat(a, b string, bs []byte) string {
-	c := a + b // want "noalloc: string concatenation allocates"
+	c := a + b            // want "noalloc: string concatenation allocates"
 	const pre = "x" + "y" // constant folding: fine
-	d := string(bs) // want "noalloc: string conversion copies and allocates"
-	e := []byte(a)  // want "noalloc: \\[\\]byte conversion copies and allocates"
+	d := string(bs)       // want "noalloc: string conversion copies and allocates"
+	e := []byte(a)        // want "noalloc: \\[\\]byte conversion copies and allocates"
 	_ = e
 	return pre + c + d // want "noalloc: string concatenation allocates" "noalloc: string concatenation allocates"
 }
@@ -54,8 +54,8 @@ func fmtcall(x int) string {
 
 //antlint:noalloc
 func control(ch chan struct{}) {
-	go func() {}()        // want "noalloc: go statement allocates"
-	defer close(ch)       // want "noalloc: defer may allocate"
+	go func() {}()  // want "noalloc: go statement allocates"
+	defer close(ch) // want "noalloc: defer may allocate"
 	<-ch
 }
 
@@ -73,9 +73,9 @@ func closures(xs []int) func() int {
 
 //antlint:noalloc
 func boxing(v impl, p *impl, n int) {
-	sinkIface(v)  // want "noalloc: noalloc.impl value boxed into noalloc.iface allocates"
-	sinkIface(p)  // pointer-shaped: stored directly, fine
-	sinkAny(n)    // want "noalloc: int value boxed"
+	sinkIface(v)    // want "noalloc: noalloc.impl value boxed into noalloc.iface allocates"
+	sinkIface(p)    // pointer-shaped: stored directly, fine
+	sinkAny(n)      // want "noalloc: int value boxed"
 	var i iface = v // want "noalloc: noalloc.impl value boxed into noalloc.iface allocates"
 	_ = i
 	var j iface = p // fine
@@ -84,7 +84,7 @@ func boxing(v impl, p *impl, n int) {
 
 //antlint:noalloc
 func variadic(xs []int) int {
-	a := sum(1, 2, 3) // want "noalloc: variadic call materializes its argument slice" "noalloc: int value boxed" "noalloc: int value boxed" "noalloc: int value boxed"
+	a := sum(1, 2, 3)   // want "noalloc: variadic call materializes its argument slice" "noalloc: int value boxed" "noalloc: int value boxed" "noalloc: int value boxed"
 	b := sumInts(xs...) // spread of an existing slice: fine
 	return a + b
 }
@@ -112,7 +112,7 @@ func suppressed(n int) []int {
 // unannotated functions are never checked.
 func unannotated(n int) []int { return make([]int, n) }
 
-func sinkIface(i iface)      { _ = i }
-func sinkAny(a any)          { _ = a }
-func sum(xs ...any) int      { return len(xs) }
-func sumInts(xs ...int) int  { return len(xs) }
+func sinkIface(i iface)     { _ = i }
+func sinkAny(a any)         { _ = a }
+func sum(xs ...any) int     { return len(xs) }
+func sumInts(xs ...int) int { return len(xs) }

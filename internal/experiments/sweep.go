@@ -19,6 +19,7 @@ import (
 
 // sweepMemo caches sweep-wide shared measurements across cell
 // invocations; see sweepShared.
+//
 //antlint:globalok memoization cache; values are deterministic functions of the (experiment, seed, mode) key, so hits and misses are observationally identical
 var sweepMemo sync.Map
 

@@ -10,8 +10,8 @@ import (
 // BenchmarkNetsizeRound measures one Algorithm 2 collision-counting
 // round (step all walkers, accumulate degree-weighted collisions) at
 // 100k walkers on the 512x512 torus. The pipeline variant is what
-// EstimateSize executes since the sim.World rebuild: BulkStepper
-// kernels for the steps and the incrementally maintained occupancy
+// EstimateSize executes since the sim.World rebuild: batched step
+// kernels and the incrementally maintained occupancy
 // index for the counts. The legacy variant reproduces the retired
 // implementation — per-walker topology.RandomStep through heap
 // streams, plus a freshly built hash-map occupancy per round.

@@ -10,7 +10,7 @@ import (
 	"antdensity/internal/topology"
 )
 
-// This file proves the sim.World/BulkStepper rebuild of Walkers is
+// This file proves the sim.World rebuild of Walkers is
 // bit-identical to the scalar implementation it replaced. refWalkers
 // reproduces the historical code path exactly: per-walker heap
 // streams, a topology.RandomStep loop, and a per-round occupancy map
@@ -102,10 +102,10 @@ func identityGraphs(t *testing.T) map[string]topology.Graph {
 		t.Fatal(err)
 	}
 	return map[string]topology.Graph{
-		"torus3d":   topology.MustTorus(3, 7), // bulk RandomSteps kernel
-		"ring":      ring,                     // bulk kernel, 1-D
-		"star":      star(33),                 // irregular, scalar fallback
-		"barabasi":  ba,                       // irregular, scalar fallback
+		"torus3d":   topology.MustTorus(3, 7), // batched RandomStepsInto kernel
+		"ring":      ring,                     // batched kernel, 1-D
+		"star":      star(33),                 // irregular CSR, per-node-bound kernel
+		"barabasi":  ba,                       // irregular CSR, per-node-bound kernel
 		"hypercube": topology.MustHypercube(8),
 	}
 }

@@ -26,7 +26,8 @@ import (
 
 // Walkers is a set of random-walk positions on a graph, with link
 // query accounting. The walks run on a sim.World, so every step takes
-// the BulkStepper fast path on the arithmetic regular topologies and
+// the world's batched random-walk dispatch — arithmetic kernels on the
+// regular topologies, the offsets/neighbors kernel on CSR graphs — and
 // the per-round collision totals come from the world's incrementally
 // maintained occupancy index instead of a per-round hash map. Stream
 // derivation is preserved bit-for-bit from the historical scalar

@@ -28,6 +28,7 @@ import "math/bits"
 // Uint64nBulk fills buf with uniformly random integers in [0, n),
 // exactly as len(buf) successive Uint64n(n) calls would. It panics if
 // n == 0.
+//
 //antlint:noalloc
 func (s *Stream) Uint64nBulk(n uint64, buf []uint64) {
 	if n == 0 {
@@ -50,6 +51,7 @@ func (s *Stream) Uint64nBulk(n uint64, buf []uint64) {
 
 // FloatBulk fills buf with uniformly random float64s in [0, 1),
 // exactly as len(buf) successive Float64 calls would.
+//
 //antlint:noalloc
 func (s *Stream) FloatBulk(buf []float64) {
 	local := *s
@@ -65,6 +67,7 @@ func (s *Stream) FloatBulk(buf []float64) {
 // out[i] = streams[i].Uint64n(n), with streams[i] advanced exactly as
 // that scalar call would advance it (rejection redraws included). It
 // panics if n == 0; out must have at least len(streams) elements.
+//
 //antlint:noalloc
 func Uint64nEach(streams []Stream, n uint64, out []uint64) {
 	if n == 0 {
@@ -88,6 +91,7 @@ func Uint64nEach(streams []Stream, n uint64, out []uint64) {
 // out[i] = streams[i].Float64(), with streams[i] advanced exactly as
 // that scalar call would advance it. out must have at least
 // len(streams) elements.
+//
 //antlint:noalloc
 func FloatEach(streams []Stream, out []float64) {
 	_ = out[:len(streams)]

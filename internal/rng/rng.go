@@ -248,6 +248,7 @@ func (s *Stream) Perm(n int) []int {
 // permutation are identical to Perm(len(p))'s for the same stream
 // state. The swap loop is Shuffle's, inlined so the swap callback
 // cannot force p to escape.
+//
 //antlint:noalloc
 func (s *Stream) PermInto(p []int) []int {
 	for i := range p {

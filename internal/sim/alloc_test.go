@@ -45,10 +45,11 @@ func TestStepAndCountZeroAllocs(t *testing.T) {
 	})
 }
 
-// TestBatchedPoliciesZeroAllocs pins the batched-RNG stepping paths
-// (bulk draw/float fills into the SoA scratch buffers) for every
-// policy with a batched kernel, plus a large dense world whose
-// incremental index updates span a multi-megabyte cell array.
+// TestBatchedPoliciesZeroAllocs pins the batched stepping paths (bulk
+// draw/float fills into the SoA scratch buffers) for every policy with
+// a batched kernel, the per-node-bound random walk on an irregular CSR
+// graph, and a large dense world whose incremental index updates span
+// a multi-megabyte cell array.
 func TestBatchedPoliciesZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -73,6 +74,25 @@ func TestBatchedPoliciesZeroAllocs(t *testing.T) {
 		})
 	}
 
+	// The random walk on an irregular CSR graph (netsize's step): no
+	// fixed draw bound, so each agent's draw is bounded by its own
+	// node's degree. A 1024-cycle with chords at every fourth node
+	// gives degrees 2 and 3.
+	const n = 1024
+	edges := make([]topology.Edge, 0, n+n/4)
+	for v := int64(0); v < n; v++ {
+		edges = append(edges, topology.Edge{U: v, V: (v + 1) % n})
+	}
+	for v := int64(0); v < n; v += 4 {
+		edges = append(edges, topology.Edge{U: v, V: (v + n/2) % n})
+	}
+	adj := MustWorld(Config{Graph: topology.MustAdj(n, edges), NumAgents: 4096, Seed: 10})
+	adj.Count(0)
+	requireZeroAllocs(t, "Step batched/randomwalk (irregular CSR)", func() {
+		adj.Step()
+		_ = adj.Count(5)
+	})
+
 	// torus2d-1024 has 1<<20 cells (8 MiB of dense index, far over
 	// cache) and stays on the dense index.
 	big := MustWorld(Config{Graph: topology.MustTorus(2, 1024), NumAgents: 8192, Seed: 9})
@@ -84,15 +104,15 @@ func TestBatchedPoliciesZeroAllocs(t *testing.T) {
 	})
 }
 
+// TestStepParallelZeroAllocs pins StepParallel on an unsharded world
+// at zero allocations: it is Step, and spawns no worker pool.
 func TestStepParallelZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	g := topology.MustTorus(2, 64)
 	w := MustWorld(Config{Graph: g, NumAgents: 4096, Seed: 3})
-	defer w.Close()
 	w.Count(0)
-	w.StepParallel(4) // create and warm the persistent pool
 	requireZeroAllocs(t, "StepParallel(4)", func() {
 		w.StepParallel(4)
 	})

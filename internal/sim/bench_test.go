@@ -83,8 +83,8 @@ func BenchmarkWorldCount(b *testing.B) {
 // BenchmarkAdjStep pins the CSR offsets/neighbors kernel's win on a
 // social-network graph: one op is a movement round of 100k random
 // walkers on a 100k-node Barabasi-Albert graph. "bulk" is the
-// production path (RandomWalk.StepMany through (*Adj).RandomSteps);
-// "scalar" forces the per-agent interface path (virtual
+// production path (the uniform random walk's batched dispatch through
+// (*Adj).RandomSteps); "scalar" forces the per-agent interface path (virtual
 // Degree/Neighbor through topology.RandomStep) the kernel replaced,
 // by clearing the uniform-policy invariant. The two are bit-identical
 // — see TestFastPathBitIdentical and netsize's scalar-reference test.
@@ -106,21 +106,6 @@ func BenchmarkAdjStep(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				w.Step()
-			}
-		})
-	}
-}
-
-func BenchmarkWorldStepParallel(b *testing.B) {
-	g := topology.MustTorus(2, 512)
-	for _, workers := range []int{2, 4} {
-		b.Run(fmt.Sprintf("torus2d-512/100000/w%d", workers), func(b *testing.B) {
-			w := MustWorld(Config{Graph: g, NumAgents: 100000, Seed: 1})
-			w.StepParallel(workers) // warm the worker pool before timing
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w.StepParallel(workers)
 			}
 		})
 	}

@@ -12,10 +12,9 @@
 // value per agent), so the same Config produces the same byte-for-byte
 // results regardless of scheduling. The invariant is load-bearing and
 // guarded by property tests: for a fixed seed, positions and all count
-// queries are identical whether the world steps serially or with any
-// StepParallel worker count, whether policies take the scalar, fused
-// (BulkStepper), or batched-RNG fast path, and whether the occupancy
-// index is dense or sparse.
+// queries are identical for every shard count and StepParallel worker
+// count, whether agents step through the batched path or the scalar
+// per-agent path, and whether the occupancy index is dense or sparse.
 //
 // # Hot-state layout and batched randomness
 //
@@ -37,32 +36,44 @@
 // once by ensureScratch (policy- and graph-gated), keeping the
 // batched path at zero allocations per round.
 //
-// StepParallel splits agents into per-worker chunks rounded up to
-// chunkAlign = 8 agents — one 64-byte cache line of int64 positions —
-// so no two workers write the same cache line (no false sharing).
-// Chunk boundaries never affect results, by the determinism
-// invariant. Tiny worlds skip the pool entirely: when the agent count
-// is below Config.ParallelMinAgents per requested worker (default 2,
-// i.e. any world with fewer than 2×workers agents), StepParallel
-// falls back to the serial path, because handing a handful of agents
-// to a goroutine pool costs more in synchronization than the work is
-// worth. The threshold only selects an execution path — results are
-// identical either way.
+// # Step paths
+//
+// A round moves every agent by one of exactly two paths. A world whose
+// agents share one policy (no SetPolicy override) makes one batched
+// dispatch (stepBatched) when the policy/topology pair has a kernel:
+// the random walk, and Lazy with StayProb <= 0 (a plain random walk),
+// on the torus, ring, hypercube, complete graph, and CSR graphs; Lazy
+// with 0 < StayProb < 1 on those same graphs; and Biased on the
+// arithmetic topologies. On a CSR graph with no fixed draw bound the
+// random walk needs no scratch: (*topology.Adj).RandomSteps bounds
+// each agent's draw by its own node's degree in one pass. Every other
+// world — per-agent overrides, Drift, Stationary, Lazy with
+// StayProb >= 1, generic graphs — runs the scalar loop of Policy.Step
+// calls, which is also the reference every batched kernel is tested
+// against.
+//
+// # Parallelism is per shard
+//
+// The shard is the only parallel grain. StepParallel on a sharded
+// world spreads whole shards over a persistent worker pool (created
+// lazily on first use, reused every round, so steady-state parallel
+// stepping starts no goroutines and allocates nothing); on an
+// unsharded world it is Step. With the index active, Step,
+// StepParallel, and Count run at zero allocations per round.
 //
 // # Spatial sharding (Config.Shards)
 //
-// Above worker-level parallelism sits spatial domain decomposition
-// (sharded.go, internal/shard): Config.Shards > 1 partitions the
-// graph's node-id space into K contiguous slabs (shard.Partition,
-// row bands on a torus) and each shard exclusively owns the agents
-// currently positioned inside its slab — their positions, previous
-// positions, and rng streams live in per-shard SoA slabs, and each
-// shard keeps its own occupancy index over only its slab's node
-// range. A sharded round runs in two phases: every shard steps its
-// own agents with the same batched kernels as the flat world,
-// depositing agents that crossed a slab boundary into per-(src,dst)
-// mailboxes; then each destination shard drains its mailboxes in
-// fixed (source shard, insertion index) order. That fixed merge
+// Spatial domain decomposition (sharded.go, internal/shard):
+// Config.Shards > 1 partitions the graph's node-id space into K
+// contiguous slabs (shard.Partition, row bands on a torus) and each
+// shard exclusively owns the agents currently positioned inside its
+// slab — their positions, previous positions, and rng streams live in
+// per-shard SoA slabs, and each shard keeps its own occupancy index
+// over only its slab's node range. A sharded round runs in two
+// phases: every shard steps its own agents through the same two step
+// paths as the flat world, depositing agents that crossed a slab
+// boundary into per-(src,dst) mailboxes; then each destination shard
+// drains its mailboxes in fixed (source shard, insertion index) order. That fixed merge
 // order, plus each agent carrying its private rng stream with it,
 // makes sharded results bit-identical to the flat world for every
 // shard and worker count — the property matrix steps shards ∈
@@ -101,29 +112,6 @@
 // state. The dense update is a plain in-order scatter on purpose: a
 // cache-blocked counting-sort variant was measured and lost at every
 // reachable size (see applyMoves).
-//
-// # BulkStepper fast path
-//
-// Policies may additionally implement BulkStepper, whose StepMany
-// advances a whole slice of agents in one call. Implementations must
-// either move every agent exactly as the equivalent sequence of scalar
-// Step calls would — consuming identical randomness from each agent's
-// stream — or leave positions and streams untouched and report false,
-// in which case the world falls back to per-agent stepping. All five
-// built-in policies implement it over the arithmetic regular
-// topologies (torus/ring/hypercube/complete), with degree lookups
-// hoisted and the Policy.Step → Graph.Neighbor interface dispatch
-// devirtualized into arithmetic-only inner loops; irregular graphs and
-// worlds with per-agent policy overrides (SetPolicy) use the scalar
-// path. Within a uniform-policy range the world prefers the batched
-// two-pass kernels above, then a policy's fused StepMany, then scalar
-// Step calls — all three bit-identical.
-//
-// StepParallel distributes either path across a persistent worker pool
-// that is created lazily on first use and reused every round, so
-// steady-state parallel stepping starts no goroutines and allocates
-// nothing. With the index active, Step, StepParallel, and Count run at
-// zero allocations per round.
 //
 // # Observation pipeline
 //

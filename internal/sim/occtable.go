@@ -65,6 +65,7 @@ func (t *occTable) reset() {
 
 // home returns the preferred slot index for key p. The murmur3
 // finalizer spreads the sequential node ids a random walk produces.
+//
 //antlint:noalloc
 func (t *occTable) home(p int64) uint64 {
 	z := uint64(p)
@@ -77,6 +78,7 @@ func (t *occTable) home(p int64) uint64 {
 }
 
 // get returns the cell for node p (zero if unoccupied).
+//
 //antlint:noalloc
 func (t *occTable) get(p int64) cell {
 	for i := t.home(p); ; i = (i + 1) & t.mask {
@@ -100,6 +102,7 @@ const probeBlock = 32
 // totalsInto fills out[j] with the total occupancy at pos[j] (zero for
 // unoccupied nodes) — the batched-probe twin of get for bulk count
 // snapshots. out must have at least len(pos) elements.
+//
 //antlint:noalloc
 func (t *occTable) totalsInto(pos []int64, out []int) {
 	_ = out[:len(pos)]
@@ -132,6 +135,7 @@ func (t *occTable) totalsInto(pos []int64, out []int) {
 }
 
 // taggedInto is totalsInto for the tagged counter.
+//
 //antlint:noalloc
 func (t *occTable) taggedInto(pos []int64, out []int) {
 	_ = out[:len(pos)]

@@ -23,6 +23,7 @@ func (w *World) CountsAll() []int {
 // snapshot primitive used by the Run pipeline: dst must have length at
 // least NumAgents, and the filled prefix dst[:NumAgents] is returned.
 // It panics if dst is too short.
+//
 //antlint:noalloc
 func (w *World) CountsAllInto(dst []int) []int {
 	if len(dst) < len(w.pos) {
@@ -70,6 +71,7 @@ func (w *World) CountsTaggedAll() []int {
 
 // CountsTaggedAllInto is CountsTaggedAll writing into dst; see
 // CountsAllInto for the dst contract.
+//
 //antlint:noalloc
 func (w *World) CountsTaggedAllInto(dst []int) []int {
 	if len(dst) < len(w.pos) {
@@ -116,6 +118,7 @@ func (w *World) CountsInGroupAll(group int) []int {
 
 // CountsInGroupInto is CountsInGroupAll writing into dst; see
 // CountsAllInto for the dst contract.
+//
 //antlint:noalloc
 func (w *World) CountsInGroupInto(group int, dst []int) []int {
 	if group <= 0 {

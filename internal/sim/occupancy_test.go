@@ -50,6 +50,9 @@ func TestCountsAllSortedMatchesHash(t *testing.T) {
 	}
 }
 
+// TestStepParallelMatchesSerial pins StepParallel on an unsharded
+// world to Step: one shard is one parallel unit, so it steps serially
+// and never builds a worker pool.
 func TestStepParallelMatchesSerial(t *testing.T) {
 	g := topology.MustTorus(2, 50)
 	serial := MustWorld(Config{Graph: g, NumAgents: 500, Seed: 9})
@@ -57,6 +60,9 @@ func TestStepParallelMatchesSerial(t *testing.T) {
 	for r := 0; r < 20; r++ {
 		serial.Step()
 		parallel.StepParallel(8)
+	}
+	if parallel.pool != nil {
+		t.Error("StepParallel on an unsharded world built a worker pool")
 	}
 	for i := 0; i < serial.NumAgents(); i++ {
 		if serial.Pos(i) != parallel.Pos(i) {
@@ -68,12 +74,20 @@ func TestStepParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestStepParallelSmallWorldFallback steps a sharded world with more
+// workers than shards and fewer agents than either, leaving most slabs
+// empty: the worker count clamps to the shard count and the round
+// completes.
 func TestStepParallelSmallWorldFallback(t *testing.T) {
 	g := topology.MustTorus(2, 10)
-	w := MustWorld(Config{Graph: g, NumAgents: 3, Seed: 2})
-	w.StepParallel(16) // falls back to serial; must not panic or skip
+	w := MustWorld(Config{Graph: g, NumAgents: 3, Seed: 2, Shards: 5})
+	defer w.Close()
+	w.StepParallel(16) // must not panic or skip
 	if w.Round() != 1 {
 		t.Errorf("Round = %d, want 1", w.Round())
+	}
+	if w.pool == nil || w.pool.workers() != 5 {
+		t.Errorf("StepParallel(16) on 5 shards did not run a 5-worker pool")
 	}
 }
 
@@ -104,14 +118,5 @@ func BenchmarkStepSerial10k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.Step()
-	}
-}
-
-func BenchmarkStepParallel10k(b *testing.B) {
-	g := topology.MustTorus(2, 1000)
-	w := MustWorld(Config{Graph: g, NumAgents: 10000, Seed: 1})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.StepParallel(8)
 	}
 }

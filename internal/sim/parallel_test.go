@@ -6,10 +6,11 @@ import (
 	"antdensity/internal/topology"
 )
 
-// TestStepParallelWorkerInvariance asserts that StepParallel(k) is
-// bit-identical to Step for every worker count — positions, counts,
-// and round counters — so parallel stepping can never change an
-// experiment's numbers. Run under -race this also exercises the
+// TestStepParallelWorkerInvariance asserts that StepParallel(k) on a
+// sharded world is bit-identical to Step on its flat twin for every
+// worker count, including more workers than shards — positions,
+// counts, and round counters — so parallel stepping can never change
+// an experiment's numbers. Run under -race this also exercises the
 // worker goroutines for data races.
 func TestStepParallelWorkerInvariance(t *testing.T) {
 	g := topology.MustTorus(2, 40)
@@ -18,7 +19,8 @@ func TestStepParallelWorkerInvariance(t *testing.T) {
 	for _, k := range []int{1, 2, 8} {
 		k := k
 		serial := MustWorld(Config{Graph: g, NumAgents: agents, Seed: 77})
-		parallel := MustWorld(Config{Graph: g, NumAgents: agents, Seed: 77})
+		parallel := MustWorld(Config{Graph: g, NumAgents: agents, Seed: 77, Shards: 4})
+		defer parallel.Close()
 		for i := 0; i < agents; i += 7 {
 			serial.SetTagged(i, true)
 			parallel.SetTagged(i, true)

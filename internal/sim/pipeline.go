@@ -168,12 +168,11 @@ type Runner struct {
 
 // NewRunner returns a Runner observing w. The observer list may be
 // empty, in which case Step just advances the world. The stepping
-// worker count defaults to the world's own recommendation
-// (autoStepWorkers: one worker per shard up to GOMAXPROCS for sharded
-// worlds, serial otherwise), so every pipeline-driven caller — Run,
-// the estimators, serve — parallelizes sharded worlds without a new
-// parameter; SetWorkers overrides it. Worker count never affects
-// results, by the determinism invariant.
+// worker count is the world's own recommendation (autoStepWorkers: one
+// worker per shard up to GOMAXPROCS for sharded worlds, serial
+// otherwise), so every pipeline-driven caller — Run, the estimators,
+// serve — parallelizes sharded worlds without a new parameter. Worker
+// count never affects results, by the determinism invariant.
 func NewRunner(w *World, obs ...Observer) *Runner {
 	active := make([]bool, w.NumAgents())
 	for i := range active {
@@ -189,16 +188,6 @@ func NewRunner(w *World, obs ...Observer) *Runner {
 	}
 }
 
-// SetWorkers overrides the number of stepping workers the Runner uses
-// per round; k < 2 forces serial stepping. Results are unchanged for
-// any k.
-func (rn *Runner) SetWorkers(k int) {
-	if k < 1 {
-		k = 1
-	}
-	rn.workers = k
-}
-
 // Rounds returns the number of observed rounds completed so far.
 func (rn *Runner) Rounds() int { return rn.r.index }
 
@@ -211,6 +200,7 @@ func (rn *Runner) Stopped() bool {
 // Step advances the world one round and hands the snapshot to every
 // observer that has not stopped. It reports whether the run should
 // continue; once it returns false, further calls are no-ops.
+//
 //antlint:noalloc
 func (rn *Runner) Step() bool {
 	if rn.Stopped() {

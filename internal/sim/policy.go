@@ -10,8 +10,9 @@ import (
 
 // Policy determines how an agent moves in each round.
 //
-// Policies that can advance many agents at once additionally implement
-// BulkStepper; see bulk.go for the contract.
+// Step is the reference semantics of every policy. Uniform-policy
+// worlds may advance all agents through a batched kernel instead
+// (soa.go), which consumes exactly the draws Step would.
 type Policy interface {
 	// Step returns the agent's next position given its current
 	// position on g, drawing randomness from s.
@@ -103,16 +104,10 @@ func NewBiased(weights []float64) (*Biased, error) {
 	return &Biased{Weights: weights, cumulative: cum, total: total}, nil
 }
 
-// sample draws a neighbor index proportionally to the weights. The
-// scalar Step, the fused StepMany, and the batched path all reduce to
-// pick over one uniform draw, so every path consumes identical
-// randomness.
-func (b *Biased) sample(s *rng.Stream) int {
-	return b.pick(s.Float64())
-}
-
 // pick maps one uniform [0,1) draw to a neighbor index via the
-// cumulative weight table.
+// cumulative weight table. The scalar Step and the batched path both
+// reduce to pick over one uniform draw, so both consume identical
+// randomness.
 func (b *Biased) pick(u float64) int {
 	x := u * b.total
 	for i, c := range b.cumulative {
@@ -125,5 +120,5 @@ func (b *Biased) pick(u float64) int {
 
 // Step samples a neighbor index proportionally to Weights.
 func (b *Biased) Step(g topology.Graph, pos int64, s *rng.Stream) int64 {
-	return g.Neighbor(pos, b.sample(s))
+	return g.Neighbor(pos, b.pick(s.Float64()))
 }

@@ -5,8 +5,8 @@ import (
 	"sync"
 )
 
-// stepPool is a persistent set of worker goroutines that the parallel
-// entry points reuse every round, instead of spawning goroutines and a
+// stepPool is a persistent set of worker goroutines that sharded
+// worlds reuse every round, instead of spawning goroutines and a
 // channel per call. The pool is created lazily on the first parallel
 // call and resized only when the requested worker count changes;
 // steady-state rounds perform two channel operations per worker and
@@ -23,29 +23,27 @@ type stepPool struct {
 	once   sync.Once       // guards channel close in stop
 }
 
-// jobKind selects what a pool dispatch runs over its [lo, hi) range:
-// agents of the flat world, or shards of a sharded one.
+// jobKind selects what a pool dispatch runs over its [lo, hi) range
+// of shards.
 type jobKind uint8
 
 const (
-	// jobStep ranges over agents: stepRange on the flat SoA arrays.
-	jobStep jobKind = iota
-	// jobShardPhase1 ranges over shards: shard-local stepping plus
-	// emigrant classification (sharded.go).
-	jobShardPhase1
-	// jobShardPhase2 ranges over shards: emigrant eviction and the
-	// deterministic immigrant merge.
+	// jobShardPhase1 runs shard-local stepping plus emigrant
+	// classification (sharded.go).
+	jobShardPhase1 jobKind = iota
+	// jobShardPhase2 runs emigrant eviction and the deterministic
+	// immigrant merge.
 	jobShardPhase2
-	// jobShardCounts ranges over shards: bulk count scatter from the
-	// shard-local occupancy indexes.
+	// jobShardCounts runs the bulk count scatter from the shard-local
+	// occupancy indexes.
 	jobShardCounts
 )
 
 // stepJob describes one dispatch of work. Chunk boundaries are a pure
-// function of (chunk, n, worker id), so the unit-to-worker assignment
-// is deterministic — not that it matters for output: every agent owns
-// a private rng stream and every shard phase touches only slab-owned
-// state, so any assignment yields identical bytes.
+// function of (chunk, n, worker id), so the shard-to-worker assignment
+// is deterministic — not that it matters for output: every shard phase
+// touches only slab-owned state, so any assignment yields identical
+// bytes.
 type stepJob struct {
 	w     *World
 	kind  jobKind
@@ -79,8 +77,6 @@ func (p *stepPool) work(g int, signal <-chan struct{}) {
 		}
 		if lo < hi {
 			switch j.kind {
-			case jobStep:
-				j.w.stepRange(lo, hi)
 			case jobShardPhase1:
 				for s := lo; s < hi; s++ {
 					j.w.shardPhase1(s)
@@ -99,14 +95,14 @@ func (p *stepPool) work(g int, signal <-chan struct{}) {
 	}
 }
 
-// run dispatches one job of n units across all workers, chunked at the
-// given alignment, and blocks until every chunk is done — a barrier.
-// The world reference is cleared before returning so an idle pool
-// keeps nothing alive but itself.
-func (p *stepPool) run(w *World, kind jobKind, n, align int) {
+// run dispatches one job of n shards across all workers, in
+// contiguous chunks, and blocks until every chunk is done — a barrier.
+// Trailing workers whose chunk starts past n simply idle. The world
+// reference is cleared before returning so an idle pool keeps nothing
+// alive but itself.
+func (p *stepPool) run(w *World, kind jobKind, n int) {
 	k := len(p.signal)
 	chunk := (n + k - 1) / k
-	chunk = (chunk + align - 1) &^ (align - 1)
 	p.job = stepJob{w: w, kind: kind, chunk: chunk, n: n}
 	for _, ch := range p.signal {
 		ch <- struct{}{}
@@ -115,14 +111,6 @@ func (p *stepPool) run(w *World, kind jobKind, n, align int) {
 		<-p.done
 	}
 	p.job = stepJob{}
-}
-
-// step runs one synchronous round of flat-world stepping. Chunks are
-// rounded up to chunkAlign agents so no two workers share a cache line
-// of the SoA arrays (see soa.go); trailing workers whose range starts
-// past n simply idle.
-func (p *stepPool) step(w *World) {
-	p.run(w, jobStep, len(w.pos), chunkAlign)
 }
 
 // stop terminates the pool's goroutines. Idempotent.
@@ -151,10 +139,11 @@ func (w *World) ensurePool(workers int) *stepPool {
 	return p
 }
 
-// Close stops the world's persistent worker pool, if one was created
-// by a parallel call. It is optional — an unreachable World's pool is
-// stopped by a GC cleanup — but releases the goroutines promptly. The
-// world remains usable; a later parallel call creates a fresh pool.
+// Close stops the world's persistent worker pool, if a parallel call
+// on a sharded world created one. It is optional — an unreachable
+// World's pool is stopped by a GC cleanup — but releases the
+// goroutines promptly. The world remains usable; a later parallel call
+// creates a fresh pool.
 func (w *World) Close() {
 	if w.pool != nil {
 		w.pool.stop()

@@ -18,7 +18,7 @@ import (
 // barrier between them:
 //
 //  1. Shard-local stepping: each shard advances its own agents with
-//     the same batched/fused/scalar kernels as the flat world, then
+//     the same batched/scalar kernels as the flat world, then
 //     classifies results — agents still inside the shard's range
 //     update the shard's occupancy slab in place; agents that left
 //     are posted to the per-(src, dst) migration mailboxes.
@@ -62,6 +62,7 @@ const shardMaxAuto = 64
 
 // defaultShards is the process-wide ShardAuto override installed by
 // SetDefaultShards (the CLI's -shards flag).
+//
 //antlint:globalok execution-layout default only; results are shard-invariant for every count (TestRunShardInvariance)
 var defaultShards atomic.Int32
 
@@ -208,6 +209,7 @@ func (w *World) autoStepWorkers() int {
 // counts — because slab ownership (agent in slab s iff its position is
 // in s's range) is the structural invariant everything else indexes
 // by.
+//
 //antlint:noalloc
 func (w *World) stepSharded(workers int) {
 	sh := w.sh
@@ -225,8 +227,8 @@ func (w *World) stepSharded(workers int) {
 		}
 	} else {
 		p := w.ensurePool(workers)
-		p.run(w, jobShardPhase1, k, 1)
-		p.run(w, jobShardPhase2, k, 1)
+		p.run(w, jobShardPhase1, k)
+		p.run(w, jobShardPhase2, k)
 	}
 	w.round++
 }
@@ -252,6 +254,7 @@ func (sl *shardSlab) syncScratch(sh *shardedState) {
 // eviction. Touches only slab s, its outgoing mailboxes, and
 // disjoint-id elements of the flat position mirror — safe to run
 // concurrently with any other shard's phase 1.
+//
 //antlint:noalloc
 func (w *World) shardPhase1(s int) {
 	sh := w.sh
@@ -273,14 +276,7 @@ func (w *World) shardPhase1(s int) {
 		copy(sl.prev, sl.pos)
 	}
 	if p := w.uniform; p != nil {
-		if !sl.stepBatched(w.graph, p, 0, n) {
-			if b, ok := p.(BulkStepper); ok && b.StepMany(w.graph, sl.pos, sl.streams) {
-			} else {
-				for k := 0; k < n; k++ {
-					sl.pos[k] = p.Step(w.graph, sl.pos[k], &sl.streams[k])
-				}
-			}
-		}
+		sl.stepUniform(w.graph, p)
 	} else {
 		for k := 0; k < n; k++ {
 			sl.pos[k] = w.policies[sl.ids[k]].Step(w.graph, sl.pos[k], &sl.streams[k])
@@ -329,6 +325,7 @@ func (w *World) shardPhase1(s int) {
 // incoming mailboxes — safe to run concurrently with any other
 // shard's phase 2, and the fixed merge order makes the resulting slab
 // layout independent of worker count.
+//
 //antlint:noalloc
 func (w *World) shardPhase2(s int) {
 	sh := w.sh
@@ -463,13 +460,14 @@ func (w *World) shardCountsRange(s int) {
 
 // shardCountsInto runs the bulk-count scatter over all shards,
 // through the pool when one is warm.
+//
 //antlint:noalloc
 func (w *World) shardCountsInto(out []int, tagged bool) {
 	sh := w.sh
 	sh.countsDst = out
 	sh.countsTagged = tagged
 	if w.pool != nil {
-		w.pool.run(w, jobShardCounts, len(sh.slabs), 1)
+		w.pool.run(w, jobShardCounts, len(sh.slabs))
 	} else {
 		for s := range sh.slabs {
 			w.shardCountsRange(s)

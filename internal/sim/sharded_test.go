@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"antdensity/internal/rng"
@@ -167,17 +168,20 @@ func TestShardAutoAndDefault(t *testing.T) {
 }
 
 // TestShardedRunner pins the pipeline integration: a Runner on a
-// sharded world steps it in parallel (SetWorkers) with results
-// bit-identical to a flat serial twin, and sharded runs through
-// Run/observers behave like unsharded ones.
+// sharded world steps it in parallel (one worker per shard, up to
+// GOMAXPROCS) with results bit-identical to a flat serial twin, and
+// sharded runs through Run/observers behave like unsharded ones.
 func TestShardedRunner(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
 	g := topology.MustTorus(2, 12)
 	const agents = 200
 	flat := MustWorld(Config{Graph: g, NumAgents: agents, Seed: 9, Shards: 1})
 	shw := MustWorld(Config{Graph: g, NumAgents: agents, Seed: 9, Shards: 4})
 	defer shw.Close()
 	rn := NewRunner(shw)
-	rn.SetWorkers(3)
+	if rn.workers != 3 {
+		t.Fatalf("Runner on a 4-shard world at GOMAXPROCS 3 uses %d workers, want 3", rn.workers)
+	}
 	for r := 0; r < 10; r++ {
 		flat.Step()
 		rn.Step()
@@ -187,33 +191,6 @@ func TestShardedRunner(t *testing.T) {
 		}
 	}
 	if shw.pool == nil {
-		t.Error("Runner.SetWorkers(3) never engaged the parallel pool")
-	}
-}
-
-// TestShardedParallelMinAgents pins the exported fallback rule on flat
-// worlds: with ParallelMinAgents = m, StepParallel(k) runs serially
-// (no pool) when agents < m*k and in parallel otherwise.
-func TestShardedParallelMinAgents(t *testing.T) {
-	g := topology.MustTorus(2, 16)
-	w := MustWorld(Config{Graph: g, NumAgents: 100, Seed: 3, ParallelMinAgents: 60})
-	w.StepParallel(2) // 100 < 60*2: serial fallback
-	if w.pool != nil {
-		t.Error("StepParallel below the ParallelMinAgents threshold built a pool")
-	}
-	big := MustWorld(Config{Graph: g, NumAgents: 120, Seed: 3, ParallelMinAgents: 60})
-	defer big.Close()
-	big.StepParallel(2) // 120 >= 60*2: parallel
-	if big.pool == nil {
-		t.Error("StepParallel above the threshold stayed serial")
-	}
-	// Default keeps the historical rule: < 2 agents per worker.
-	def := MustWorld(Config{Graph: g, NumAgents: 7, Seed: 3})
-	def.StepParallel(4) // 7 < 2*4
-	if def.pool != nil {
-		t.Error("default threshold (2 agents/worker) did not fall back")
-	}
-	if _, err := NewWorld(Config{Graph: g, NumAgents: 5, Seed: 1, ParallelMinAgents: -2}); err == nil {
-		t.Error("negative ParallelMinAgents should error")
+		t.Error("Runner on a sharded world never engaged the parallel pool")
 	}
 }

@@ -9,18 +9,17 @@ import (
 // round loop touches per agent: parallel flat slices indexed by agent
 // id. Positions, previous positions, and RNG streams are the
 // authoritative state; draws and floats are caller-owned scratch
-// buffers the batched RNG kernels fill one worker chunk per round
-// (allocated lazily by ensureScratch, only for policy/topology pairs
-// with a batched path). The per-agent active mask of the observation
+// buffers the batched RNG kernels fill once per round (allocated
+// lazily by ensureScratch, only for policy/topology pairs with a
+// batched path). The per-agent active mask of the observation
 // pipeline lives in Round.active, completing the SoA set.
 //
 // World embeds hotState anonymously, so w.pos[i], w.prev[i],
 // w.streams[i], w.draws[i], and w.floats[i] are always element i of
-// parallel arrays — the invariant the worker pool's chunking and the
-// batched kernels rely on. Sharded worlds embed one hotState per
-// shard slab (sharded.go), indexed by slab slot instead of agent id;
-// the kernels below take the graph explicitly so both layouts share
-// them unchanged.
+// parallel arrays — the invariant the batched kernels rely on.
+// Sharded worlds embed one hotState per shard slab (sharded.go),
+// indexed by slab slot instead of agent id; the kernels below take
+// the graph explicitly so both layouts share them unchanged.
 type hotState struct {
 	pos          []int64
 	prev         []int64 // previous round's positions, for incremental occupancy updates
@@ -30,18 +29,11 @@ type hotState struct {
 	scratchReady bool
 }
 
-// chunkAlign is the agent-count granularity of worker-pool chunk
-// boundaries. Eight 8-byte elements span one 64-byte cache line, so
-// rounding chunk sizes up to a multiple of chunkAlign guarantees no
-// two workers ever write the same cache line of pos, prev, draws, or
-// floats (streams are 32 bytes, so a multiple of 8 covers them too) —
-// no false sharing, regardless of worker count.
-const chunkAlign = 8
-
 // scratchNeeds reports which batched-RNG scratch buffers the given
 // uniform policy needs on g: draws for bounded-integer batching,
-// floats for coin/weight batching. Policy/topology pairs with no
-// batched kernel need neither and keep using the fused scalar paths.
+// floats for coin/weight batching. Policy/topology pairs that need
+// neither either batch without scratch (the random walk on an
+// irregular CSR graph) or take the scalar path.
 func scratchNeeds(p Policy, g topology.Graph) (needDraws, needFloats bool) {
 	switch pl := p.(type) {
 	case RandomWalk:
@@ -69,10 +61,8 @@ func scratchNeeds(p Policy, g topology.Graph) (needDraws, needFloats bool) {
 
 // ensureScratch sizes the batched-RNG scratch buffers for the world's
 // uniform policy, once. Worlds with per-agent policy overrides, or
-// policy/topology pairs with no batched path, allocate nothing and
-// keep using the fused scalar kernels. Called before stepping; the
-// buffers are sized for all agents so any worker-chunk subslice
-// [lo:hi) is valid.
+// policy/topology pairs that need no scratch, allocate nothing.
+// Called before stepping; the buffers are sized for all agents.
 func (w *World) ensureScratch() {
 	if w.scratchReady {
 		return
@@ -114,38 +104,59 @@ func batchedGraph(g topology.Graph) bool {
 	return false
 }
 
-// stepBatched advances agents [lo, hi) on g using batched RNG fills
-// into the scratch buffers, reporting false (with state untouched)
-// when the policy/topology pair has no batched path or scratch was not
-// provisioned. Draw consumption per agent stream is identical to the
-// scalar and fused paths — rng.Uint64nEach/FloatEach make exactly the
-// draws the per-agent calls would — so all three paths are
-// interchangeable bit for bit.
-func (h *hotState) stepBatched(g topology.Graph, p Policy, lo, hi int) bool {
+// stepUniform advances every agent of h one round under the shared
+// policy p on g: one batched dispatch when the policy/topology pair
+// has a batched kernel, otherwise the scalar reference loop. Both
+// consume identical draws per agent stream, so the choice never
+// changes output.
+func (h *hotState) stepUniform(g topology.Graph, p Policy) {
+	if h.stepBatched(g, p) {
+		return
+	}
+	for k := range h.pos {
+		h.pos[k] = p.Step(g, h.pos[k], &h.streams[k])
+	}
+}
+
+// stepBatched advances every agent of h on g through a batched kernel,
+// reporting false (with state untouched) when the policy/topology pair
+// has none or its scratch was not provisioned. Draw consumption per
+// agent stream is identical to the scalar Step —
+// rng.Uint64nEach/FloatEach make exactly the draws the per-agent calls
+// would — so the two paths are interchangeable bit for bit.
+func (h *hotState) stepBatched(g topology.Graph, p Policy) bool {
 	switch pl := p.(type) {
 	case RandomWalk:
-		return h.randomWalkBatched(g, lo, hi)
+		return h.randomWalkBatched(g)
 	case Lazy:
 		if pl.StayProb <= 0 {
-			return h.randomWalkBatched(g, lo, hi)
+			return h.randomWalkBatched(g)
 		}
 		if pl.StayProb >= 1 || h.floats == nil {
 			return false
 		}
-		return h.lazyBatched(g, pl.StayProb, lo, hi)
+		return h.lazyBatched(g, pl.StayProb)
 	case *Biased:
-		return h.biasedBatched(g, pl, lo, hi)
+		return h.biasedBatched(g, pl)
 	}
 	return false
 }
 
 // randomWalkBatched is stepBatched's uniform-random-walk kernel: one
-// bulk bounded-draw fill, one arithmetic apply pass.
-func (h *hotState) randomWalkBatched(g topology.Graph, lo, hi int) bool {
+// bulk bounded-draw fill, one arithmetic apply pass. A CSR graph with
+// no fixed draw bound gets no draws scratch; it steps in one pass of
+// (*Adj).RandomSteps, which bounds each agent's draw by its own node's
+// degree.
+func (h *hotState) randomWalkBatched(g topology.Graph) bool {
+	pos, streams := h.pos, h.streams
 	if h.draws == nil {
-		return false
+		t, ok := g.(*topology.Adj)
+		if ok {
+			t.RandomSteps(pos, streams)
+		}
+		return ok
 	}
-	pos, streams, draws := h.pos[lo:hi], h.streams[lo:hi], h.draws[lo:hi]
+	draws := h.draws[:len(pos)]
 	switch t := g.(type) {
 	case *topology.Torus:
 		t.RandomStepsInto(pos, streams, draws)
@@ -165,9 +176,10 @@ func (h *hotState) randomWalkBatched(g topology.Graph, lo, hi int) bool {
 // FloatEach fill for the coins, then a move pass drawing each mover's
 // neighbor from its own stream. Coin k compares f[k] < p exactly as
 // Bernoulli does, and movers draw in agent order, so consumption per
-// stream matches the fused loop draw for draw.
-func (h *hotState) lazyBatched(g topology.Graph, stayProb float64, lo, hi int) bool {
-	pos, streams, f := h.pos[lo:hi], h.streams[lo:hi], h.floats[lo:hi]
+// stream matches the scalar Step draw for draw.
+func (h *hotState) lazyBatched(g topology.Graph, stayProb float64) bool {
+	pos, streams := h.pos, h.streams
+	f := h.floats[:len(pos)]
 	switch t := g.(type) {
 	case *topology.Torus:
 		rng.FloatEach(streams, f)
@@ -209,7 +221,7 @@ func (h *hotState) lazyBatched(g topology.Graph, stayProb float64, lo, hi int) b
 // biasedBatched batches Biased's weighted direction draws: one
 // FloatEach fill, then table lookups through the same cumulative
 // search as the scalar sample.
-func (h *hotState) biasedBatched(g topology.Graph, b *Biased, lo, hi int) bool {
+func (h *hotState) biasedBatched(g topology.Graph, b *Biased) bool {
 	if h.floats == nil {
 		return false
 	}
@@ -217,7 +229,8 @@ func (h *hotState) biasedBatched(g topology.Graph, b *Biased, lo, hi int) bool {
 	if !ok || len(b.cumulative) > r.CommonDegree() {
 		return false
 	}
-	pos, streams, f := h.pos[lo:hi], h.streams[lo:hi], h.floats[lo:hi]
+	pos, streams := h.pos, h.streams
+	f := h.floats[:len(pos)]
 	switch t := g.(type) {
 	case *topology.Torus:
 		rng.FloatEach(streams, f)

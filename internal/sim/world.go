@@ -99,19 +99,7 @@ type Config struct {
 	// every shard count — sharding changes execution layout, never
 	// output.
 	Shards int
-	// ParallelMinAgents is the minimum number of agents per worker
-	// below which StepParallel falls back to the serial path (the
-	// per-worker wake/wait overhead exceeds the work). The zero value
-	// means DefaultParallelMinAgents. Sharded worlds ignore it: their
-	// parallel grain is the shard, fixed at construction.
-	ParallelMinAgents int
 }
-
-// DefaultParallelMinAgents is the default StepParallel serial-fallback
-// threshold: fewer than this many agents per requested worker and the
-// round runs serially. The value keeps the historical rule
-// (len(agents) < 2*workers falls back).
-const DefaultParallelMinAgents = 2
 
 // World is a synchronous multi-agent simulation. It tracks agent
 // positions, steps all agents once per round, and serves the model's
@@ -120,7 +108,7 @@ const DefaultParallelMinAgents = 2
 type World struct {
 	graph    topology.Graph
 	policies []Policy // per-agent overrides; nil until the first SetPolicy
-	uniform  Policy   // shared policy when no SetPolicy override exists; enables bulk stepping
+	uniform  Policy   // shared policy when no SetPolicy override exists; enables batched stepping
 	hotState          // SoA per-agent state: pos/prev/streams + batched-RNG scratch (see soa.go)
 	tagged   []bool
 	groups   []int32
@@ -134,8 +122,6 @@ type World struct {
 	// authoritative hot state and occupancy, and the embedded hotState
 	// keeps only pos as an id-indexed position mirror.
 	sh *shardedState
-	// parallelMin is the resolved Config.ParallelMinAgents.
-	parallelMin int
 }
 
 type cell struct {
@@ -166,9 +152,6 @@ func NewWorld(cfg Config) (*World, error) {
 	if cfg.Streams != nil && len(cfg.Streams) != cfg.NumAgents {
 		return nil, fmt.Errorf("sim: Config.Streams has %d entries for %d agents", len(cfg.Streams), cfg.NumAgents)
 	}
-	if cfg.ParallelMinAgents < 0 {
-		return nil, fmt.Errorf("sim: Config.ParallelMinAgents must be >= 0, got %d", cfg.ParallelMinAgents)
-	}
 	placement := cfg.Placement
 	if placement == nil {
 		placement = UniformPlacement
@@ -194,10 +177,6 @@ func NewWorld(cfg Config) (*World, error) {
 			part = p
 		}
 	}
-	parallelMin := cfg.ParallelMinAgents
-	if parallelMin == 0 {
-		parallelMin = DefaultParallelMinAgents
-	}
 	root := rng.New(cfg.Seed)
 	w := &World{
 		graph:   cfg.Graph,
@@ -207,10 +186,9 @@ func NewWorld(cfg Config) (*World, error) {
 			prev:    make([]int64, cfg.NumAgents),
 			streams: make([]rng.Stream, cfg.NumAgents),
 		},
-		tagged:      make([]bool, cfg.NumAgents),
-		groups:      make([]int32, cfg.NumAgents),
-		numGroup:    make(map[int32]int),
-		parallelMin: parallelMin,
+		tagged:   make([]bool, cfg.NumAgents),
+		groups:   make([]int32, cfg.NumAgents),
+		numGroup: make(map[int32]int),
 	}
 	if err := w.initOcc(cfg.Occupancy, cfg.NumAgents, part); err != nil {
 		return nil, err
@@ -260,11 +238,10 @@ func (w *World) Round() int { return w.round }
 func (w *World) Pos(i int) int64 { return w.pos[i] }
 
 // SetPolicy overrides the movement policy of agent i. A world with any
-// override steps agents one at a time; uniform worlds use the
-// BulkStepper fast path when the policy and topology support it. The
-// per-agent policy table is materialized on the first override, so
-// uniform worlds — including 10M-agent sharded ones — never pay for
-// it.
+// override steps agents one at a time; uniform worlds use the batched
+// path when the policy and topology support it. The per-agent policy
+// table is materialized on the first override, so uniform worlds —
+// including 10M-agent sharded ones — never pay for it.
 func (w *World) SetPolicy(i int, p Policy) {
 	if w.policies == nil {
 		w.policies = make([]Policy, len(w.pos))
@@ -333,34 +310,15 @@ func (w *World) TaggedDensityFor(i int) float64 {
 	return float64(n) / float64(w.graph.NumNodes())
 }
 
-// stepRange advances agents [lo, hi) one round. Uniform-policy worlds
-// try the BulkStepper fast path first and otherwise run a scalar loop
-// with the policy hoisted; worlds with per-agent overrides dispatch
-// per agent.
-func (w *World) stepRange(lo, hi int) {
-	if p := w.uniform; p != nil {
-		if w.stepBatched(w.graph, p, lo, hi) {
-			return
-		}
-		if b, ok := p.(BulkStepper); ok && b.StepMany(w.graph, w.pos[lo:hi], w.streams[lo:hi]) {
-			return
-		}
-		for i := lo; i < hi; i++ {
-			w.pos[i] = p.Step(w.graph, w.pos[i], &w.streams[i])
-		}
-		return
-	}
-	for i := lo; i < hi; i++ {
-		w.pos[i] = w.policies[i].Step(w.graph, w.pos[i], &w.streams[i])
-	}
-}
-
 // Step advances the simulation one synchronous round: every agent
-// moves once according to its policy. Collision queries after Step
-// reflect the new positions, per the model's "collide in round r if
-// they have the same position at the end of the round". If the
+// moves once according to its policy. Uniform-policy worlds step
+// through one batched dispatch or the scalar loop (soa.go); worlds
+// with per-agent overrides dispatch per agent. Collision queries after
+// Step reflect the new positions, per the model's "collide in round r
+// if they have the same position at the end of the round". If the
 // occupancy index is live it is updated incrementally; worlds that
 // never query counts pay nothing for it.
+//
 //antlint:noalloc
 func (w *World) Step() {
 	if w.sh != nil {
@@ -372,7 +330,13 @@ func (w *World) Step() {
 	if track {
 		copy(w.prev, w.pos)
 	}
-	w.stepRange(0, len(w.pos))
+	if p := w.uniform; p != nil {
+		w.stepUniform(w.graph, p)
+	} else {
+		for i := range w.pos {
+			w.pos[i] = w.policies[i].Step(w.graph, w.pos[i], &w.streams[i])
+		}
+	}
 	w.round++
 	if track {
 		w.applyMoves()
@@ -381,33 +345,20 @@ func (w *World) Step() {
 
 // StepParallel advances one round using the given number of worker
 // goroutines from the world's persistent pool (created on first use,
-// reused every round). Because every agent steps from its own private
-// stream, the result is bit-identical to Step regardless of workers;
-// use it for worlds with hundreds of thousands of agents. On a
-// sharded world, workers range over shards (each phase of the round
-// splits its shards across the pool). On a flat world, workers < 2 or
-// fewer than ParallelMinAgents agents per worker falls back to the
-// serial path.
+// reused every round). The shard is the parallel grain: workers range
+// over shards, each phase of the round splitting its shards across
+// the pool. An unsharded world has one shard and steps serially, so
+// there StepParallel is Step. Because every agent steps from its own
+// private stream, the result is bit-identical to Step regardless of
+// workers.
+//
 //antlint:noalloc
 func (w *World) StepParallel(workers int) {
 	if w.sh != nil {
 		w.stepSharded(workers)
 		return
 	}
-	if workers < 2 || len(w.pos) < w.parallelMin*workers {
-		w.Step()
-		return
-	}
-	w.ensureScratch()
-	track := !w.occDirty
-	if track {
-		copy(w.prev, w.pos)
-	}
-	w.ensurePool(workers).step(w)
-	w.round++
-	if track {
-		w.applyMoves()
-	}
+	w.Step()
 }
 
 // SetGroup assigns agent i to a group. Group 0 is the default
@@ -503,6 +454,7 @@ func (w *World) GroupDensityFor(i, group int) float64 {
 
 // Count implements the model's count(position) sensing for agent i:
 // the number of other agents at i's current position.
+//
 //antlint:noalloc
 func (w *World) Count(i int) int {
 	if w.occDirty {
@@ -515,6 +467,7 @@ func (w *World) Count(i int) int {
 // position — the property-specific encounter sensing of Section 5.2
 // ("ants can detect this property ... and separately track encounters
 // with these agents").
+//
 //antlint:noalloc
 func (w *World) CountTagged(i int) int {
 	if w.occDirty {

@@ -134,7 +134,7 @@ func TestAdjRandomStepsInto(t *testing.T) {
 		g.RandomSteps(posS, scalar)
 		for i := range posB {
 			if posB[i] != posS[i] || batched[i] != scalar[i] {
-				t.Fatalf("round %d agent %d: batched (%d) and fused (%d) paths diverged", round, i, posB[i], posS[i])
+				t.Fatalf("round %d agent %d: RandomStepsInto (%d) and RandomSteps (%d) diverged", round, i, posB[i], posS[i])
 			}
 		}
 	}

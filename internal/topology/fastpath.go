@@ -6,7 +6,7 @@ import "antdensity/internal/rng"
 // topologies and the CSR adjacency graph. The generic Graph interface
 // costs two or three indirect calls plus node validation per
 // random-walk step; the kernels below let hot loops (internal/sim's
-// BulkStepper policies, Walk/WalkPath, and internal/walk's Monte Carlo
+// batched stepping, Walk/WalkPath, and internal/walk's Monte Carlo
 // estimators) run arithmetic-only inner loops on concrete
 // torus/ring/hypercube/complete types, and offsets/neighbors array
 // loads on *Adj — so the social-network and expander experiments also
@@ -61,29 +61,12 @@ func (g *Adj) RandomStepFrom(v int64, s *rng.Stream) int64 {
 }
 
 // RandomSteps advances pos[k] by one uniformly random step drawing
-// from streams[k], for every k — the bulk twin of RandomStep with the
-// degree hoisted and neighbor arithmetic inlined.
-func (t *Torus) RandomSteps(pos []int64, streams []rng.Stream) {
-	deg := 2 * t.dims
-	for k := range pos {
-		i := streams[k].Intn(deg)
-		pos[k] = t.step(pos[k], i>>1, 1-int64(i&1)<<1)
-	}
-}
-
-// RandomSteps advances pos[k] by one uniformly random step drawing
-// from streams[k], for every k; see (*Torus).RandomSteps.
-func (h *Hypercube) RandomSteps(pos []int64, streams []rng.Stream) {
-	bits := h.bits
-	for k := range pos {
-		pos[k] ^= 1 << uint(streams[k].Intn(bits))
-	}
-}
-
-// RandomSteps advances pos[k] by one uniformly random step drawing
-// from streams[k], for every k; see (*Torus).RandomSteps. This is the
-// CSR offsets/neighbors kernel: per-node degrees come from one
-// subtraction, with no interface dispatch or validation in the loop.
+// from streams[k], for every k — the bulk twin of RandomStep on the
+// CSR layout: per-node degrees come from one subtraction, with no
+// interface dispatch or validation in the loop. Each draw is bounded
+// by its own node's degree, so it needs no fixed draw bound and serves
+// irregular graphs; isolated nodes stay put and consume no randomness,
+// exactly like RandomStep.
 func (g *Adj) RandomSteps(pos []int64, streams []rng.Stream) {
 	offsets, neighbors := g.offsets, g.neighbors
 	for k := range pos {
@@ -94,26 +77,14 @@ func (g *Adj) RandomSteps(pos []int64, streams []rng.Stream) {
 	}
 }
 
-// RandomSteps advances pos[k] by one uniformly random step drawing
-// from streams[k], for every k; see (*Torus).RandomSteps.
-func (c *Complete) RandomSteps(pos []int64, streams []rng.Stream) {
-	deg := int(c.nodes - 1)
-	for k := range pos {
-		j := int64(streams[k].Intn(deg))
-		if j >= pos[k] {
-			j++
-		}
-		pos[k] = j
-	}
-}
-
-// RandomStepsInto is RandomSteps with the draws batched: one
+// RandomStepsInto advances pos[k] by one uniformly random step drawing
+// from streams[k], for every k, with the draws batched: one
 // rng.Uint64nEach fill (one bounded draw per agent stream, written to
 // the caller-owned draws buffer) followed by an arithmetic-only apply
-// loop. Draw consumption per stream is identical to RandomSteps and
-// RandomStep, so the batched and scalar paths are interchangeable bit
-// for bit; draws must have at least len(pos) elements, and pos,
-// streams, and draws must be indexed alike.
+// loop. Draw consumption per stream is identical to RandomStep, so the
+// batched and scalar paths are interchangeable bit for bit; draws must
+// have at least len(pos) elements, and pos, streams, and draws must be
+// indexed alike.
 func (t *Torus) RandomStepsInto(pos []int64, streams []rng.Stream, draws []uint64) {
 	rng.Uint64nEach(streams, uint64(2*t.dims), draws)
 	if t.dims == 2 {
@@ -148,8 +119,8 @@ func (t *Torus) RandomStepsInto(pos []int64, streams []rng.Stream, draws []uint6
 	}
 }
 
-// RandomStepsInto is RandomSteps with the draws batched; see
-// (*Torus).RandomStepsInto.
+// RandomStepsInto advances every pos[k] by one batched uniformly
+// random step; see (*Torus).RandomStepsInto.
 func (h *Hypercube) RandomStepsInto(pos []int64, streams []rng.Stream, draws []uint64) {
 	rng.Uint64nEach(streams, uint64(h.bits), draws)
 	for k, d := range draws {
@@ -157,8 +128,8 @@ func (h *Hypercube) RandomStepsInto(pos []int64, streams []rng.Stream, draws []u
 	}
 }
 
-// RandomStepsInto is RandomSteps with the draws batched; see
-// (*Torus).RandomStepsInto.
+// RandomStepsInto advances every pos[k] by one batched uniformly
+// random step; see (*Torus).RandomStepsInto.
 func (c *Complete) RandomStepsInto(pos []int64, streams []rng.Stream, draws []uint64) {
 	rng.Uint64nEach(streams, uint64(c.nodes-1), draws)
 	for k, d := range draws {
@@ -173,10 +144,10 @@ func (c *Complete) RandomStepsInto(pos []int64, streams []rng.Stream, draws []ui
 // RandomStepsInto is RandomSteps with the draws batched, possible for
 // the CSR graph only when it is regular (a fixed draw bound holds for
 // every node); it reports false without touching anything otherwise,
-// and callers fall back to the fused RandomSteps kernel. Regular
-// graphs with isolated nodes do not exist (degree 0 everywhere means
-// no edges, degree > 0 somewhere breaks regularity), so the
-// isolated-node no-draw rule of RandomStep cannot diverge here.
+// and callers fall back to RandomSteps. Regular graphs with isolated
+// nodes do not exist (degree 0 everywhere means no edges, degree > 0
+// somewhere breaks regularity), so the isolated-node no-draw rule of
+// RandomStep cannot diverge here.
 func (g *Adj) RandomStepsInto(pos []int64, streams []rng.Stream, draws []uint64) bool {
 	if g.regular <= 0 {
 		return false
@@ -187,49 +158,6 @@ func (g *Adj) RandomStepsInto(pos []int64, streams []rng.Stream, draws []uint64)
 		pos[k] = neighbors[offsets[pos[k]]+int64(d)]
 	}
 	return true
-}
-
-// ShiftSteps moves every pos[k] to its dir-th neighbor — the bulk twin
-// of a fixed-direction Neighbor sweep, validating dir once instead of
-// per agent. It consumes no randomness.
-func (t *Torus) ShiftSteps(pos []int64, dir int) {
-	if dir < 0 || dir >= 2*t.dims {
-		validateNeighborIndex(t, dir)
-	}
-	dim, delta := dir>>1, 1-int64(dir&1)<<1
-	for k := range pos {
-		pos[k] = t.step(pos[k], dim, delta)
-	}
-}
-
-// ShiftSteps moves every pos[k] to its dir-th neighbor; see
-// (*Torus).ShiftSteps.
-func (h *Hypercube) ShiftSteps(pos []int64, dir int) {
-	if dir < 0 || dir >= h.bits {
-		validateNeighborIndex(h, dir)
-	}
-	bit := int64(1) << uint(dir)
-	for k := range pos {
-		pos[k] ^= bit
-	}
-}
-
-// ShiftSteps moves every pos[k] to its dir-th neighbor; see
-// (*Torus).ShiftSteps.
-func (c *Complete) ShiftSteps(pos []int64, dir int) {
-	if dir < 0 || int64(dir) >= c.nodes-1 {
-		validateNeighborIndex(c, dir)
-	}
-	for k := range pos {
-		pos[k] = c.NeighborUnchecked(pos[k], dir)
-	}
-}
-
-// validateNeighborIndex reproduces the panic a Neighbor call with an
-// out-of-range index would raise, by issuing that call on node 0.
-func validateNeighborIndex(g Graph, i int) {
-	g.Neighbor(0, i)
-	panic("topology: validateNeighborIndex called with a valid index")
 }
 
 // Stepper returns a uniform-random-step function for g with the

@@ -40,76 +40,6 @@ func TestNeighborUncheckedMatchesNeighbor(t *testing.T) {
 	}
 }
 
-func TestRandomStepsMatchesRandomStep(t *testing.T) {
-	for _, g := range regularFastGraphs(t) {
-		const agents = 64
-		root := rng.New(31)
-		bulkStreams := make([]rng.Stream, agents)
-		scalarStreams := make([]*rng.Stream, agents)
-		pos := make([]int64, agents)
-		ref := make([]int64, agents)
-		for i := range pos {
-			bulkStreams[i] = root.SplitValue(uint64(i))
-			scalarStreams[i] = root.Split(uint64(i))
-			pos[i] = int64(i) % g.NumNodes()
-			ref[i] = pos[i]
-		}
-		for round := 0; round < 20; round++ {
-			switch c := g.(type) {
-			case *Torus:
-				c.RandomSteps(pos, bulkStreams)
-			case *Hypercube:
-				c.RandomSteps(pos, bulkStreams)
-			case *Complete:
-				c.RandomSteps(pos, bulkStreams)
-			}
-			for i := range ref {
-				ref[i] = RandomStep(g, ref[i], scalarStreams[i])
-			}
-			for i := range ref {
-				if pos[i] != ref[i] {
-					t.Fatalf("%T round %d agent %d: bulk %d, scalar %d", g, round, i, pos[i], ref[i])
-				}
-			}
-		}
-	}
-}
-
-func TestShiftStepsMatchesNeighbor(t *testing.T) {
-	for _, g := range regularFastGraphs(t) {
-		deg := g.CommonDegree()
-		for dir := 0; dir < deg; dir++ {
-			pos := make([]int64, g.NumNodes())
-			for v := range pos {
-				pos[v] = int64(v)
-			}
-			switch c := g.(type) {
-			case *Torus:
-				c.ShiftSteps(pos, dir)
-			case *Hypercube:
-				c.ShiftSteps(pos, dir)
-			case *Complete:
-				c.ShiftSteps(pos, dir)
-			}
-			for v := range pos {
-				if want := g.Neighbor(int64(v), dir); pos[v] != want {
-					t.Fatalf("%T dir %d node %d: ShiftSteps %d, Neighbor %d", g, dir, v, pos[v], want)
-				}
-			}
-		}
-	}
-}
-
-func TestShiftStepsPanicsLikeNeighbor(t *testing.T) {
-	h := MustHypercube(4)
-	defer func() {
-		if recover() == nil {
-			t.Error("ShiftSteps with an out-of-range direction did not panic")
-		}
-	}()
-	h.ShiftSteps([]int64{0}, 99)
-}
-
 // testAdj builds an irregular CSR graph with a multi-edge, a
 // self-loop, and an isolated node — the degree shapes the CSR kernels
 // must handle bit-identically to the generic Degree/Neighbor path.
@@ -118,7 +48,7 @@ func testAdj(t *testing.T) *Adj {
 	g, err := NewAdj(6, []Edge{
 		{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}, {U: 4, V: 0}, // cycle
 		{U: 0, V: 2}, {U: 0, V: 2}, // multi-edge
-		{U: 3, V: 3},               // self-loop
+		{U: 3, V: 3}, // self-loop
 		{U: 1, V: 4},
 	}) // node 5 is isolated
 	if err != nil {

@@ -227,7 +227,10 @@ func (m *Manager) SetSeqBase(n int) {
 }
 
 // submit is the shared enqueue path. id == "" assigns the next
-// sequence id; dedup routes through the result cache.
+// sequence id; dedup routes through the result cache. The Spec is
+// compiled outside the lock, so the cache is checked again under it
+// before registering: a twin submitted meanwhile wins, and this call
+// returns it as a hit.
 func (m *Manager) submit(spec *Spec, id string, dedup bool) (*ManagedRun, bool, error) {
 	fp := ""
 	if dedup {
@@ -236,7 +239,10 @@ func (m *Manager) submit(spec *Spec, id string, dedup bool) (*ManagedRun, bool, 
 		}
 	}
 	if fp != "" {
-		if mr, ok := m.cacheLookup(fp); ok {
+		m.mu.Lock()
+		mr, ok := m.cacheLookup(fp)
+		m.mu.Unlock()
+		if ok {
 			return mr, true, nil
 		}
 	}
@@ -248,6 +254,11 @@ func (m *Manager) submit(spec *Spec, id string, dedup bool) (*ManagedRun, bool, 
 	defer m.mu.Unlock()
 	if m.closed {
 		return nil, false, fmt.Errorf("antdensity: Manager is closed")
+	}
+	if fp != "" {
+		if mr, ok := m.cacheLookup(fp); ok {
+			return mr, true, nil
+		}
 	}
 	if m.qlimit > 0 && len(m.queue) >= m.qlimit {
 		return nil, false, ErrQueueFull
@@ -275,10 +286,8 @@ func (m *Manager) submit(spec *Spec, id string, dedup bool) (*ManagedRun, bool, 
 
 // cacheLookup resolves a fingerprint to a live cache entry, dropping
 // mappings whose runs were evicted or ended canceled/failed (those
-// must be recomputed).
+// must be recomputed), and counts a hit. Callers hold m.mu.
 func (m *Manager) cacheLookup(fp string) (*ManagedRun, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	id, ok := m.cache[fp]
 	if !ok {
 		return nil, false

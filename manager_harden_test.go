@@ -3,10 +3,12 @@ package antdensity_test
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
 	"antdensity"
+	"antdensity/internal/topology"
 )
 
 func TestManagerQueueLimit(t *testing.T) {
@@ -129,6 +131,57 @@ func TestManagerSubmitDeduped(t *testing.T) {
 		t.Fatalf("post-Remove SubmitDeduped = cached %v, err %v", cached, err)
 	}
 	f.Run.Wait()
+}
+
+// TestManagerSubmitDedupedConcurrent releases 32 identical
+// SubmitDeduped calls at once: exactly one may register a run, and
+// every other call must be served that run from the cache, even when
+// it missed the cache before compiling its own Spec.
+func TestManagerSubmitDedupedConcurrent(t *testing.T) {
+	m := antdensity.NewManager(2)
+	defer m.Close()
+	const callers = 32
+	spec := func() *antdensity.Spec {
+		// A world big enough that compiling it leaves a wide window
+		// between the first cache check and registration.
+		return antdensity.DensitySpec(
+			antdensity.WithGraph(topology.MustTorus(2, 100)),
+			antdensity.WithAgents(501),
+			antdensity.WithSeed(11),
+			antdensity.WithRounds(1<<30),
+		)
+	}
+	start := make(chan struct{})
+	ids := make([]string, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			s := spec()
+			<-start
+			mr, _, err := m.SubmitDeduped(s)
+			if err == nil {
+				ids[i] = mr.ID
+			}
+			errs[i] = err
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("caller %d: %v", i, err)
+		}
+		if ids[i] != ids[0] {
+			t.Fatalf("callers got runs %s and %s for one Spec", ids[0], ids[i])
+		}
+	}
+	if hits, misses := m.CacheStats(); hits != callers-1 || misses != 1 {
+		t.Fatalf("CacheStats() = %d hits, %d misses; want %d, 1", hits, misses, callers-1)
+	}
+	m.Cancel(ids[0])
 }
 
 func TestManagerSubmitWithIDAndSeqBase(t *testing.T) {

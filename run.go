@@ -798,9 +798,6 @@ func (r *Run) compileNetsize() error {
 		every := s.snapshotEvery()
 		var last, lastTotal int
 		cfg.Progress = func(done, total int) {
-			if s.netProgress != nil {
-				s.netProgress(done, total)
-			}
 			last, lastTotal = done, total
 			if done%every != 0 && done != total {
 				return

@@ -61,18 +61,14 @@ func runSpec(t *testing.T, s *antdensity.Spec) antdensity.Output {
 	return out
 }
 
-// The shim-vs-Spec equivalence tests: for every estimator, the
-// pre-redesign internal path, the deprecated v1 wrapper, and an
-// explicit v2 Spec run must produce bit-identical outputs for a fixed
-// seed.
+// The Spec-vs-direct equivalence tests: for every estimator, the
+// internal package path and an explicit Spec run must produce
+// bit-identical outputs for a fixed seed. (They keep the names they
+// had when they also covered the v1 one-shot wrappers.)
 
 func TestShimEquivalenceDensity(t *testing.T) {
 	const agents, rounds, seed = 41, 400, 7
 	direct, err := core.Algorithm1(newTestWorld(t, agents, seed), rounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shim, err := antdensity.EstimateDensity(newTestWorld(t, agents, seed), rounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,18 +78,12 @@ func TestShimEquivalenceDensity(t *testing.T) {
 		antdensity.WithSeed(seed),
 		antdensity.WithRounds(rounds),
 	))
-	sameFloats(t, "shim vs direct", shim, direct)
 	sameFloats(t, "spec vs direct", out.Estimates, direct)
 }
 
 func TestShimEquivalenceDensityNoisy(t *testing.T) {
 	const agents, rounds, seed = 41, 400, 7
 	direct, err := core.Algorithm1(newTestWorld(t, agents, seed), rounds, core.WithNoise(0.8, 0.02, 11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	shim, err := antdensity.EstimateDensity(newTestWorld(t, agents, seed), rounds,
-		antdensity.WithNoise(0.8, 0.02, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,17 +94,12 @@ func TestShimEquivalenceDensityNoisy(t *testing.T) {
 		antdensity.WithRounds(rounds),
 		antdensity.WithSensingNoise(0.8, 0.02, 11),
 	))
-	sameFloats(t, "shim vs direct", shim, direct)
 	sameFloats(t, "spec vs direct", out.Estimates, direct)
 }
 
 func TestShimEquivalenceIndependent(t *testing.T) {
 	const agents, rounds, seed, policySeed = 51, 120, 5, 13
 	direct, err := core.Algorithm4(newTestWorld(t, agents, seed), rounds, policySeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shim, err := antdensity.EstimateDensityIndependent(newTestWorld(t, agents, seed), rounds, policySeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +110,6 @@ func TestShimEquivalenceIndependent(t *testing.T) {
 		antdensity.WithRounds(rounds),
 		antdensity.WithPolicySeed(policySeed),
 	))
-	sameFloats(t, "shim vs direct", shim, direct)
 	sameFloats(t, "spec vs direct", out.Estimates, direct)
 }
 
@@ -139,14 +123,6 @@ func TestShimEquivalenceProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := newTestWorld(t, agents, seed)
-	for i := 0; i < tagged; i++ {
-		ws.SetTagged(i, true)
-	}
-	shim, err := antdensity.EstimatePropertyFrequency(ws, rounds)
-	if err != nil {
-		t.Fatal(err)
-	}
 	out := runSpec(t, antdensity.PropertySpec(
 		antdensity.WithGraph(topology.MustTorus(2, 20)),
 		antdensity.WithAgents(agents),
@@ -154,9 +130,6 @@ func TestShimEquivalenceProperty(t *testing.T) {
 		antdensity.WithRounds(rounds),
 		antdensity.WithTaggedCount(tagged),
 	))
-	sameFloats(t, "shim density", shim.Density, direct.Density)
-	sameFloats(t, "shim property density", shim.PropertyDensity, direct.PropertyDensity)
-	sameFloats(t, "shim frequency", shim.Frequency, direct.Frequency)
 	sameFloats(t, "spec density", out.Property.Density, direct.Density)
 	sameFloats(t, "spec property density", out.Property.PropertyDensity, direct.PropertyDensity)
 	sameFloats(t, "spec frequency", out.Property.Frequency, direct.Frequency)
@@ -169,10 +142,6 @@ func TestShimEquivalenceQuorum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shim, err := antdensity.QuorumDecide(newTestWorld(t, agents, seed), threshold, rounds)
-	if err != nil {
-		t.Fatal(err)
-	}
 	out := runSpec(t, antdensity.QuorumSpec(threshold,
 		antdensity.WithGraph(topology.MustTorus(2, 20)),
 		antdensity.WithAgents(agents),
@@ -180,9 +149,6 @@ func TestShimEquivalenceQuorum(t *testing.T) {
 		antdensity.WithRounds(rounds),
 	))
 	for i := range direct {
-		if shim[i] != direct[i] {
-			t.Fatalf("shim vote[%d] = %v, want %v", i, shim[i], direct[i])
-		}
 		if out.Votes[i] != direct[i] {
 			t.Fatalf("spec vote[%d] = %v, want %v", i, out.Votes[i], direct[i])
 		}
@@ -196,10 +162,6 @@ func TestShimEquivalenceAdaptiveQuorum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shim, err := antdensity.QuorumDecideAdaptive(newTestWorld(t, agents, seed), threshold, delta, c1, maxRounds)
-	if err != nil {
-		t.Fatal(err)
-	}
 	s := antdensity.AdaptiveQuorumSpec(threshold,
 		antdensity.WithGraph(topology.MustTorus(2, 20)),
 		antdensity.WithAgents(agents),
@@ -208,16 +170,14 @@ func TestShimEquivalenceAdaptiveQuorum(t *testing.T) {
 		antdensity.WithConfidence(delta),
 		antdensity.WithBandConstant(c1),
 	)
-	out := runSpec(t, s)
-	for _, got := range []*antdensity.QuorumAnytimeResult{shim, out.Anytime} {
-		if got.Rounds != direct.Rounds {
-			t.Fatalf("rounds = %d, want %d", got.Rounds, direct.Rounds)
-		}
-		for i := range direct.Decision {
-			if got.Decision[i] != direct.Decision[i] || got.StopRound[i] != direct.StopRound[i] {
-				t.Fatalf("agent %d: decision/stop = %d/%d, want %d/%d",
-					i, got.Decision[i], got.StopRound[i], direct.Decision[i], direct.StopRound[i])
-			}
+	got := runSpec(t, s).Anytime
+	if got.Rounds != direct.Rounds {
+		t.Fatalf("rounds = %d, want %d", got.Rounds, direct.Rounds)
+	}
+	for i := range direct.Decision {
+		if got.Decision[i] != direct.Decision[i] || got.StopRound[i] != direct.StopRound[i] {
+			t.Fatalf("agent %d: decision/stop = %d/%d, want %d/%d",
+				i, got.Decision[i], got.StopRound[i], direct.Decision[i], direct.StopRound[i])
 		}
 	}
 }
@@ -229,24 +189,18 @@ func TestShimEquivalenceNetworkSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shim, err := antdensity.EstimateNetworkSize(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := runSpec(t, antdensity.NetworkSizeSpec(
+	got := runSpec(t, antdensity.NetworkSizeSpec(
 		antdensity.WithGraph(g),
 		antdensity.WithWalkers(40),
 		antdensity.WithRounds(80),
 		antdensity.WithStationary(),
 		antdensity.WithSeed(13),
-	))
-	for name, got := range map[string]*antdensity.NetworkSizeResult{"shim": shim, "spec": out.NetworkSize} {
-		if math.Float64bits(got.Size) != math.Float64bits(direct.Size) ||
-			math.Float64bits(got.C) != math.Float64bits(direct.C) ||
-			math.Float64bits(got.InvAvgDegree) != math.Float64bits(direct.InvAvgDegree) ||
-			got.Queries != direct.Queries {
-			t.Fatalf("%s result %+v != direct %+v", name, got, direct)
-		}
+	)).NetworkSize
+	if math.Float64bits(got.Size) != math.Float64bits(direct.Size) ||
+		math.Float64bits(got.C) != math.Float64bits(direct.C) ||
+		math.Float64bits(got.InvAvgDegree) != math.Float64bits(direct.InvAvgDegree) ||
+		got.Queries != direct.Queries {
+		t.Fatalf("spec result %+v != direct %+v", got, direct)
 	}
 }
 

@@ -156,7 +156,7 @@ type Spec struct {
 	// confidence 1-Delta and snapshot confidence bands use it; 0 means
 	// 0.05. For KindNetworkSize it is the burn-in failure probability
 	// instead, where 0 means the netsize pipeline's own 0.1 default
-	// (matching NetworkSizeConfig.Delta), however the Spec was built.
+	// (matching netsize.Config.Delta), however the Spec was built.
 	Delta float64
 	// C1 is the Theorem 1 constant shaping anytime confidence bands
 	// (see NewStreamingEstimator). 0 means 0.35.
@@ -203,10 +203,6 @@ type Spec struct {
 	// graphErr records a deferred error from a graph-building option
 	// (e.g. WithTorus2D with an invalid side); Validate surfaces it.
 	graphErr error
-	// netProgress chains a caller-supplied netsize progress hook ahead
-	// of the Run's snapshot publisher (the deprecated
-	// EstimateNetworkSize shim passes its Config.Progress through).
-	netProgress func(done, total int)
 }
 
 // SpecOption mutates a Spec under construction.

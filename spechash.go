@@ -27,7 +27,6 @@ var fingerprintExcluded = []string{
 	"SnapshotEvery", // snapshot publication throttle: purely observational
 	"Shards",        // execution layout; results are shard-invariant (TestRunShardInvariance)
 	"graphErr",      // deferred option error; Validate rejects the Spec before any run
-	"netProgress",   // progress callback: observational, never feeds a result
 }
 
 // GraphIdentity is optionally implemented by Graphs with a canonical,
