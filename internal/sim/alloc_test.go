@@ -192,7 +192,6 @@ func padShardCapacities(w *World) {
 		sl.ids = growCap(sl.ids, n)
 		sl.prev = growCap(sl.prev, n)
 		sl.emig = growCap(sl.emig, n)
-		sl.counts = growCap(sl.counts, n)
 		sl.draws = make([]uint64, n)
 		sl.floats = make([]float64, n)
 	}
@@ -239,15 +238,23 @@ func TestShardedStepZeroAllocs(t *testing.T) {
 	})
 	requireZeroAllocs(t, "CountsAllInto (sharded)", func() { w.CountsAllInto(buf) })
 	requireZeroAllocs(t, "CountsTaggedAllInto (sharded)", func() { w.CountsTaggedAllInto(buf) })
+	// Grouping an agent only now keeps the stepping pins above free of
+	// the per-group maps' first-insert growth.
+	w.SetGroup(1, 3)
+	requireZeroAllocs(t, "CountsInGroupInto (sharded)", func() { w.CountsInGroupInto(3, buf) })
 
 	// Sparse slabs: as with the flat sparse index, stepping may rarely
 	// touch table internals (resize hysteresis), so only the query side
 	// is pinned.
 	ws := MustWorld(Config{Graph: g, NumAgents: 2048, Seed: 13, Shards: 4, Occupancy: OccSparse})
+	ws.SetTagged(0, true)
+	ws.SetGroup(1, 3)
 	wsBuf := make([]int, ws.NumAgents())
 	ws.Count(0)
 	ws.CountsAllInto(wsBuf)
 	requireZeroAllocs(t, "CountsAllInto (sharded sparse)", func() { ws.CountsAllInto(wsBuf) })
+	requireZeroAllocs(t, "CountsTaggedAllInto (sharded sparse)", func() { ws.CountsTaggedAllInto(wsBuf) })
+	requireZeroAllocs(t, "CountsInGroupInto (sharded sparse)", func() { ws.CountsInGroupInto(3, wsBuf) })
 	requireZeroAllocs(t, "Count (sharded sparse)", func() { _ = ws.Count(11) })
 }
 

@@ -94,17 +94,21 @@
 //
 // # Occupancy index selection
 //
-// count(position) queries are served from an occupancy index with two
-// interchangeable representations. When the graph's node count fits
-// the dense memory budget (at most 1<<22 nodes, 32 MiB of cells), the
-// index is a flat []cell array indexed by node id; larger graphs —
-// including the paper's "A larger than the area agents traverse"
-// regime with 10^12-node tori — use a sparse open-addressing table
-// keyed by occupied node, stored as split key/cell arrays so probe
-// loops touch 8-byte key slots and bulk queries batch their probe
-// sequences (totalsInto). Config.Occupancy can force either choice
-// (OccDense, OccSparse) for testing or tuning; OccAuto applies the
-// budget rule. Both representations are maintained incrementally
+// count(position) queries are served from an occupancy index
+// (occIndex, occindex.go) with two interchangeable representations.
+// One index type serves both world shapes: the flat world keeps one
+// over the whole graph, and each shard slab keeps one over its own
+// node range; the world resolves the representation once and only
+// the index's own methods branch on it. When the node span fits the
+// dense memory budget (at most 1<<22 nodes, 32 MiB of cells), the
+// index is a []cell array indexed by node offset in the span; larger
+// spans — including the paper's "A larger than the area agents
+// traverse" regime with 10^12-node tori — use a sparse open-addressing
+// table keyed by occupied node, stored as split key/cell arrays so
+// probe loops touch 8-byte key slots and bulk queries batch their
+// probe sequences (lookupInto). Config.Occupancy can force either
+// choice (OccDense, OccSparse) for testing or tuning; OccAuto applies
+// the budget rule. Both representations are maintained incrementally
 // while the world steps: once a count query has built the index, each
 // subsequent round only decrements the cell an agent left and
 // increments the cell it entered, so Count/CountTagged/CountInGroup

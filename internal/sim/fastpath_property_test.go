@@ -146,8 +146,8 @@ func TestFastPathBitIdentical(t *testing.T) {
 }
 
 // compareWorlds asserts want and got agree on every observable:
-// positions, round counter, and all count variants for totals, tags,
-// and groups 1 and 2.
+// positions, round counter, and all count variants — per agent and
+// bulk — for totals, tags, and groups 1 and 2.
 func compareWorlds(t *testing.T, want, got *World, ctx string) {
 	t.Helper()
 	if want.Round() != got.Round() {
@@ -156,6 +156,8 @@ func compareWorlds(t *testing.T, want, got *World, ctx string) {
 	}
 	wc, gc := want.CountsAll(), got.CountsAll()
 	wt, gt := want.CountsTaggedAll(), got.CountsTaggedAll()
+	wg1, gg1 := want.CountsInGroupAll(1), got.CountsInGroupAll(1)
+	wg2, gg2 := want.CountsInGroupAll(2), got.CountsInGroupAll(2)
 	for i := 0; i < want.NumAgents(); i++ {
 		if want.Pos(i) != got.Pos(i) {
 			t.Errorf("%s agent %d: position %d != %d", ctx, i, got.Pos(i), want.Pos(i))
@@ -167,6 +169,10 @@ func compareWorlds(t *testing.T, want, got *World, ctx string) {
 		}
 		if wt[i] != gt[i] {
 			t.Errorf("%s agent %d: tagged count %d != %d", ctx, i, gt[i], wt[i])
+			return
+		}
+		if wg1[i] != gg1[i] || wg2[i] != gg2[i] {
+			t.Errorf("%s agent %d: bulk group counts (%d, %d) != (%d, %d)", ctx, i, gg1[i], gg2[i], wg1[i], wg2[i])
 			return
 		}
 		if want.Count(i) != got.Count(i) || want.CountTagged(i) != got.CountTagged(i) {
@@ -235,7 +241,7 @@ func TestAdjBulkHandlesIsolatedAndLoops(t *testing.T) {
 // explicit-selection error path.
 func TestOccupancyIndexSelection(t *testing.T) {
 	small := MustWorld(Config{Graph: topology.MustTorus(2, 64), NumAgents: 10, Seed: 1})
-	if small.occ.mode != OccDense {
+	if small.occMode != OccDense {
 		t.Error("OccAuto on a 4096-node torus should pick the dense index")
 	}
 	if small.occ.dense != nil {
@@ -247,11 +253,11 @@ func TestOccupancyIndexSelection(t *testing.T) {
 	}
 	// 2100^2 = 4.41M nodes exceeds the 1<<22 auto budget.
 	big := MustWorld(Config{Graph: topology.MustTorus(2, 2100), NumAgents: 10, Seed: 1})
-	if big.occ.mode != OccSparse {
+	if big.occMode != OccSparse {
 		t.Error("OccAuto on a 4.41M-node torus should pick the sparse index")
 	}
 	forced := MustWorld(Config{Graph: topology.MustTorus(2, 2100), NumAgents: 10, Seed: 1, Occupancy: OccDense})
-	if forced.occ.mode != OccDense {
+	if forced.occMode != OccDense {
 		t.Error("OccDense was not honored within the force limit")
 	}
 	// 10^8 nodes exceeds the 1<<26 force limit.

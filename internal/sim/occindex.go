@@ -33,13 +33,28 @@ const denseOccupancyMaxNodes = 1 << 22
 // (1<<26 cells = 512 MiB).
 const denseOccupancyForceLimit = 1 << 26
 
-// occupancy is the per-round collision-count index. mode is resolved
-// to OccDense or OccSparse at construction; the backing storage for
-// the dense mode is allocated lazily by the first rebuild, so worlds
-// that never query counts pay nothing for it. group always holds the
-// per-(position, group) counts for grouped agents in either mode.
-type occupancy struct {
-	mode   OccupancyIndex
+// cell is one node's occupancy: every agent there, and the tagged ones.
+type cell struct {
+	total  int32
+	tagged int32
+}
+
+// groupKey indexes the per-group occupancy map by (position, group).
+type groupKey struct {
+	pos   int64
+	group int32
+}
+
+// occIndex is the per-round collision-count index over the node range
+// [lo, hi): the flat world keeps one spanning the whole graph, and
+// each shard slab keeps one over its own range. It is the only code
+// that knows which representation is live: a dense []cell indexed by
+// p-lo, or a sparse occTable keyed by node. Storage is allocated by
+// the first reset, so worlds that never query counts pay nothing for
+// it. group always holds the per-(position, group) counts of grouped
+// agents, in either representation.
+type occIndex struct {
+	lo, hi int64
 	dense  []cell
 	sparse *occTable
 	group  map[groupKey]int32
@@ -51,7 +66,7 @@ type occupancy struct {
 // each shard allocates its own dense slab — a 16M-node torus that is
 // sparse flat becomes dense under 4+ shards, one of the structural
 // wins of the decomposition.
-func (w *World) initOcc(mode OccupancyIndex, agents int, part *shard.Partition) error {
+func (w *World) initOcc(mode OccupancyIndex, part *shard.Partition) error {
 	span := w.graph.NumNodes()
 	if part != nil && part.K() >= 2 {
 		span = 0
@@ -77,60 +92,183 @@ func (w *World) initOcc(mode OccupancyIndex, agents int, part *shard.Partition) 
 	default:
 		return fmt.Errorf("sim: unknown occupancy index selector %d", mode)
 	}
-	w.occ.mode = mode
-	if mode == OccSparse && part == nil {
-		w.occ.sparse = newOccTable(agents)
-	}
-	w.occ.group = make(map[groupKey]int32)
+	w.occMode = mode
+	w.occ.hi = w.graph.NumNodes()
 	return nil
 }
 
-// rebuildOcc refreshes the occupancy index from scratch. It runs only
-// when the index is stale (initial placement); once built, stepping
-// maintains the index incrementally via applyMoves and the index never
-// goes stale again.
+// rebuildOcc refreshes the occupancy index — the flat world's, or
+// every shard slab's — from scratch. It runs only when the index is
+// stale (initial placement); once built, stepping maintains the index
+// incrementally (applyMoves flat, the shard phases per slab) and the
+// index never goes stale again.
 func (w *World) rebuildOcc() {
-	if w.sh != nil {
-		w.rebuildOccSharded()
-		return
-	}
-	if w.occ.mode == OccDense && w.occ.dense == nil {
-		w.occ.dense = make([]cell, w.graph.NumNodes())
-	}
-	if d := w.occ.dense; d != nil {
-		clear(d)
-		for i, p := range w.pos {
-			d[p].total++
-			if w.tagged[i] {
-				d[p].tagged++
+	if sh := w.sh; sh != nil {
+		for s := range sh.slabs {
+			sl := &sh.slabs[s]
+			sl.reset(w.occMode, len(sl.pos))
+			for k, p := range sl.pos {
+				id := sl.ids[k]
+				sl.inc(p, w.tagged[id])
+				if g := w.groups[id]; g != 0 {
+					sl.groupInc(p, g)
+				}
 			}
 		}
 	} else {
-		t := w.occ.sparse
-		t.reset()
+		w.occ.reset(w.occMode, len(w.pos))
 		for i, p := range w.pos {
-			t.inc(p, w.tagged[i])
-		}
-	}
-	// Always clear the group index: stale entries must not survive
-	// the last member of a group being cleared.
-	clear(w.occ.group)
-	if len(w.numGroup) > 0 {
-		for i, p := range w.pos {
+			w.occ.inc(p, w.tagged[i])
 			if g := w.groups[i]; g != 0 {
-				w.occ.group[groupKey{pos: p, group: g}]++
+				w.occ.groupInc(p, g)
 			}
 		}
 	}
 	w.occDirty = false
 }
 
-// applyMoves updates the occupancy index with this round's movement:
-// for every agent whose position changed, decrement the cell it left
-// and increment the cell it entered. Cost is O(agents) arithmetic with
-// no rebuild, no clearing, and no steady-state allocation.
+// occAt returns the occupancy index holding node p: the flat world's,
+// or the owning shard slab's (valid by the ownership invariant: an
+// agent's slab is always the one whose range holds its position).
+func (w *World) occAt(p int64) *occIndex {
+	if sh := w.sh; sh != nil {
+		return &sh.slabs[sh.part.Find(p)].occIndex
+	}
+	return &w.occ
+}
+
+// reset empties the index in the given resolved mode, allocating its
+// storage on first use: a dense array spanning [lo, hi), or a sparse
+// table sized for agents. Always clearing the group map keeps stale
+// entries from surviving the last member of a group being cleared.
+func (x *occIndex) reset(mode OccupancyIndex, agents int) {
+	switch {
+	case mode == OccSparse && x.sparse == nil:
+		x.sparse = newOccTable(agents)
+	case mode == OccSparse:
+		x.sparse.reset()
+	case x.dense == nil:
+		x.dense = make([]cell, x.hi-x.lo)
+	default:
+		clear(x.dense)
+	}
+	if x.group == nil {
+		x.group = make(map[groupKey]int32)
+	} else {
+		clear(x.group)
+	}
+}
+
+// inc adds one agent (tagged or not) to node p's cell.
+func (x *occIndex) inc(p int64, tag bool) {
+	if x.dense == nil {
+		x.sparse.inc(p, tag)
+		return
+	}
+	c := &x.dense[p-x.lo]
+	c.total++
+	if tag {
+		c.tagged++
+	}
+}
+
+// dec removes one agent (tagged or not) from node p's cell.
+func (x *occIndex) dec(p int64, tag bool) {
+	if x.dense == nil {
+		x.sparse.dec(p, tag)
+		return
+	}
+	c := &x.dense[p-x.lo]
+	c.total--
+	if tag {
+		c.tagged--
+	}
+}
+
+// addTag adjusts only the tagged counter of node p's cell by delta;
+// an agent stands at p.
+func (x *occIndex) addTag(p int64, delta int32) {
+	if x.dense == nil {
+		x.sparse.addTag(p, delta)
+		return
+	}
+	x.dense[p-x.lo].tagged += delta
+}
+
+// cellAt returns node p's cell (zero if unoccupied).
+func (x *occIndex) cellAt(p int64) cell {
+	if x.dense == nil {
+		return x.sparse.get(p)
+	}
+	return x.dense[p-x.lo]
+}
+
+// groupInc adds one member of group g at node p to the per-group
+// index.
+func (x *occIndex) groupInc(p int64, g int32) {
+	x.group[groupKey{pos: p, group: g}]++
+}
+
+// groupDec removes one member of group g from node p in the per-group
+// index, deleting emptied entries.
+func (x *occIndex) groupDec(p int64, g int32) {
+	k := groupKey{pos: p, group: g}
+	if n := x.group[k] - 1; n == 0 {
+		delete(x.group, k)
+	} else {
+		x.group[k] = n
+	}
+}
+
+// othersInto fills out[k] with count(pos[k]) for an agent standing at
+// pos[k]: the node's total occupancy minus the agent itself. The
+// self-subtraction is fused into the dense gather, which is the bulk
+// count snapshot's hot loop. out must have at least len(pos) elements.
 //
-// The dense branch is a deliberately plain scatter. A cache-blocked
+//antlint:noalloc
+func (x *occIndex) othersInto(pos []int64, out []int) {
+	out = out[:len(pos)]
+	if d := x.dense; d != nil {
+		lo := x.lo
+		for k, p := range pos {
+			out[k] = int(d[p-lo].total) - 1
+		}
+		return
+	}
+	// Every agent stands on an occupied node, so the totals are ≥ 1
+	// and subtracting self is exact.
+	x.sparse.lookupInto(pos, out, false)
+	for k := range out {
+		out[k]--
+	}
+}
+
+// taggedInto fills out[k] with the number of tagged agents at pos[k],
+// the caller's own tag included. out must have at least len(pos)
+// elements.
+//
+//antlint:noalloc
+func (x *occIndex) taggedInto(pos []int64, out []int) {
+	out = out[:len(pos)]
+	if d := x.dense; d != nil {
+		lo := x.lo
+		for k, p := range pos {
+			out[k] = int(d[p-lo].tagged)
+		}
+		return
+	}
+	x.sparse.lookupInto(pos, out, true)
+}
+
+// applyMoves updates the index with the flat world's round of
+// movement: for every agent whose position changed from prev[i] to
+// pos[i], decrement the cell it left and increment the cell it
+// entered. groups is nil when no agent has a group. Cost is O(agents)
+// arithmetic with no rebuild, no clearing, and no steady-state
+// allocation.
+//
+// The dense branch is a deliberately plain scatter, written inline
+// rather than through inc/dec, which do not inline. A cache-blocked
 // variant (pack the round's ±1 deltas, counting-sort them by 64 KiB
 // cell block, apply block by block — sound because the deltas
 // commute) was implemented and measured for PR 8 and LOST at every
@@ -140,66 +278,46 @@ func (w *World) rebuildOcc() {
 // because out-of-order execution already overlaps those misses.
 // BENCH_PR8.json records the numbers; don't re-add blocking without
 // beating them.
-func (w *World) applyMoves() {
-	anyGroups := len(w.numGroup) > 0
-	if d := w.occ.dense; d != nil {
-		for i, p := range w.pos {
-			q := w.prev[i]
+//
+//antlint:noalloc
+func (x *occIndex) applyMoves(pos, prev []int64, tagged []bool, groups []int32) {
+	prev, tagged = prev[:len(pos)], tagged[:len(pos)]
+	if d := x.dense; d != nil {
+		lo := x.lo
+		for i, p := range pos {
+			q := prev[i]
 			if p == q {
 				continue
 			}
-			d[q].total--
-			d[p].total++
-			if w.tagged[i] {
-				d[q].tagged--
-				d[p].tagged++
+			d[q-lo].total--
+			d[p-lo].total++
+			if tagged[i] {
+				d[q-lo].tagged--
+				d[p-lo].tagged++
 			}
-			if anyGroups {
-				if g := w.groups[i]; g != 0 {
-					w.moveGroup(q, p, g)
+			if groups != nil {
+				if g := groups[i]; g != 0 {
+					x.groupDec(q, g)
+					x.groupInc(p, g)
 				}
 			}
 		}
 		return
 	}
-	t := w.occ.sparse
-	for i, p := range w.pos {
-		q := w.prev[i]
+	t := x.sparse
+	for i, p := range pos {
+		q := prev[i]
 		if p == q {
 			continue
 		}
-		tag := w.tagged[i]
+		tag := tagged[i]
 		t.dec(q, tag)
 		t.inc(p, tag)
-		if anyGroups {
-			if g := w.groups[i]; g != 0 {
-				w.moveGroup(q, p, g)
+		if groups != nil {
+			if g := groups[i]; g != 0 {
+				x.groupDec(q, g)
+				x.groupInc(p, g)
 			}
 		}
 	}
-}
-
-// moveGroup shifts one member of group g from node q to node p in the
-// per-group index, deleting emptied entries.
-func (w *World) moveGroup(q, p int64, g int32) {
-	k := groupKey{pos: q, group: g}
-	if n := w.occ.group[k] - 1; n == 0 {
-		delete(w.occ.group, k)
-	} else {
-		w.occ.group[k] = n
-	}
-	w.occ.group[groupKey{pos: p, group: g}]++
-}
-
-// occCell returns the occupancy cell for node p from whichever
-// representation is active, routing to the owning shard's slab in
-// sharded mode.
-func (w *World) occCell(p int64) cell {
-	if w.sh != nil {
-		return w.slabFor(p).cellAt(p)
-	}
-	if d := w.occ.dense; d != nil {
-		return d[p]
-	}
-	return w.occ.sparse.get(p)
 }

@@ -1,10 +1,10 @@
 package sim
 
 // occTable is the sparse occupancy representation: an open-addressed
-// hash table from node id to occupancy cell, sized once at world
-// construction. A Go map would work semantically, but its
-// delete/insert churn under incremental maintenance (every agent that
-// moves removes one key and inserts another, every round) both
+// hash table from node id to occupancy cell, sized for the agent count
+// when the index is first built. A Go map would work semantically, but
+// its delete/insert churn under incremental maintenance (every agent
+// that moves removes one key and inserts another, every round) both
 // allocates and costs more than the old full rebuild it was meant to
 // replace. This table uses linear probing with backward-shift deletion
 // (no tombstones), so the steady-state hot path performs zero
@@ -99,19 +99,17 @@ func (t *occTable) get(p int64) cell {
 // serializing behind one query's hash-load-compare chain.
 const probeBlock = 32
 
-// totalsInto fills out[j] with the total occupancy at pos[j] (zero for
-// unoccupied nodes) — the batched-probe twin of get for bulk count
-// snapshots. out must have at least len(pos) elements.
+// lookupInto fills out[j] with the occupancy at pos[j] — the tagged
+// counter if tagged, else the total; zero for unoccupied nodes — the
+// batched-probe twin of get for bulk count snapshots. out must have at
+// least len(pos) elements.
 //
 //antlint:noalloc
-func (t *occTable) totalsInto(pos []int64, out []int) {
+func (t *occTable) lookupInto(pos []int64, out []int, tagged bool) {
 	_ = out[:len(pos)]
 	var homes [probeBlock]uint64
 	for base := 0; base < len(pos); base += probeBlock {
-		n := len(pos) - base
-		if n > probeBlock {
-			n = probeBlock
-		}
+		n := min(len(pos)-base, probeBlock)
 		for j := 0; j < n; j++ {
 			homes[j] = t.home(pos[base+j])
 		}
@@ -121,40 +119,11 @@ func (t *occTable) totalsInto(pos []int64, out []int) {
 			for {
 				k := t.keys[i]
 				if k == p {
-					out[base+j] = int(t.cells[i].total)
-					break
-				}
-				if k == emptyKey {
-					out[base+j] = 0
-					break
-				}
-				i = (i + 1) & t.mask
-			}
-		}
-	}
-}
-
-// taggedInto is totalsInto for the tagged counter.
-//
-//antlint:noalloc
-func (t *occTable) taggedInto(pos []int64, out []int) {
-	_ = out[:len(pos)]
-	var homes [probeBlock]uint64
-	for base := 0; base < len(pos); base += probeBlock {
-		n := len(pos) - base
-		if n > probeBlock {
-			n = probeBlock
-		}
-		for j := 0; j < n; j++ {
-			homes[j] = t.home(pos[base+j])
-		}
-		for j := 0; j < n; j++ {
-			p := pos[base+j]
-			i := homes[j]
-			for {
-				k := t.keys[i]
-				if k == p {
-					out[base+j] = int(t.cells[i].tagged)
+					if tagged {
+						out[base+j] = int(t.cells[i].tagged)
+					} else {
+						out[base+j] = int(t.cells[i].total)
+					}
 					break
 				}
 				if k == emptyKey {

@@ -8,7 +8,7 @@ import (
 
 // occProbeStats returns the maximum and total cyclic home-to-slot
 // probe distances over a table's live entries — the cost model for
-// every lookup path (get, totalsInto, inc, dec).
+// every lookup path (get, lookupInto, inc, dec).
 func occProbeStats(t *occTable) (maxProbe, total int) {
 	capacity := uint64(len(t.keys))
 	for i, k := range t.keys {

@@ -40,18 +40,7 @@ func (w *World) CountsAllInto(dst []int) []int {
 		w.shardCountsInto(out, false)
 		return out
 	}
-	if d := w.occ.dense; d != nil {
-		for i, p := range w.pos {
-			out[i] = int(d[p].total) - 1
-		}
-		return out
-	}
-	// Batched probe sequences: every agent stands on an occupied node,
-	// so totalsInto's totals are ≥ 1 and subtracting self is exact.
-	w.occ.sparse.totalsInto(w.pos, out)
-	for i := range out {
-		out[i]--
-	}
+	w.occ.othersInto(w.pos, out)
 	return out
 }
 
@@ -85,17 +74,7 @@ func (w *World) CountsTaggedAllInto(dst []int) []int {
 		w.shardCountsInto(out, true)
 		return out
 	}
-	if d := w.occ.dense; d != nil {
-		for i, p := range w.pos {
-			c := int(d[p].tagged)
-			if w.tagged[i] {
-				c--
-			}
-			out[i] = c
-		}
-		return out
-	}
-	w.occ.sparse.taggedInto(w.pos, out)
+	w.occ.taggedInto(w.pos, out)
 	for i := range out {
 		if w.tagged[i] {
 			out[i]--
@@ -132,22 +111,8 @@ func (w *World) CountsInGroupInto(group int, dst []int) []int {
 	}
 	g := int32(group)
 	out := dst[:len(w.pos)]
-	if sh := w.sh; sh != nil {
-		for s := range sh.slabs {
-			sl := &sh.slabs[s]
-			for k, p := range sl.pos {
-				id := sl.ids[k]
-				c := int(sl.group[groupKey{pos: p, group: g}])
-				if w.groups[id] == g {
-					c--
-				}
-				out[id] = c
-			}
-		}
-		return out
-	}
 	for i, p := range w.pos {
-		c := int(w.occ.group[groupKey{pos: p, group: g}])
+		c := int(w.occAt(p).group[groupKey{pos: p, group: g}])
 		if w.groups[i] == g {
 			c--
 		}

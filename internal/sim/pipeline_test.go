@@ -53,32 +53,40 @@ func TestRunMatchesScalarLoop(t *testing.T) {
 func TestCountsIntoMatchAllVariants(t *testing.T) {
 	// Property: the Into snapshots agree exactly with their allocating
 	// twins and with the comparison-based sorted ablation, for tagged
-	// and grouped populations on both index representations.
-	for _, occ := range []OccupancyIndex{OccDense, OccSparse} {
-		g := topology.MustTorus(2, 8) // 64 nodes, 150 agents: dense collisions
-		w := MustWorld(Config{Graph: g, NumAgents: 150, Seed: 11, Occupancy: occ})
-		for i := 0; i < 150; i += 3 {
-			w.SetTagged(i, true)
-		}
-		for i := 0; i < 150; i += 4 {
-			w.SetGroup(i, 2)
-		}
-		bufC, bufT, bufG := make([]int, 150), make([]int, 150), make([]int, 150)
-		for round := 0; round < 10; round++ {
-			w.Step()
-			checks := []struct {
-				name         string
-				into, sorted []int
-			}{
-				{"counts", w.CountsAllInto(bufC), w.CountsAllSorted()},
-				{"tagged", w.CountsTaggedAllInto(bufT), w.CountsTaggedAllSorted()},
-				{"group", w.CountsInGroupInto(2, bufG), w.CountsInGroupAllSorted(2)},
+	// and grouped populations on both index representations, flat and
+	// sharded. 1000 agents on 64 nodes collide densely, and put more
+	// than one 256-slot count block (shardCountsRange) in a slab.
+	const agents = 1000
+	for _, shards := range []int{1, 3} {
+		for _, occ := range []OccupancyIndex{OccDense, OccSparse} {
+			g := topology.MustTorus(2, 8)
+			w := MustWorld(Config{Graph: g, NumAgents: agents, Seed: 11, Occupancy: occ, Shards: shards})
+			if w.Shards() != shards {
+				t.Fatalf("world has %d shards, want %d", w.Shards(), shards)
 			}
-			for _, c := range checks {
-				for i := range c.sorted {
-					if c.into[i] != c.sorted[i] {
-						t.Fatalf("occ=%v round %d %s agent %d: Into %d != sorted %d",
-							occ, round, c.name, i, c.into[i], c.sorted[i])
+			for i := 0; i < agents; i += 3 {
+				w.SetTagged(i, true)
+			}
+			for i := 0; i < agents; i += 4 {
+				w.SetGroup(i, 2)
+			}
+			bufC, bufT, bufG := make([]int, agents), make([]int, agents), make([]int, agents)
+			for round := 0; round < 10; round++ {
+				w.Step()
+				checks := []struct {
+					name         string
+					into, sorted []int
+				}{
+					{"counts", w.CountsAllInto(bufC), w.CountsAllSorted()},
+					{"tagged", w.CountsTaggedAllInto(bufT), w.CountsTaggedAllSorted()},
+					{"group", w.CountsInGroupInto(2, bufG), w.CountsInGroupAllSorted(2)},
+				}
+				for _, c := range checks {
+					for i := range c.sorted {
+						if c.into[i] != c.sorted[i] {
+							t.Fatalf("shards=%d occ=%v round %d %s agent %d: Into %d != sorted %d",
+								shards, occ, round, c.name, i, c.into[i], c.sorted[i])
+						}
 					}
 				}
 			}

@@ -112,19 +112,14 @@ type migrant struct {
 
 // shardSlab is one shard's owned state: the SoA hot state of its
 // current agents (indexed by slab slot, not agent id), the ids mapping
-// slots back to agents, the shard's node range, and its occupancy
-// slab. dense is indexed by (node - lo); sparse is a per-shard
-// occTable. emig collects this round's emigrant slots (ascending)
-// between phases.
+// slots back to agents, and the occupancy index over the shard's node
+// range [lo, hi). emig collects this round's emigrant slots
+// (ascending) between phases.
 type shardSlab struct {
 	hotState
-	ids    []int32
-	lo, hi int64
-	dense  []cell
-	sparse *occTable
-	group  map[groupKey]int32
-	emig   []int32
-	counts []int // scratch for sparse bulk count queries
+	occIndex
+	ids  []int32
+	emig []int32
 }
 
 // shardedState hangs off World when sharding is active.
@@ -265,7 +260,6 @@ func (w *World) shardPhase1(s int) {
 		return
 	}
 	track := sh.track
-	sl.syncScratch(sh)
 	if track {
 		if cap(sl.prev) < n {
 			//antlint:allocok capacity high-water regrow; stabilizes after migration warm-up (see padShardCapacities)
@@ -276,6 +270,7 @@ func (w *World) shardPhase1(s int) {
 		copy(sl.prev, sl.pos)
 	}
 	if p := w.uniform; p != nil {
+		sl.syncScratch(sh)
 		sl.stepUniform(w.graph, p)
 	} else {
 		for k := 0; k < n; k++ {
@@ -291,8 +286,8 @@ func (w *World) shardPhase1(s int) {
 			if track {
 				if q := sl.prev[k]; p != q {
 					tag := w.tagged[id]
-					sl.decCell(q, tag)
-					sl.incCell(p, tag)
+					sl.dec(q, tag)
+					sl.inc(p, tag)
 					if anyGroups {
 						if g := w.groups[id]; g != 0 {
 							sl.groupDec(q, g)
@@ -307,8 +302,7 @@ func (w *World) shardPhase1(s int) {
 		sl.emig = append(sl.emig, int32(k))
 		if track {
 			q := sl.prev[k]
-			tag := w.tagged[id]
-			sl.decCell(q, tag)
+			sl.dec(q, w.tagged[id])
 			if anyGroups {
 				if g := w.groups[id]; g != 0 {
 					sl.groupDec(q, g)
@@ -348,7 +342,7 @@ func (w *World) shardPhase2(s int) {
 			sl.streams = append(sl.streams, m.stream)
 			sl.ids = append(sl.ids, m.id)
 			if track {
-				sl.incCell(m.pos, w.tagged[m.id])
+				sl.inc(m.pos, w.tagged[m.id])
 				if anyGroups {
 					if g := w.groups[m.id]; g != 0 {
 						sl.groupInc(m.pos, g)
@@ -360,100 +354,38 @@ func (w *World) shardPhase2(s int) {
 	sh.boxes.ClearDst(s)
 }
 
-// rebuildOccSharded rebuilds every shard's occupancy slab from its
-// current agents — the sharded twin of rebuildOcc, run only while the
-// index is stale; the phases maintain the slabs incrementally from
-// then on.
-func (w *World) rebuildOccSharded() {
-	dense := w.occ.mode == OccDense
-	anyGroups := len(w.numGroup) > 0
-	for s := range w.sh.slabs {
-		sl := &w.sh.slabs[s]
-		if dense {
-			if sl.dense == nil {
-				sl.dense = make([]cell, sl.hi-sl.lo)
-			} else {
-				clear(sl.dense)
-			}
-			for k, p := range sl.pos {
-				c := &sl.dense[p-sl.lo]
-				c.total++
-				if w.tagged[sl.ids[k]] {
-					c.tagged++
-				}
-			}
-		} else {
-			if sl.sparse == nil {
-				sl.sparse = newOccTable(len(sl.pos))
-			} else {
-				sl.sparse.reset()
-			}
-			for k, p := range sl.pos {
-				sl.sparse.inc(p, w.tagged[sl.ids[k]])
-			}
-		}
-		if sl.group == nil {
-			sl.group = make(map[groupKey]int32)
-		} else {
-			clear(sl.group)
-		}
-		if anyGroups {
-			for k, p := range sl.pos {
-				if g := w.groups[sl.ids[k]]; g != 0 {
-					sl.group[groupKey{pos: p, group: g}]++
-				}
-			}
-		}
-	}
-	w.occDirty = false
-}
-
 // shardCountsRange scatters shard s's bulk counts (totals or tagged,
 // per countsTagged) into the id-indexed destination slice — the
-// sharded kernel behind CountsAllInto/CountsTaggedAllInto. Writes are
-// disjoint across shards (by agent id), so the pool may run shards
-// concurrently and the result is identical to the serial loop.
+// sharded kernel behind CountsAllInto/CountsTaggedAllInto. The slab
+// index fills a stack block of counts in slot order, which is then
+// scattered by agent id. Writes are disjoint across shards (by agent
+// id), so the pool may run shards concurrently and the result is
+// identical to the serial loop.
+//
+//antlint:noalloc
 func (w *World) shardCountsRange(s int) {
 	sh := w.sh
 	sl := &sh.slabs[s]
 	out := sh.countsDst
-	if sl.dense != nil {
+	var block [256]int
+	for base := 0; base < len(sl.pos); base += len(block) {
+		pos := sl.pos[base:min(base+len(block), len(sl.pos))]
+		ids := sl.ids[base : base+len(pos)]
+		counts := block[:len(pos)]
 		if sh.countsTagged {
-			for k, p := range sl.pos {
-				id := sl.ids[k]
-				c := int(sl.dense[p-sl.lo].tagged)
+			sl.taggedInto(pos, counts)
+			for j, id := range ids {
+				c := counts[j]
 				if w.tagged[id] {
 					c--
 				}
 				out[id] = c
 			}
 		} else {
-			for k, p := range sl.pos {
-				out[sl.ids[k]] = int(sl.dense[p-sl.lo].total) - 1
+			sl.othersInto(pos, counts)
+			for j, id := range ids {
+				out[id] = counts[j]
 			}
-		}
-		return
-	}
-	if len(sl.pos) == 0 {
-		return
-	}
-	if cap(sl.counts) < len(sl.pos) {
-		sl.counts = make([]int, cap(sl.pos))
-	}
-	buf := sl.counts[:len(sl.pos)]
-	if sh.countsTagged {
-		sl.sparse.taggedInto(sl.pos, buf)
-		for k, id := range sl.ids {
-			c := buf[k]
-			if w.tagged[id] {
-				c--
-			}
-			out[id] = c
-		}
-	} else {
-		sl.sparse.totalsInto(sl.pos, buf)
-		for k, id := range sl.ids {
-			out[id] = buf[k] - 1
 		}
 	}
 }
@@ -474,65 +406,6 @@ func (w *World) shardCountsInto(out []int, tagged bool) {
 		}
 	}
 	sh.countsDst = nil
-}
-
-// incCell adds one agent to node p's cell in the slab's occupancy.
-func (sl *shardSlab) incCell(p int64, tag bool) {
-	if sl.dense != nil {
-		c := &sl.dense[p-sl.lo]
-		c.total++
-		if tag {
-			c.tagged++
-		}
-		return
-	}
-	sl.sparse.inc(p, tag)
-}
-
-// decCell removes one agent from node p's cell in the slab's
-// occupancy.
-func (sl *shardSlab) decCell(p int64, tag bool) {
-	if sl.dense != nil {
-		c := &sl.dense[p-sl.lo]
-		c.total--
-		if tag {
-			c.tagged--
-		}
-		return
-	}
-	sl.sparse.dec(p, tag)
-}
-
-// cellAt returns node p's occupancy cell from the slab.
-func (sl *shardSlab) cellAt(p int64) cell {
-	if sl.dense != nil {
-		return sl.dense[p-sl.lo]
-	}
-	return sl.sparse.get(p)
-}
-
-// groupDec removes one member of group g from node p in the slab's
-// per-group index, deleting emptied entries.
-func (sl *shardSlab) groupDec(p int64, g int32) {
-	k := groupKey{pos: p, group: g}
-	if n := sl.group[k] - 1; n == 0 {
-		delete(sl.group, k)
-	} else {
-		sl.group[k] = n
-	}
-}
-
-// groupInc adds one member of group g at node p to the slab's
-// per-group index.
-func (sl *shardSlab) groupInc(p int64, g int32) {
-	sl.group[groupKey{pos: p, group: g}]++
-}
-
-// slabFor returns the slab owning position p (valid by the ownership
-// invariant: an agent's slab is always the one whose range holds its
-// current position).
-func (w *World) slabFor(p int64) *shardSlab {
-	return &w.sh.slabs[w.sh.part.Find(p)]
 }
 
 // shardLimitAgents is the agent-count ceiling in sharded mode (slot

@@ -104,6 +104,26 @@ func TestShardedLiveIndexPatching(t *testing.T) {
 	}
 }
 
+// TestShardedPerAgentPoliciesAllocateNoScratch pins that a sharded
+// world whose every agent has a SetPolicy override, and which therefore
+// steps only through the scalar loop, sizes no batched-RNG scratch in
+// any slab — as the flat world sizes none in ensureScratch.
+func TestShardedPerAgentPoliciesAllocateNoScratch(t *testing.T) {
+	w := MustWorld(Config{Graph: topology.MustTorus(2, 64), NumAgents: 4096, Seed: 14, Shards: 4})
+	for i := 0; i < w.NumAgents(); i++ {
+		w.SetPolicy(i, RandomWalk{})
+	}
+	for r := 0; r < 3; r++ {
+		w.Step()
+	}
+	for s := range w.sh.slabs {
+		sl := &w.sh.slabs[s]
+		if sl.draws != nil || sl.floats != nil {
+			t.Errorf("shard %d holds %d draws and %d floats that the scalar loop never reads", s, len(sl.draws), len(sl.floats))
+		}
+	}
+}
+
 // TestShardedOccupancySelection pins the sharded OccAuto rule: budgets
 // apply to the widest shard span, not the whole graph, so a graph that
 // is sparse flat becomes dense under enough shards — the dense-slab
@@ -111,11 +131,11 @@ func TestShardedLiveIndexPatching(t *testing.T) {
 func TestShardedOccupancySelection(t *testing.T) {
 	g := topology.MustTorus(2, 2100) // 4.41M nodes: sparse flat (> 1<<22)
 	flat := MustWorld(Config{Graph: g, NumAgents: 100, Seed: 1})
-	if flat.occ.mode != OccSparse {
+	if flat.occMode != OccSparse {
 		t.Error("flat 4.41M-node torus should be sparse under OccAuto")
 	}
 	sh := MustWorld(Config{Graph: g, NumAgents: 100, Seed: 1, Shards: 4})
-	if sh.occ.mode != OccDense {
+	if sh.occMode != OccDense {
 		t.Error("4-sharded 4.41M-node torus should be dense under OccAuto (1.1M-node spans)")
 	}
 	sh.Count(0)

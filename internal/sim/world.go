@@ -112,7 +112,8 @@ type World struct {
 	hotState          // SoA per-agent state: pos/prev/streams + batched-RNG scratch (see soa.go)
 	tagged   []bool
 	groups   []int32
-	occ      occupancy
+	occ      occIndex       // the flat world's index; unused when sharded (each slab has its own)
+	occMode  OccupancyIndex // OccDense or OccSparse, resolved once for every index
 	occDirty bool
 	round    int
 	numTag   int
@@ -122,17 +123,6 @@ type World struct {
 	// authoritative hot state and occupancy, and the embedded hotState
 	// keeps only pos as an id-indexed position mirror.
 	sh *shardedState
-}
-
-type cell struct {
-	total  int32
-	tagged int32
-}
-
-// groupKey indexes the per-group occupancy map by (position, group).
-type groupKey struct {
-	pos   int64
-	group int32
 }
 
 // NewWorld creates a world per cfg, places all agents, and builds the
@@ -190,7 +180,7 @@ func NewWorld(cfg Config) (*World, error) {
 		groups:   make([]int32, cfg.NumAgents),
 		numGroup: make(map[int32]int),
 	}
-	if err := w.initOcc(cfg.Occupancy, cfg.NumAgents, part); err != nil {
+	if err := w.initOcc(cfg.Occupancy, part); err != nil {
 		return nil, err
 	}
 	for i := 0; i < cfg.NumAgents; i++ {
@@ -271,20 +261,7 @@ func (w *World) SetTagged(i int, tagged bool) {
 	// The index is live: patch the agent's current cell in place
 	// instead of invalidating everything.
 	p := w.pos[i]
-	if w.sh != nil {
-		sl := w.slabFor(p)
-		if sl.dense != nil {
-			sl.dense[p-sl.lo].tagged += int32(delta)
-		} else {
-			sl.sparse.addTag(p, int32(delta))
-		}
-		return
-	}
-	if d := w.occ.dense; d != nil {
-		d[p].tagged += int32(delta)
-	} else {
-		w.occ.sparse.addTag(p, int32(delta))
-	}
+	w.occAt(p).addTag(p, int32(delta))
 }
 
 // Tagged reports whether agent i is tagged.
@@ -339,7 +316,11 @@ func (w *World) Step() {
 	}
 	w.round++
 	if track {
-		w.applyMoves()
+		var groups []int32
+		if len(w.numGroup) > 0 {
+			groups = w.groups
+		}
+		w.occ.applyMoves(w.pos, w.prev, w.tagged, groups)
 	}
 }
 
@@ -390,26 +371,12 @@ func (w *World) SetGroup(i int, group int) {
 	}
 	// Patch the live per-group index at the agent's current position.
 	p := w.pos[i]
-	if w.sh != nil {
-		sl := w.slabFor(p)
-		if old != 0 {
-			sl.groupDec(p, old)
-		}
-		if g != 0 {
-			sl.groupInc(p, g)
-		}
-		return
-	}
+	x := w.occAt(p)
 	if old != 0 {
-		k := groupKey{pos: p, group: old}
-		if n := w.occ.group[k] - 1; n == 0 {
-			delete(w.occ.group, k)
-		} else {
-			w.occ.group[k] = n
-		}
+		x.groupDec(p, old)
 	}
 	if g != 0 {
-		w.occ.group[groupKey{pos: p, group: g}]++
+		x.groupInc(p, g)
 	}
 }
 
@@ -430,12 +397,7 @@ func (w *World) CountInGroup(i, group int) int {
 		w.rebuildOcc()
 	}
 	p := w.pos[i]
-	var c int
-	if w.sh != nil {
-		c = int(w.slabFor(p).group[groupKey{pos: p, group: int32(group)}])
-	} else {
-		c = int(w.occ.group[groupKey{pos: p, group: int32(group)}])
-	}
+	c := int(w.occAt(p).group[groupKey{pos: p, group: int32(group)}])
 	if int(w.groups[i]) == group {
 		c--
 	}
@@ -460,7 +422,8 @@ func (w *World) Count(i int) int {
 	if w.occDirty {
 		w.rebuildOcc()
 	}
-	return int(w.occCell(w.pos[i]).total) - 1
+	p := w.pos[i]
+	return int(w.occAt(p).cellAt(p).total) - 1
 }
 
 // CountTagged returns the number of other *tagged* agents at agent i's
@@ -473,7 +436,8 @@ func (w *World) CountTagged(i int) int {
 	if w.occDirty {
 		w.rebuildOcc()
 	}
-	c := int(w.occCell(w.pos[i]).tagged)
+	p := w.pos[i]
+	c := int(w.occAt(p).cellAt(p).tagged)
 	if w.tagged[i] {
 		c--
 	}
