@@ -66,19 +66,6 @@ type WorldConfig = sim.Config
 // (graph, agent count, seed, placement, movement policy).
 func NewWorld(cfg WorldConfig) (*World, error) { return sim.NewWorld(cfg) }
 
-// EstimatorOption configures the estimators (noisy sensing, tagged
-// counting); see WithNoise and WithTaggedOnly.
-type EstimatorOption = core.Option
-
-// WithNoise models imperfect collision sensing (Section 6.1).
-func WithNoise(detectProb, spuriousProb float64, seed uint64) EstimatorOption {
-	return core.WithNoise(detectProb, spuriousProb, seed)
-}
-
-// WithTaggedOnly counts only collisions with tagged agents,
-// estimating a property density d_P (Section 5.2).
-func WithTaggedOnly() EstimatorOption { return core.WithTaggedOnly() }
-
 // PropertyResult is the per-agent output of a property-frequency run
 // (Output.Property).
 type PropertyResult = core.PropertyResult

@@ -6,10 +6,11 @@ import (
 	"fmt"
 	"os"
 
+	"antdensity"
 	"antdensity/internal/adversary"
-	"antdensity/internal/core"
 	"antdensity/internal/expfmt"
 	"antdensity/internal/quorum"
+	"antdensity/internal/results"
 	"antdensity/internal/rng"
 	"antdensity/internal/sensors"
 	"antdensity/internal/sim"
@@ -21,13 +22,11 @@ import (
 // adversaryFlagUsage documents the shared -adversary grammar.
 const adversaryFlagUsage = "adversarial agents as kind:fraction[:param][:seed] (kinds: inflate, deflate, random, stall, crash)"
 
-// parseAdversaryFlag compiles a -adversary flag value for an n-agent
-// run, applying the Spec layer's defaulting conventions: a timed
-// strategy with param 0 triggers at half the horizon (floored at round
-// 1), and seed 0 derives the adversary seed from the run seed. The
-// "lie" strategy needs the tagged stream the collision commands don't
-// drive, so it is rejected here. An empty value means no adversary.
-func parseAdversaryFlag(val string, n, rounds int, runSeed uint64) (*adversary.Tamperer, error) {
+// parseAdversaryFlag translates a -adversary flag value into the
+// Spec's adversary block; "" means none. Param and seed 0 keep their
+// Spec meanings (strategy default, seed derived from the run seed),
+// and Spec validation rejects a kind the run cannot host.
+func parseAdversaryFlag(val string) (*antdensity.AdversarySpec, error) {
 	if val == "" {
 		return nil, nil
 	}
@@ -35,28 +34,40 @@ func parseAdversaryFlag(val string, n, rounds int, runSeed uint64) (*adversary.T
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Kind == adversary.Lie {
-		return nil, fmt.Errorf("adversary kind %q needs a property-frequency run; use the library API or serve with kind \"property\"", adversary.Lie)
-	}
-	if cfg.Kind.Timed() && cfg.Param == 0 {
-		cfg.Param = float64(rounds / 2)
-		if cfg.Param < 1 {
-			cfg.Param = 1
-		}
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = runSeed + 0xad5eed
-	}
-	return adversary.New(n, cfg)
+	return &antdensity.AdversarySpec{Kind: cfg.Kind.String(), Fraction: cfg.Fraction, Param: cfg.Param, Seed: cfg.Seed}, nil
 }
 
-// addDetectionRows renders the dishonesty detector's verdicts.
-func addDetectionRows(tb *expfmt.Table, tam *adversary.Tamperer, det *adversary.Detector) {
-	tpr, fpr, flagged := det.Rates(tam.Mask())
-	tb.AddRow("adversarial agents", tam.NumAdversarial())
-	tb.AddRow("detector TPR", tpr)
-	tb.AddRow("detector FPR", fpr)
-	tb.AddRow("flagged agents", flagged)
+// runSpec runs spec to completion and returns its output, its
+// structured result and its terminal snapshot. Only that snapshot is
+// read, and a run always publishes it, so spec publishes no others:
+// each costs a pass over every agent.
+func runSpec(spec *antdensity.Spec) (antdensity.Output, *antdensity.RunResult, antdensity.Snapshot, error) {
+	spec.SnapshotEvery = spec.Rounds
+	run, err := spec.Start(context.Background())
+	if err != nil {
+		return antdensity.Output{}, nil, antdensity.Snapshot{}, err
+	}
+	out, err := run.Output()
+	if err != nil {
+		return antdensity.Output{}, nil, antdensity.Snapshot{}, err
+	}
+	res, err := run.Result()
+	return out, res, run.Snapshot(), err
+}
+
+// density is the density n agents have on g from one agent's view:
+// the other n-1 agents per node (sim.World.Density).
+func density(n int, g antdensity.Graph) float64 {
+	return float64(n-1) / float64(g.NumNodes())
+}
+
+// addDetectionRows renders the dishonesty detector's verdicts from an
+// adversarial run's metrics.
+func addDetectionRows(tb *expfmt.Table, m results.Metrics) {
+	tb.AddRow("adversarial agents", int(m["adversaries"]))
+	tb.AddRow("detector TPR", m["detect_tpr"])
+	tb.AddRow("detector FPR", m["detect_fpr"])
+	tb.AddRow("flagged agents", int(m["detect_flagged"]))
 }
 
 // cmdQuorum runs a quorum-sensing decision: agents at the given
@@ -79,99 +90,69 @@ func cmdQuorum(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// The theta-sized horizon is Theorem 1's bound, defined only on
+	// these ranges; -delta is checked here too because a Spec reads
+	// Delta 0 as its 0.05 default.
+	if !(*eps > 0 && *eps < 1) {
+		return fmt.Errorf("quorum: -eps must be in (0, 1), got %v", *eps)
+	}
+	if !(*delta > 0 && *delta < 1) {
+		return fmt.Errorf("quorum: -delta must be in (0, 1), got %v", *delta)
+	}
+	if !(*threshold > 0 && *threshold <= 1) {
+		return fmt.Errorf("quorum: -threshold must be in (0, 1], got %v", *threshold)
+	}
 	t := quorum.DetectionRounds(*threshold, *eps, *delta, 0.05)
-	g, err := topology.NewTorus(2, *side)
+	g, err := antdensity.NewTorus2D(*side)
 	if err != nil {
 		return err
 	}
-	w, err := sim.NewWorld(sim.Config{Graph: g, NumAgents: *agents, Seed: *seed, Shards: *shards})
+	adv, err := parseAdversaryFlag(*advFlag)
 	if err != nil {
 		return err
 	}
-	horizon := t
+	opts := []antdensity.SpecOption{antdensity.WithGraph(g), antdensity.WithAgents(*agents),
+		antdensity.WithSeed(*seed), antdensity.WithShards(*shards)}
+	var spec *antdensity.Spec
 	if *adaptive {
-		horizon = *maxRounds
+		spec = antdensity.AdaptiveQuorumSpec(*threshold, append(opts, antdensity.WithRounds(*maxRounds),
+			antdensity.WithConfidence(*delta), antdensity.WithBandConstant(0.6))...)
+	} else {
+		spec = antdensity.QuorumSpec(*threshold, append(opts, antdensity.WithRounds(t))...)
 	}
-	tam, err := parseAdversaryFlag(*advFlag, *agents, horizon, *seed)
+	spec.Adversary = adv
+	out, res, final, err := runSpec(spec)
 	if err != nil {
 		return err
 	}
+	m := res.Metrics
 	tb := expfmt.NewTable("quantity", "value")
-	tb.AddRow("true density d", w.Density())
+	tb.AddRow("true density d", density(*agents, g))
 	tb.AddRow("threshold theta", *threshold)
 	if *adaptive {
-		det, err := quorum.NewAnytimeDetector(*agents, *threshold, *delta, 0.6)
-		if err != nil {
-			return err
-		}
-		var audit *adversary.Detector
-		var extra []sim.Observer
-		if tam != nil {
-			tam.Attach(w)
-			det.SetReportFilter(tam.Filter())
-			audit = adversary.NewDetector(*agents, tam, adversary.DetectorConfig{})
-			extra = append(extra, audit)
-		}
-		res, err := det.DecideContext(context.Background(), w, *maxRounds, extra...)
-		if err != nil {
-			return err
-		}
-		votes := make([]bool, len(res.Decision))
-		undecided := 0
-		stops := make([]float64, len(res.StopRound))
-		for i, d := range res.Decision {
-			votes[i] = d == +1
-			if d == 0 {
-				undecided++
-			}
-			stops[i] = float64(res.StopRound[i])
+		ar := out.Anytime
+		stops := make([]float64, len(ar.StopRound))
+		for i, r := range ar.StopRound {
+			stops[i] = float64(r)
 		}
 		tb.AddRow("mode", "adaptive (anytime bands)")
 		tb.AddRow("fixed-t horizon (theta-sized)", t)
-		tb.AddRow("rounds executed", res.Rounds)
+		tb.AddRow("rounds executed", ar.Rounds)
 		tb.AddRow("mean stop round", stats.Mean(stops))
 		tb.AddRow("p90 stop round", stats.Quantile(stops, 0.9))
-		tb.AddRow("undecided agents", undecided)
-		tb.AddRow("fraction voting quorum", quorum.VoteFraction(votes))
-		tb.AddRow("majority verdict", quorum.MajorityVote(votes))
-		if tam != nil {
-			ests := make([]float64, *agents)
-			for i := range ests {
-				ests[i], _ = det.Interval(i)
-			}
-			tb.AddRow("trimmed vote fraction", quorum.TrimmedVoteFraction(ests, *threshold, 0.25))
-			tb.AddRow("trimmed majority verdict", quorum.TrimmedMajority(ests, *threshold, 0.25))
-			addDetectionRows(tb, tam, audit)
-		}
-		return tb.Render(os.Stdout)
-	}
-	if tam == nil {
-		votes, err := quorum.Decide(w, *threshold, t)
-		if err != nil {
-			return err
-		}
+		tb.AddRow("undecided agents", int(m["undecided"]))
+	} else {
 		tb.AddRow("detection rounds t (theta-sized)", t)
-		tb.AddRow("fraction voting quorum", quorum.VoteFraction(votes))
-		tb.AddRow("majority verdict", quorum.MajorityVote(votes))
-		return tb.Render(os.Stdout)
 	}
-	// Drive the counting run directly so the audit detector can ride
-	// the same pipeline as the tampered estimator.
-	tam.Attach(w)
-	obs, err := core.NewCollisionObserver(*agents, core.WithReportFilter(tam.Filter()))
-	if err != nil {
-		return err
+	tb.AddRow("fraction voting quorum", m["vote_fraction"])
+	tb.AddRow("majority verdict", m["majority"] == 1)
+	if adv != nil {
+		// The terminal snapshot holds every agent's final estimate in
+		// both modes.
+		tb.AddRow("trimmed vote fraction", quorum.TrimmedVoteFraction(final.Estimates, *threshold, 0.25))
+		tb.AddRow("trimmed majority verdict", quorum.TrimmedMajority(final.Estimates, *threshold, 0.25))
+		addDetectionRows(tb, m)
 	}
-	audit := adversary.NewDetector(*agents, tam, adversary.DetectorConfig{})
-	sim.Run(w, t, obs, audit)
-	ests := obs.Estimates()
-	votes := quorum.Votes(ests, *threshold)
-	tb.AddRow("detection rounds t (theta-sized)", t)
-	tb.AddRow("fraction voting quorum", quorum.VoteFraction(votes))
-	tb.AddRow("majority verdict", quorum.MajorityVote(votes))
-	tb.AddRow("trimmed vote fraction", quorum.TrimmedVoteFraction(ests, *threshold, 0.25))
-	tb.AddRow("trimmed majority verdict", quorum.TrimmedMajority(ests, *threshold, 0.25))
-	addDetectionRows(tb, tam, audit)
 	return tb.Render(os.Stdout)
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"antdensity"
 	"antdensity/internal/adversary"
 )
 
@@ -78,10 +79,11 @@ func FuzzBuildGraph(f *testing.F) {
 }
 
 // FuzzParseAdversaryFlag drives the CLI's -adversary grammar
-// (kind:fraction[:param][:seed]) end to end through Tamperer
-// construction, checking the defaulting contract: an accepted value
-// yields a validated config, timed strategies never keep a zero
-// trigger round, and seed 0 is always replaced by a run-derived seed.
+// (kind:fraction[:param][:seed]) through its translation to the Spec
+// layer, checking that the CLI accepts exactly what adversary.ParseFlag
+// accepts, carries every parsed field over unchanged, and hands a
+// density Spec a block its validation accepts for every kind but
+// "lie", which needs a property run.
 func FuzzParseAdversaryFlag(f *testing.F) {
 	for _, seed := range []string{
 		"", "inflate:0.2", "deflate:0.5:3", "random:0.3:10:7",
@@ -89,38 +91,35 @@ func FuzzParseAdversaryFlag(f *testing.F) {
 		"lie:0.5", "inflate:1.5", "inflate:NaN", "inflate:0.2:-1",
 		"inflate", "a:b:c:d:e", "crash:0.1:2.5", "inflate:0.2:5:-1",
 	} {
-		f.Add(seed, 41, 1000, uint64(1))
+		f.Add(seed)
 	}
-	f.Fuzz(func(t *testing.T, val string, n, rounds int, runSeed uint64) {
-		if n < 0 || n > 1<<12 {
-			n %= 1 << 12
-			if n < 0 {
-				n = -n
-			}
-		}
-		tam, err := parseAdversaryFlag(val, n, rounds, runSeed)
+	f.Fuzz(func(t *testing.T, val string) {
+		adv, err := parseAdversaryFlag(val)
 		if val == "" {
-			if tam != nil || err != nil {
-				t.Fatalf("empty flag must be a silent no-op, got tam=%v err=%v", tam, err)
+			if adv != nil || err != nil {
+				t.Fatalf("empty flag must be a silent no-op, got adv=%v err=%v", adv, err)
 			}
 			return
+		}
+		cfg, perr := adversary.ParseFlag(val)
+		if (err == nil) != (perr == nil) {
+			t.Fatalf("parseAdversaryFlag(%q) error %v, but ParseFlag error %v", val, err, perr)
 		}
 		if err != nil {
-			if tam != nil {
-				t.Fatalf("parseAdversaryFlag(%q) returned both a tamperer and error %v", val, err)
+			if adv != nil {
+				t.Fatalf("parseAdversaryFlag(%q) returned both a block and error %v", val, err)
 			}
 			return
 		}
-		if tam == nil {
-			t.Fatalf("parseAdversaryFlag(%q) returned nil tamperer without error", val)
+		want := antdensity.AdversarySpec{Kind: cfg.Kind.String(), Fraction: cfg.Fraction, Param: cfg.Param, Seed: cfg.Seed}
+		if adv == nil || *adv != want {
+			t.Fatalf("parseAdversaryFlag(%q) = %+v, want %+v", val, adv, want)
 		}
-		if got := tam.NumAdversarial(); got < 0 || got > n {
-			t.Fatalf("parseAdversaryFlag(%q, n=%d): %d adversarial agents out of range", val, n, got)
-		}
-		// Anything the CLI accepted must also parse under the raw
-		// grammar — the CLI layer only defaults, never widens.
-		if _, perr := adversary.ParseFlag(val); perr != nil {
-			t.Fatalf("parseAdversaryFlag(%q) accepted what ParseFlag rejects: %v", val, perr)
+		spec := antdensity.DensitySpec(antdensity.WithTorus2D(20), antdensity.WithAgents(41),
+			antdensity.WithRounds(1000), antdensity.WithSeed(1))
+		spec.Adversary = adv
+		if verr := spec.Validate(); (verr == nil) != (cfg.Kind != adversary.Lie) {
+			t.Fatalf("density Spec with -adversary %q: Validate() = %v", val, verr)
 		}
 	})
 }

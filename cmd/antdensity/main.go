@@ -22,7 +22,7 @@ import (
 	"os"
 	"strings"
 
-	"antdensity/internal/adversary"
+	"antdensity"
 	"antdensity/internal/core"
 	"antdensity/internal/experiments"
 	"antdensity/internal/expfmt"
@@ -203,6 +203,24 @@ func cmdEstimate(args []string) (err error) {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *agents < 2 {
+		return fmt.Errorf("estimate: -agents must be at least 2 (an agent estimates the density of the others), got %d", *agents)
+	}
+	g, err := antdensity.NewTorus(*dims, *side)
+	if err != nil {
+		return err
+	}
+	d := density(*agents, g)
+	if d > 1 {
+		return fmt.Errorf("estimate: -agents %d on %d nodes is density %v, above 1 (use fewer -agents or a larger -side)", *agents, g.NumNodes(), d)
+	}
+	adv, err := parseAdversaryFlag(*advFlag)
+	if err != nil {
+		return err
+	}
+	spec := antdensity.DensitySpec(antdensity.WithGraph(g), antdensity.WithAgents(*agents),
+		antdensity.WithRounds(*rounds), antdensity.WithSeed(*seed), antdensity.WithShards(*shards))
+	spec.Adversary = adv
 	stopProf, err := prof.start()
 	if err != nil {
 		return err
@@ -212,36 +230,11 @@ func cmdEstimate(args []string) (err error) {
 			err = e
 		}
 	}()
-	g, err := topology.NewTorus(*dims, *side)
+	out, res, _, err := runSpec(spec)
 	if err != nil {
 		return err
 	}
-	w, err := sim.NewWorld(sim.Config{Graph: g, NumAgents: *agents, Seed: *seed, Shards: *shards})
-	if err != nil {
-		return err
-	}
-	tam, err := parseAdversaryFlag(*advFlag, *agents, *rounds, *seed)
-	if err != nil {
-		return err
-	}
-	var ests []float64
-	var audit *adversary.Detector
-	if tam == nil {
-		ests, err = core.Algorithm1(w, *rounds)
-		if err != nil {
-			return err
-		}
-	} else {
-		tam.Attach(w)
-		obs, err := core.NewCollisionObserver(*agents, core.WithReportFilter(tam.Filter()))
-		if err != nil {
-			return err
-		}
-		audit = adversary.NewDetector(*agents, tam, adversary.DetectorConfig{})
-		sim.Run(w, *rounds, obs, audit)
-		ests = obs.Estimates()
-	}
-	d := w.Density()
+	ests := out.Estimates
 	sum := stats.Summarize(ests)
 	tb := expfmt.NewTable("quantity", "value")
 	tb.AddRow("true density d", d)
@@ -252,10 +245,10 @@ func cmdEstimate(args []string) (err error) {
 	tb.AddRow("std", sum.StdDev)
 	tb.AddRow("mean |rel err|", stats.Mean(stats.RelErrors(ests, d)))
 	tb.AddRow("Thm 1 eps (c1=0.35, delta=0.05)", core.TheoremOneEpsilon(*rounds, d, 0.05, 0.35))
-	if tam != nil {
-		tb.AddRow("trimmed mean estimate", stats.AggTrimmed.Aggregate(ests))
-		tb.AddRow("median-of-means estimate", stats.AggMedianOfMeans.Aggregate(ests))
-		addDetectionRows(tb, tam, audit)
+	if adv != nil {
+		tb.AddRow("trimmed mean estimate", res.Metrics["estimate_trimmed"])
+		tb.AddRow("median-of-means estimate", res.Metrics["estimate_mom"])
+		addDetectionRows(tb, res.Metrics)
 	}
 	return tb.Render(os.Stdout)
 }

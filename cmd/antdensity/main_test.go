@@ -2,10 +2,14 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the CLI golden files from current output")
 
 // captureStdout redirects os.Stdout for the duration of fn and
 // returns everything written.
@@ -37,6 +41,7 @@ func TestRunDispatchErrors(t *testing.T) {
 	tests := []struct {
 		name string
 		args []string
+		want string // substring the error must contain, if set
 	}{
 		{name: "no args", args: nil},
 		{name: "unknown subcommand", args: []string{"frobnicate"}},
@@ -53,11 +58,26 @@ func TestRunDispatchErrors(t *testing.T) {
 		{name: "sweep bad axis value", args: []string{"sweep", "E01", "-axis", "steps=abc"}},
 		{name: "sweep bad axis range", args: []string{"sweep", "E01", "-axis", "steps=10:5:1"}},
 		{name: "sweep not sweepable", args: []string{"sweep", "E20"}},
+		// Out-of-range estimator flags are refused by name instead of
+		// reaching a Theorem 1 bound or a relative error that panics.
+		{name: "quorum delta 0", args: []string{"quorum", "-delta", "0"}, want: "-delta"},
+		{name: "quorum delta 1", args: []string{"quorum", "-delta", "1"}, want: "-delta"},
+		{name: "quorum adaptive delta 0", args: []string{"quorum", "-adaptive", "-delta", "0"}, want: "-delta"},
+		{name: "quorum eps 0", args: []string{"quorum", "-eps", "0"}, want: "-eps"},
+		{name: "quorum eps 1.5", args: []string{"quorum", "-eps", "1.5"}, want: "-eps"},
+		{name: "quorum threshold 0", args: []string{"quorum", "-threshold", "0"}, want: "-threshold"},
+		{name: "quorum threshold -1", args: []string{"quorum", "-threshold", "-1"}, want: "-threshold"},
+		{name: "estimate one agent", args: []string{"estimate", "-agents", "1"}, want: "-agents"},
+		{name: "estimate density above 1", args: []string{"estimate", "-side", "3", "-agents", "20"}, want: "-agents"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := captureStdout(t, func() error { return run(tt.args) }); err == nil {
-				t.Errorf("run(%v) succeeded, want error", tt.args)
+			_, err := captureStdout(t, func() error { return run(tt.args) })
+			if err == nil {
+				t.Fatalf("run(%v) succeeded, want error", tt.args)
+			}
+			if !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("run(%v) error %q does not name %q", tt.args, err, tt.want)
 			}
 		})
 	}
@@ -247,15 +267,51 @@ func TestCmdRunQuick(t *testing.T) {
 	}
 }
 
-func TestCmdEstimate(t *testing.T) {
-	out, err := captureStdout(t, func() error {
-		return run([]string{"estimate", "-side", "30", "-agents", "91", "-rounds", "200", "-seed", "5"})
-	})
+// checkCLIGolden runs the CLI with args and compares its exact stdout
+// with testdata/<name>.golden, rewriting the file under -update.
+func checkCLIGolden(t *testing.T, name string, args []string) {
+	t.Helper()
+	out, err := captureStdout(t, func() error { return run(args) })
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("run(%v): %v", args, err)
 	}
-	if !strings.Contains(out, "true density d") || !strings.Contains(out, "mean estimate") {
-		t.Errorf("estimate output unexpected:\n%s", out)
+	path := filepath.Join("testdata", name+".golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden: %v (run with -update to create)", err)
+	}
+	if out != string(want) {
+		t.Errorf("run(%v) drifted from %s\n--- got\n%s--- want\n%s", args, path, out, want)
+	}
+}
+
+// cliCase is one golden-pinned CLI invocation.
+type cliCase struct {
+	name string
+	args []string
+}
+
+// TestCmdEstimate pins estimate's table byte for byte, honest and
+// under a count adversary, a timed adversary left at its half-horizon
+// default, and a seeded random adversary on a 3-D torus.
+func TestCmdEstimate(t *testing.T) {
+	base := []string{"estimate", "-side", "20", "-agents", "41", "-rounds", "300", "-seed", "7"}
+	for _, tt := range []cliCase{
+		{"estimate", []string{"estimate", "-side", "30", "-agents", "91", "-rounds", "200", "-seed", "5"}},
+		{"estimate_inflate", append(base, "-adversary", "inflate:0.2:5")},
+		{"estimate_crash", append(base, "-adversary", "crash:0.25")},
+		{"estimate_3d_random", []string{"estimate", "-dims", "3", "-side", "9", "-agents", "60", "-rounds", "150", "-seed", "3",
+			"-adversary", "random:0.3:0:11"}},
+	} {
+		t.Run(tt.name, func(t *testing.T) { checkCLIGolden(t, tt.name, tt.args) })
 	}
 }
 
@@ -283,29 +339,27 @@ func TestCmdNetsizeTorus(t *testing.T) {
 	}
 }
 
+// TestCmdQuorum pins the fixed-horizon quorum table, honest and under
+// a deflating adversary.
 func TestCmdQuorum(t *testing.T) {
-	out, err := captureStdout(t, func() error {
-		return run([]string{"quorum", "-side", "15", "-agents", "46", "-threshold", "0.1", "-eps", "0.5", "-delta", "0.2"})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "majority verdict") {
-		t.Errorf("quorum output unexpected:\n%s", out)
+	base := []string{"quorum", "-side", "15", "-agents", "46", "-threshold", "0.1", "-eps", "0.5", "-delta", "0.2"}
+	for _, tt := range []cliCase{
+		{"quorum", base},
+		{"quorum_deflate", append(base, "-adversary", "deflate:0.2")},
+	} {
+		t.Run(tt.name, func(t *testing.T) { checkCLIGolden(t, tt.name, tt.args) })
 	}
 }
 
+// TestCmdQuorumAdaptive pins the anytime quorum table, honest and
+// under a stall adversary left at its half-budget default.
 func TestCmdQuorumAdaptive(t *testing.T) {
-	out, err := captureStdout(t, func() error {
-		return run([]string{"quorum", "-adaptive", "-side", "15", "-agents", "91", "-threshold", "0.1", "-max-rounds", "5000"})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"mean stop round", "fixed-t horizon", "majority verdict"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("adaptive quorum output missing %q:\n%s", want, out)
-		}
+	base := []string{"quorum", "-adaptive", "-side", "15", "-agents", "91", "-threshold", "0.1", "-max-rounds", "5000"}
+	for _, tt := range []cliCase{
+		{"quorum_adaptive", base},
+		{"quorum_adaptive_stall", append(base, "-adversary", "stall:0.2")},
+	} {
+		t.Run(tt.name, func(t *testing.T) { checkCLIGolden(t, tt.name, tt.args) })
 	}
 }
 

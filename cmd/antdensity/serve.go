@@ -542,7 +542,11 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, snap)
 		return
 	}
-	s.recordSubmit(mr, req)
+	if err := s.recordSubmit(mr, req); err != nil {
+		s.m.Cancel(mr.ID)
+		writeError(w, http.StatusServiceUnavailable, err)
+		return
+	}
 	writeJSON(w, http.StatusCreated, snapshotResponse(mr))
 }
 

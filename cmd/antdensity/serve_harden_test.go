@@ -638,6 +638,42 @@ func TestServeJournalReplay(t *testing.T) {
 	}
 }
 
+// TestServeSubmitJournalFailure503 checks that a submission the
+// journal cannot record is refused, not acknowledged: the client gets
+// 503 naming the journal error, and the run the Manager registered
+// ends canceled, since it would not survive a restart.
+func TestServeSubmitJournalFailure503(t *testing.T) {
+	srv, s := newTestServerCfg(t, serveConfig{workers: 2, dataDir: t.TempDir()})
+	if err := s.store.jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/v1/runs", "application/json", strings.NewReader(
+		`{"kind": "density", "graph": {"kind": "torus2d", "side": 20}, "agents": 21, "rounds": 1000000000, "seed": 24}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), "journal: closed") {
+		t.Fatalf("POST with a closed journal = %d %s, want 503 naming the journal error", resp.StatusCode, body)
+	}
+	runs := s.m.Runs()
+	if len(runs) != 1 {
+		t.Fatalf("Manager holds %d runs, want the one refused submission", len(runs))
+	}
+	select {
+	case <-runs[0].Run.Done():
+	case <-time.After(30 * time.Second):
+		t.Fatal("the unjournaled run is still executing")
+	}
+	if st := runs[0].Run.State(); st != antdensity.StateCanceled {
+		t.Fatalf("unjournaled run ended %v, want canceled", st)
+	}
+}
+
 // waitTerminal polls until the run reaches the given terminal state.
 func waitTerminal(t *testing.T, srv *httptest.Server, id, want string) {
 	t.Helper()

@@ -210,12 +210,13 @@ func (s *server) archivedByFingerprint(spec *antdensity.Spec) (*archivedRun, boo
 }
 
 // recordSubmit journals an accepted submission and arranges for its
-// terminal state to be journaled too. A journal write failure is
-// loud but non-fatal: the run still executes, it just won't survive
-// a restart.
-func (s *server) recordSubmit(mr *antdensity.ManagedRun, req runRequest) {
+// terminal state to be journaled too. On a journal write failure it
+// returns the error and leaves the run unwatched: the run would not
+// survive a restart, so the caller must cancel it rather than
+// acknowledge it.
+func (s *server) recordSubmit(mr *antdensity.ManagedRun, req runRequest) error {
 	if s.store == nil {
-		return
+		return nil
 	}
 	spec, err := json.Marshal(req)
 	if err == nil {
@@ -228,8 +229,10 @@ func (s *server) recordSubmit(mr *antdensity.ManagedRun, req runRequest) {
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "antdensity: journal: submit %s: %v\n", mr.ID, err)
+		return fmt.Errorf("journal: submit %s: %w", mr.ID, err)
 	}
 	s.watch(mr)
+	return nil
 }
 
 // watch journals mr's terminal state once it finishes. Runs canceled

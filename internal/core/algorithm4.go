@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"antdensity/internal/rng"
@@ -84,20 +83,11 @@ func (o *IndependentObserver) Estimates(t int) []float64 {
 // drives the walking/stationary coin flips. It returns per-agent
 // estimates.
 func Algorithm4(w *sim.World, t int, seed uint64) ([]float64, error) {
-	return Algorithm4Context(context.Background(), w, t, seed)
-}
-
-// Algorithm4Context is Algorithm 4 with cooperative cancellation (see
-// sim.RunContext): the run stops on a round boundary as soon as ctx is
-// done and ctx's error is returned.
-func Algorithm4Context(ctx context.Context, w *sim.World, t int, seed uint64) ([]float64, error) {
 	if t < 1 {
 		return nil, fmt.Errorf("core: round count must be >= 1, got %d", t)
 	}
 	SetupAlgorithm4(w, seed)
 	obs := NewIndependentObserver(w.NumAgents())
-	if _, err := sim.RunContext(ctx, w, t, obs); err != nil {
-		return nil, err
-	}
+	sim.Run(w, t, obs)
 	return obs.Estimates(t), nil
 }

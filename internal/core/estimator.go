@@ -27,7 +27,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -212,15 +211,6 @@ func (co *CollisionObserver) Estimates() []float64 {
 // pipeline and returns each agent's total collision count
 // sum_r count(position_r) — the quantity c maintained by Algorithm 1.
 func CollisionCounts(w *sim.World, t int, opts ...Option) ([]int64, error) {
-	return CollisionCountsContext(context.Background(), w, t, opts...)
-}
-
-// CollisionCountsContext is CollisionCounts with cooperative
-// cancellation: the run stops on a round boundary as soon as ctx is
-// done (see sim.RunContext) and the context's error is returned. Extra
-// observers ride along on the same run; per the pipeline's determinism
-// invariant they cannot change the counts.
-func CollisionCountsContext(ctx context.Context, w *sim.World, t int, opts ...Option) ([]int64, error) {
 	if t < 1 {
 		return nil, fmt.Errorf("core: round count must be >= 1, got %d", t)
 	}
@@ -228,9 +218,7 @@ func CollisionCountsContext(ctx context.Context, w *sim.World, t int, opts ...Op
 	if err != nil {
 		return nil, err
 	}
-	if _, err := sim.RunContext(ctx, w, t, obs); err != nil {
-		return nil, err
-	}
+	sim.Run(w, t, obs)
 	return obs.Counts(), nil
 }
 
@@ -255,14 +243,7 @@ func perturb(c int, o options, noise *rng.Stream) int {
 // policy (the default) for the Theorem 1 guarantees to apply; other
 // policies realize the Section 6.1 perturbation ablations.
 func Algorithm1(w *sim.World, t int, opts ...Option) ([]float64, error) {
-	return Algorithm1Context(context.Background(), w, t, opts...)
-}
-
-// Algorithm1Context is Algorithm 1 with cooperative cancellation: a
-// cancelled run returns ctx's error within one round of ctx.Done(),
-// leaving w consistent on a round boundary.
-func Algorithm1Context(ctx context.Context, w *sim.World, t int, opts ...Option) ([]float64, error) {
-	counts, err := CollisionCountsContext(ctx, w, t, opts...)
+	counts, err := CollisionCounts(w, t, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -372,12 +353,6 @@ func (po *PropertyObserver) Result() *PropertyResult {
 // property density d_P, and the relative frequency f_P = d_P/d.
 // Tag agents with w.SetTagged before calling.
 func PropertyFrequency(w *sim.World, t int, opts ...Option) (*PropertyResult, error) {
-	return PropertyFrequencyContext(context.Background(), w, t, opts...)
-}
-
-// PropertyFrequencyContext is PropertyFrequency with cooperative
-// cancellation (see sim.RunContext).
-func PropertyFrequencyContext(ctx context.Context, w *sim.World, t int, opts ...Option) (*PropertyResult, error) {
 	if t < 1 {
 		return nil, fmt.Errorf("core: round count must be >= 1, got %d", t)
 	}
@@ -385,8 +360,6 @@ func PropertyFrequencyContext(ctx context.Context, w *sim.World, t int, opts ...
 	if err != nil {
 		return nil, err
 	}
-	if _, err := sim.RunContext(ctx, w, t, obs); err != nil {
-		return nil, err
-	}
+	sim.Run(w, t, obs)
 	return obs.Result(), nil
 }

@@ -13,7 +13,6 @@
 package quorum
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -34,16 +33,10 @@ func mustTorus(side int64) *topology.Torus {
 // agent's quorum vote: true iff its density estimate reaches
 // threshold.
 func Decide(w *sim.World, threshold float64, t int, opts ...core.Option) ([]bool, error) {
-	return DecideContext(context.Background(), w, threshold, t, opts...)
-}
-
-// DecideContext is Decide with cooperative cancellation (see
-// sim.RunContext).
-func DecideContext(ctx context.Context, w *sim.World, threshold float64, t int, opts ...core.Option) ([]bool, error) {
 	if threshold <= 0 {
 		return nil, fmt.Errorf("quorum: threshold must be positive, got %v", threshold)
 	}
-	ests, err := core.Algorithm1Context(ctx, w, t, opts...)
+	ests, err := core.Algorithm1(w, t, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -368,6 +361,18 @@ func (a *AnytimeDetector) Interval(i int) (estimate, half float64) {
 	return a.ests[i].Interval(a.delta)
 }
 
+// Result returns the decisions after a run of `rounds` observed
+// rounds: undecided agents' stop rounds become `rounds`. The returned
+// slices are the detector's own.
+func (a *AnytimeDetector) Result(rounds int) *AnytimeResult {
+	for i, d := range a.decision {
+		if d == 0 {
+			a.stopRound[i] = rounds
+		}
+	}
+	return &AnytimeResult{Decision: a.decision, StopRound: a.stopRound, Rounds: rounds}
+}
+
 // AnytimeResult holds the outcome of an AnytimeDecide run.
 type AnytimeResult struct {
 	// Decision[i] is agent i's verdict: +1 above, -1 below, 0
@@ -391,33 +396,8 @@ func AnytimeDecide(w *sim.World, threshold, delta, c1 float64, maxRounds int) (*
 	if err != nil {
 		return nil, err
 	}
-	return obs.DecideContext(context.Background(), w, maxRounds)
-}
-
-// DecideContext drives the detector over w for up to maxRounds rounds
-// with cooperative cancellation (see sim.RunContext) and returns the
-// per-agent decisions and stopping rounds. Extra observers ride along
-// on the same run (the facade's snapshot publisher); per the
-// pipeline's determinism invariant they cannot change the decisions.
-// On cancellation ctx's error is returned.
-func (a *AnytimeDetector) DecideContext(ctx context.Context, w *sim.World, maxRounds int, extra ...sim.Observer) (*AnytimeResult, error) {
 	if maxRounds < 1 {
 		return nil, fmt.Errorf("quorum: maxRounds must be >= 1, got %d", maxRounds)
 	}
-	obs := append([]sim.Observer{a}, extra...)
-	rounds, err := sim.RunContext(ctx, w, maxRounds, obs...)
-	if err != nil {
-		return nil, err
-	}
-	res := &AnytimeResult{
-		Decision:  a.decision,
-		StopRound: a.stopRound,
-		Rounds:    rounds,
-	}
-	for i, d := range res.Decision {
-		if d == 0 {
-			res.StopRound[i] = rounds
-		}
-	}
-	return res, nil
+	return obs.Result(sim.Run(w, maxRounds, obs)), nil
 }

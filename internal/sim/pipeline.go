@@ -234,13 +234,8 @@ func (rn *Runner) Step() bool {
 // are reused across rounds, so a Run's steady state allocates nothing
 // beyond what the observers themselves allocate.
 func Run(w *World, rounds int, obs ...Observer) int {
-	if rounds < 0 {
-		panic(fmt.Sprintf("sim: Run rounds must be >= 0, got %d", rounds))
-	}
-	rn := NewRunner(w, obs...)
-	for rn.r.index < rounds && rn.Step() {
-	}
-	return rn.r.index
+	n, _ := RunContext(context.Background(), w, rounds, obs...) // never cancelled
+	return n
 }
 
 // RunContext is Run with cooperative cancellation: it checks ctx
@@ -257,7 +252,7 @@ func Run(w *World, rounds int, obs ...Observer) int {
 // allocations to the observer loop.
 func RunContext(ctx context.Context, w *World, rounds int, obs ...Observer) (int, error) {
 	if rounds < 0 {
-		panic(fmt.Sprintf("sim: RunContext rounds must be >= 0, got %d", rounds))
+		panic(fmt.Sprintf("sim: rounds must be >= 0, got %d", rounds))
 	}
 	rn := NewRunner(w, obs...)
 	for rn.r.index < rounds {

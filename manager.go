@@ -195,8 +195,8 @@ func (m *Manager) Submit(spec *Spec) (*ManagedRun, error) {
 // registered and not canceled/failed, the existing ManagedRun is
 // returned with cached == true and nothing is recomputed — the
 // deterministic stack guarantees the result would be bit-identical.
-// Non-fingerprintable Specs (pre-built World, opaque estimator
-// options, identity-less graph) always execute.
+// Non-fingerprintable Specs (pre-built World, identity-less graph)
+// always execute.
 func (m *Manager) SubmitDeduped(spec *Spec) (*ManagedRun, bool, error) {
 	return m.submit(spec, "", true)
 }

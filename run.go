@@ -131,6 +131,8 @@ type Run struct {
 	spec      *Spec
 	world     *World // nil for netsize
 	numAgents int
+	tam       *adversary.Tamperer // nil without a Spec adversary
+	audit     *adversary.Detector // audits tam's reports; nil when tam is
 	exec      func(ctx context.Context) (Output, *results.Result, error)
 
 	state   atomic.Int32
@@ -165,6 +167,9 @@ func (s *Spec) NewRun() (*Run, error) {
 		r.world, err = s.buildWorld()
 		if err == nil {
 			r.numAgents = r.world.NumAgents()
+			err = r.compileAdversary()
+		}
+		if err == nil {
 			switch s.Kind {
 			case KindDensity:
 				err = r.compileDensity()
@@ -353,13 +358,6 @@ func (r *Run) Result() (*RunResult, error) {
 	return r.result, nil
 }
 
-// publish stores a fresh snapshot (run goroutine only) and wakes
-// every Updated watcher.
-func (r *Run) publish(snap Snapshot) {
-	r.snap.Store(&snap)
-	r.wake()
-}
-
 // wake closes the current Updated channel and installs a fresh one —
 // the closed-channel broadcast: every watcher parked on the old
 // channel unblocks and re-reads Snapshot.
@@ -395,10 +393,12 @@ func (r *Run) Updated() <-chan struct{} { return *r.updated.Load() }
 // given completed-round count.
 type measureFn func(round int, snap *Snapshot)
 
-// snapshotAt measures and publishes the view after `round` completed
-// rounds.
+// snapshotAt measures the view after `round` completed rounds,
+// publishes it (run goroutine only), and wakes every Updated watcher.
+// The snapshot is built in place on the heap, so a publish costs one
+// allocation beyond what measure allocates.
 func (r *Run) snapshotAt(round, maxRounds int, measure measureFn) {
-	snap := Snapshot{
+	snap := &Snapshot{
 		State:     StateRunning,
 		Round:     round,
 		MaxRounds: maxRounds,
@@ -406,26 +406,36 @@ func (r *Run) snapshotAt(round, maxRounds int, measure measureFn) {
 		NumAgents: r.numAgents,
 	}
 	if measure != nil && round > 0 {
-		measure(round, &snap)
+		measure(round, snap)
 	}
-	r.publish(snap)
+	r.snap.Store(snap)
+	r.wake()
 }
 
-// publisher returns a pipeline observer that publishes a snapshot
-// every SnapshotEvery rounds (and on the final round of a full-length
-// run), recording every observed round in *last so the engine can
-// republish an exact final snapshot when the run stops between
-// strides (early stop or cancellation).
-func (r *Run) publisher(maxRounds int, measure measureFn, last *int) sim.Observer {
+// observe runs every pipeline engine's rounds: up to maxRounds of
+// them, each observed by est, then the adversary audit (which reads
+// the Tamperer's memoized per-round reports, so it must ride after the
+// estimator), then a publisher of a snapshot every SnapshotEvery
+// rounds and on round maxRounds. Early stop and
+// cancellation both land between publication strides, so it always
+// republishes the exact final view. It returns the rounds executed.
+func (r *Run) observe(ctx context.Context, maxRounds int, est sim.Observer, measure measureFn) (int, error) {
 	every := r.spec.snapshotEvery()
-	return sim.ObserverFunc(func(rd *sim.Round) sim.Signal {
-		round := rd.Index()
-		*last = round
-		if round%every == 0 || round == maxRounds {
-			r.snapshotAt(round, maxRounds, measure)
+	var last int
+	pipeline := []sim.Observer{est}
+	if r.audit != nil {
+		pipeline = append(pipeline, r.audit)
+	}
+	pipeline = append(pipeline, sim.ObserverFunc(func(rd *sim.Round) sim.Signal {
+		last = rd.Index()
+		if last%every == 0 || last == maxRounds {
+			r.snapshotAt(last, maxRounds, measure)
 		}
 		return sim.Continue
-	})
+	}))
+	rounds, err := sim.RunContext(ctx, r.world, maxRounds, pipeline...)
+	r.snapshotAt(last, maxRounds, measure)
+	return rounds, err
 }
 
 // meanFinite returns the mean of the finite values (0 when none).
@@ -459,17 +469,13 @@ func (r *Run) bandHalf(est float64, rounds int) float64 {
 }
 
 // countEstimates converts accumulated collision counts to running
-// density estimates c/round, with anytime bands when wantCI.
-func (r *Run) countEstimates(counts []int64, round int, wantCI bool) (ests, half []float64) {
+// density estimates c/round with their anytime bands.
+func (r *Run) countEstimates(counts []int64, round int) (ests, half []float64) {
 	ests = make([]float64, len(counts))
-	if wantCI {
-		half = make([]float64, len(counts))
-	}
+	half = make([]float64, len(counts))
 	for i, c := range counts {
 		ests[i] = float64(c) / float64(round)
-		if wantCI {
-			half[i] = r.bandHalf(ests[i], round)
-		}
+		half[i] = r.bandHalf(ests[i], round)
 	}
 	return ests, half
 }
@@ -481,27 +487,51 @@ func (r *Run) baseResult(title string) *results.Result {
 
 // compileAdversary builds the Spec's Tamperer — attached to the run's
 // world, so stall adversaries physically freeze — and a Detector
-// auditing its reports. Both are nil when the Spec has no adversary.
-func (r *Run) compileAdversary() (*adversary.Tamperer, *adversary.Detector, error) {
+// auditing its reports. Both stay nil when the Spec has no adversary.
+func (r *Run) compileAdversary() error {
 	tam, err := r.spec.tamperer(r.numAgents)
 	if tam == nil || err != nil {
-		return nil, nil, err
+		return err
 	}
 	tam.Attach(r.world)
-	return tam, adversary.NewDetector(r.numAgents, tam, adversary.DetectorConfig{}), nil
+	r.tam, r.audit = tam, adversary.NewDetector(r.numAgents, tam, adversary.DetectorConfig{})
+	return nil
+}
+
+// estimatorOptions maps the Spec's sensing fields to core options and,
+// with an adversary, installs its report filters on both count
+// streams (CollisionObserver reads only the total-stream one).
+func (r *Run) estimatorOptions() []core.Option {
+	var opts []core.Option
+	if r.spec.TaggedOnly {
+		opts = append(opts, core.WithTaggedOnly())
+	}
+	if n := r.spec.Noise; n != nil {
+		opts = append(opts, core.WithNoise(n.DetectProb, n.SpuriousProb, n.Seed))
+	}
+	if r.tam != nil {
+		opts = append(opts,
+			core.WithReportFilter(r.tam.Filter()),
+			core.WithTaggedReportFilter(r.tam.TaggedFilter()))
+	}
+	return opts
 }
 
 // addAdversaryMetrics records the adversarial population, every
 // stats.Aggregator of the per-agent estimates (robust locations beside
 // the mean — the comparison the adversary experiments plot), and the
-// detection rates scored against the ground-truth mask.
-func addAdversaryMetrics(res *results.Result, ests []float64, tam *adversary.Tamperer, audit *adversary.Detector) {
-	res.SetMetric("adversaries", float64(tam.NumAdversarial()))
-	res.SetMetric("adversary_fraction", tam.Config().Fraction)
+// detection rates scored against the ground-truth mask. It records
+// nothing for an honest run.
+func (r *Run) addAdversaryMetrics(res *results.Result, ests []float64) {
+	if r.tam == nil {
+		return
+	}
+	res.SetMetric("adversaries", float64(r.tam.NumAdversarial()))
+	res.SetMetric("adversary_fraction", r.tam.Config().Fraction)
 	for _, agg := range stats.Aggregators() {
 		res.SetMetric("estimate_"+agg.String(), agg.Aggregate(ests))
 	}
-	tpr, fpr, flagged := audit.Rates(tam.Mask())
+	tpr, fpr, flagged := r.audit.Rates(r.tam.Mask())
 	res.SetMetric("detect_tpr", tpr)
 	res.SetMetric("detect_fpr", fpr)
 	res.SetMetric("detect_flagged", float64(flagged))
@@ -510,52 +540,27 @@ func addAdversaryMetrics(res *results.Result, ests []float64, tam *adversary.Tam
 // compileDensity builds the KindDensity engine: Algorithm 1 through
 // the observation pipeline, with a snapshot publisher riding along.
 func (r *Run) compileDensity() error {
-	tam, audit, err := r.compileAdversary()
-	if err != nil {
-		return err
-	}
-	opts := r.spec.estimatorOptions()
-	if tam != nil {
-		opts = append(opts, core.WithReportFilter(tam.Filter()))
-	}
-	obs, err := core.NewCollisionObserver(r.numAgents, opts...)
+	obs, err := core.NewCollisionObserver(r.numAgents, r.estimatorOptions()...)
 	if err != nil {
 		return err
 	}
 	t := r.spec.Rounds
 	r.exec = func(ctx context.Context) (Output, *results.Result, error) {
 		measure := func(round int, snap *Snapshot) {
-			snap.Estimates, snap.CIHalf = r.countEstimates(obs.Counts(), round, true)
+			snap.Estimates, snap.CIHalf = r.countEstimates(obs.Counts(), round)
 			snap.Mean = meanFinite(snap.Estimates)
 		}
-		var last int
-		// The audit detector rides after the estimator, so it reads the
-		// Tamperer's memoized per-round reports (see adversary.Detector).
-		pipeline := []sim.Observer{obs}
-		if audit != nil {
-			pipeline = append(pipeline, audit)
-		}
-		pipeline = append(pipeline, r.publisher(t, measure, &last))
-		_, err := sim.RunContext(ctx, r.world, t, pipeline...)
-		r.snapshotAt(last, t, measure) // exact final view, even mid-stride
-		if err != nil {
+		if _, err := r.observe(ctx, t, obs, measure); err != nil {
 			return Output{}, nil, err
 		}
-		// Divide by the requested horizon t (== rounds executed on
-		// success), exactly matching Algorithm 1's c/t.
-		ests := make([]float64, r.numAgents)
-		for i, c := range obs.Counts() {
-			ests[i] = float64(c) / float64(t)
-		}
+		ests := obs.Estimates() // c/t: nothing stops a collision run early
 		res := r.baseResult("Algorithm 1 encounter-rate density estimation")
 		r.addEstimateSeries(res, ests)
 		res.SetMetric("rounds", float64(t))
 		res.SetMetric("num_agents", float64(r.numAgents))
 		res.SetMetric("true_density", r.world.Density())
 		res.SetMetric("mean_estimate", meanFinite(ests))
-		if tam != nil {
-			addAdversaryMetrics(res, ests, tam, audit)
-		}
+		r.addAdversaryMetrics(res, ests)
 		return Output{Rounds: t, Estimates: ests}, res, nil
 	}
 	return nil
@@ -571,10 +576,7 @@ func (r *Run) compileIndependent() {
 			snap.Estimates = obs.Estimates(round)
 			snap.Mean = meanFinite(snap.Estimates)
 		}
-		var last int
-		_, err := sim.RunContext(ctx, r.world, t, obs, r.publisher(t, measure, &last))
-		r.snapshotAt(last, t, measure)
-		if err != nil {
+		if _, err := r.observe(ctx, t, obs, measure); err != nil {
 			return Output{}, nil, err
 		}
 		ests := obs.Estimates(t)
@@ -590,17 +592,7 @@ func (r *Run) compileIndependent() {
 
 // compileProperty builds the KindProperty engine (Section 5.2).
 func (r *Run) compileProperty() error {
-	tam, audit, err := r.compileAdversary()
-	if err != nil {
-		return err
-	}
-	opts := r.spec.estimatorOptions()
-	if tam != nil {
-		opts = append(opts,
-			core.WithReportFilter(tam.Filter()),
-			core.WithTaggedReportFilter(tam.TaggedFilter()))
-	}
-	obs, err := core.NewPropertyObserver(r.numAgents, opts...)
+	obs, err := core.NewPropertyObserver(r.numAgents, r.estimatorOptions()...)
 	if err != nil {
 		return err
 	}
@@ -610,15 +602,7 @@ func (r *Run) compileProperty() error {
 			snap.Estimates = obs.Result().Frequency
 			snap.Mean = meanFinite(snap.Estimates)
 		}
-		var last int
-		pipeline := []sim.Observer{obs}
-		if audit != nil {
-			pipeline = append(pipeline, audit)
-		}
-		pipeline = append(pipeline, r.publisher(t, measure, &last))
-		_, err := sim.RunContext(ctx, r.world, t, pipeline...)
-		r.snapshotAt(last, t, measure)
-		if err != nil {
+		if _, err := r.observe(ctx, t, obs, measure); err != nil {
 			return Output{}, nil, err
 		}
 		pr := obs.Result()
@@ -630,9 +614,7 @@ func (r *Run) compileProperty() error {
 		res.SetMetric("rounds", float64(t))
 		res.SetMetric("num_agents", float64(r.numAgents))
 		res.SetMetric("mean_frequency", meanFinite(pr.Frequency))
-		if tam != nil {
-			addAdversaryMetrics(res, pr.Frequency, tam, audit)
-		}
+		r.addAdversaryMetrics(res, pr.Frequency)
 		return Output{Rounds: t, Property: pr}, res, nil
 	}
 	return nil
@@ -641,22 +623,14 @@ func (r *Run) compileProperty() error {
 // compileQuorum builds the KindQuorum engine: Algorithm 1 counting
 // plus a threshold vote at the horizon.
 func (r *Run) compileQuorum() error {
-	tam, audit, err := r.compileAdversary()
-	if err != nil {
-		return err
-	}
-	opts := r.spec.estimatorOptions()
-	if tam != nil {
-		opts = append(opts, core.WithReportFilter(tam.Filter()))
-	}
-	obs, err := core.NewCollisionObserver(r.numAgents, opts...)
+	obs, err := core.NewCollisionObserver(r.numAgents, r.estimatorOptions()...)
 	if err != nil {
 		return err
 	}
 	t, threshold := r.spec.Rounds, r.spec.Threshold
 	r.exec = func(ctx context.Context) (Output, *results.Result, error) {
 		measure := func(round int, snap *Snapshot) {
-			snap.Estimates, snap.CIHalf = r.countEstimates(obs.Counts(), round, true)
+			snap.Estimates, snap.CIHalf = r.countEstimates(obs.Counts(), round)
 			snap.Mean = meanFinite(snap.Estimates)
 			for _, e := range snap.Estimates {
 				if e >= threshold {
@@ -664,21 +638,10 @@ func (r *Run) compileQuorum() error {
 				}
 			}
 		}
-		var last int
-		pipeline := []sim.Observer{obs}
-		if audit != nil {
-			pipeline = append(pipeline, audit)
-		}
-		pipeline = append(pipeline, r.publisher(t, measure, &last))
-		_, err := sim.RunContext(ctx, r.world, t, pipeline...)
-		r.snapshotAt(last, t, measure)
-		if err != nil {
+		if _, err := r.observe(ctx, t, obs, measure); err != nil {
 			return Output{}, nil, err
 		}
-		ests := make([]float64, r.numAgents)
-		for i, c := range obs.Counts() {
-			ests[i] = float64(c) / float64(t)
-		}
+		ests := obs.Estimates() // c/t: nothing stops a collision run early
 		votes := quorum.Votes(ests, threshold)
 		res := r.baseResult("Section 6.2 fixed-horizon quorum vote")
 		series := res.AddSeries("votes", results.Cols("agent", "estimate", "vote")...)
@@ -694,8 +657,8 @@ func (r *Run) compileQuorum() error {
 		res.SetMetric("yes_votes", float64(yes))
 		res.SetMetric("vote_fraction", quorum.VoteFraction(votes))
 		res.SetMetric("majority", boolMetric(quorum.MajorityVote(votes)))
-		if tam != nil {
-			addAdversaryMetrics(res, ests, tam, audit)
+		if r.tam != nil {
+			r.addAdversaryMetrics(res, ests)
 			res.SetMetric("trimmed_vote_fraction", quorum.TrimmedVoteFraction(ests, threshold, 0.25))
 			res.SetMetric("trimmed_majority", boolMetric(quorum.TrimmedMajority(ests, threshold, 0.25)))
 		}
@@ -711,12 +674,8 @@ func (r *Run) compileAdaptiveQuorum() error {
 	if err != nil {
 		return err
 	}
-	tam, audit, err := r.compileAdversary()
-	if err != nil {
-		return err
-	}
-	if tam != nil {
-		det.SetReportFilter(tam.Filter())
+	if r.tam != nil {
+		det.SetReportFilter(r.tam.Filter())
 	}
 	maxRounds := r.spec.Rounds
 	r.exec = func(ctx context.Context) (Output, *results.Result, error) {
@@ -733,21 +692,13 @@ func (r *Run) compileAdaptiveQuorum() error {
 			snap.Mean = meanFinite(ests)
 			snap.Decided = det.NumDecided()
 		}
-		var last int
-		// The anytime detector observes first (it is the filter's first
-		// caller each round), then the audit, then the publisher.
-		extra := []sim.Observer{}
-		if audit != nil {
-			extra = append(extra, audit)
-		}
-		extra = append(extra, r.publisher(maxRounds, measure, &last))
-		ar, err := det.DecideContext(ctx, r.world, maxRounds, extra...)
-		// Early stop and cancellation both land between publication
-		// strides; republish the exact final view.
-		r.snapshotAt(last, maxRounds, measure)
+		// The anytime detector observes first: it is the filter's first
+		// caller each round.
+		rounds, err := r.observe(ctx, maxRounds, det, measure)
 		if err != nil {
 			return Output{}, nil, err
 		}
+		ar := det.Result(rounds)
 		res := r.baseResult("Section 6.2 anytime quorum decision")
 		series := res.AddSeries("decisions", results.Cols("agent", "decision", "stop_round")...)
 		yes, undecided := 0, 0
@@ -769,12 +720,12 @@ func (r *Run) compileAdaptiveQuorum() error {
 		res.SetMetric("undecided", float64(undecided))
 		res.SetMetric("vote_fraction", quorum.VoteFraction(votes))
 		res.SetMetric("majority", boolMetric(quorum.MajorityVote(votes)))
-		if tam != nil {
+		if r.tam != nil {
 			ests := make([]float64, r.numAgents)
 			for i := range ests {
 				ests[i], _ = det.Interval(i)
 			}
-			addAdversaryMetrics(res, ests, tam, audit)
+			r.addAdversaryMetrics(res, ests)
 		}
 		return Output{Rounds: ar.Rounds, Anytime: ar}, res, nil
 	}
@@ -799,28 +750,15 @@ func (r *Run) compileNetsize() error {
 		var last, lastTotal int
 		cfg.Progress = func(done, total int) {
 			last, lastTotal = done, total
-			if done%every != 0 && done != total {
-				return
+			if done%every == 0 || done == total {
+				r.snapshotAt(done, total, nil)
 			}
-			r.publish(Snapshot{
-				State:     StateRunning,
-				Round:     done,
-				MaxRounds: total,
-				Progress:  float64(done) / float64(total),
-				NumAgents: s.Walkers,
-			})
 		}
 		nr, err := netsize.EstimateContext(ctx, s.Graph, cfg)
 		if err != nil {
 			if lastTotal > 0 {
 				// Cancelled between strides: record the true progress.
-				r.publish(Snapshot{
-					State:     StateRunning,
-					Round:     last,
-					MaxRounds: lastTotal,
-					Progress:  float64(last) / float64(lastTotal),
-					NumAgents: s.Walkers,
-				})
+				r.snapshotAt(last, lastTotal, nil)
 			}
 			return Output{}, nil, err
 		}

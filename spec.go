@@ -108,8 +108,8 @@ type AdversarySpec struct {
 // compiles it into an executable Run.
 //
 // Exactly one input source must be set: a Graph (the run builds its
-// own World from NumAgents and Seed) or, for advanced callers and the
-// deprecated v1 shims, a pre-built World.
+// own World from NumAgents and Seed) or, for advanced callers, a
+// pre-built World.
 type Spec struct {
 	// Kind selects the estimator.
 	Kind Kind
@@ -126,8 +126,9 @@ type Spec struct {
 	// adaptive quorum, and the collision-counting steps for netsize.
 	Rounds int
 	// World, when non-nil, supplies a pre-built world instead of
-	// Graph/NumAgents/Seed. The run steps the world in place; the v1
-	// shim functions use this to preserve their exact semantics.
+	// Graph/NumAgents/Seed. The run steps the world in place, so a
+	// caller can prepare agents (policies, placement) the Spec cannot
+	// express.
 	World *World
 
 	// TaggedCount tags agents 0..TaggedCount-1 before the run (the
@@ -144,10 +145,6 @@ type Spec struct {
 	// Adversary makes a fraction of the agents misreport (density,
 	// property, and quorum kinds); see AdversarySpec.
 	Adversary *AdversarySpec
-	// EstimatorOptions are extra core estimator options appended after
-	// the structured fields above; the deprecated v1 shims pass their
-	// opaque option lists through here.
-	EstimatorOptions []EstimatorOption
 
 	// Threshold is the quorum density threshold theta (quorum kinds
 	// only; must be positive).
@@ -304,8 +301,7 @@ func WithSeed(seed uint64) SpecOption { return func(s *Spec) { s.Seed = seed } }
 func WithRounds(t int) SpecOption { return func(s *Spec) { s.Rounds = t } }
 
 // WithWorld supplies a pre-built world instead of Graph/NumAgents/
-// Seed; the run steps it in place. The deprecated v1 wrappers use
-// this to reproduce their exact historical outputs.
+// Seed; the run steps it in place (see Spec.World).
 func WithWorld(w *World) SpecOption { return func(s *Spec) { s.World = w } }
 
 // WithTaggedCount tags agents 0..k-1 as property carriers before the
@@ -337,12 +333,6 @@ func WithAdversary(kind string, fraction, param float64, seed uint64) SpecOption
 	return func(s *Spec) {
 		s.Adversary = &AdversarySpec{Kind: kind, Fraction: fraction, Param: param, Seed: seed}
 	}
-}
-
-// WithEstimatorOptions appends opaque core estimator options (the v1
-// EstimatorOption values) after the Spec's structured fields.
-func WithEstimatorOptions(opts ...EstimatorOption) SpecOption {
-	return func(s *Spec) { s.EstimatorOptions = append(s.EstimatorOptions, opts...) }
 }
 
 // WithConfidence sets the confidence parameter delta in (0, 1).
@@ -380,8 +370,8 @@ func WithShards(k int) SpecOption { return func(s *Spec) { s.Shards = k } }
 // isQuorum reports whether the kind is one of the quorum estimators.
 func (k Kind) isQuorum() bool { return k == KindQuorum || k == KindQuorumAdaptive }
 
-// supportsSensing reports whether the kind accepts the tagging /
-// noise / estimator-option fields (the core collision estimators).
+// supportsSensing reports whether the kind accepts the tagging and
+// noise fields (the core collision estimators).
 func (k Kind) supportsSensing() bool {
 	switch k {
 	case KindDensity, KindProperty, KindQuorum:
@@ -445,9 +435,6 @@ func (s *Spec) Validate() error {
 		}
 		if s.TaggedOnly {
 			return fmt.Errorf("antdensity: Spec.TaggedOnly is not supported for kind %q (valid: density, quorum)", s.Kind)
-		}
-		if len(s.EstimatorOptions) > 0 {
-			return fmt.Errorf("antdensity: Spec.EstimatorOptions are not supported for kind %q (valid: density, property, quorum)", s.Kind)
 		}
 		if s.TaggedCount != 0 || len(s.TaggedAgents) > 0 {
 			return fmt.Errorf("antdensity: Spec.TaggedCount/TaggedAgents are not supported for kind %q (valid: density, property, quorum)", s.Kind)
@@ -529,7 +516,7 @@ func (s *Spec) validateNetsize() error {
 	if s.NumAgents != 0 {
 		return fmt.Errorf("antdensity: Spec.NumAgents is not used by kind %q; set Spec.Walkers instead", s.Kind)
 	}
-	if s.Noise != nil || s.TaggedOnly || s.TaggedCount != 0 || len(s.TaggedAgents) > 0 || len(s.EstimatorOptions) > 0 {
+	if s.Noise != nil || s.TaggedOnly || s.TaggedCount != 0 || len(s.TaggedAgents) > 0 {
 		return fmt.Errorf("antdensity: noise/tagging fields are not supported for kind %q", s.Kind)
 	}
 	if s.Adversary != nil {
@@ -634,17 +621,4 @@ func (s *Spec) tamperer(n int) (*adversary.Tamperer, error) {
 		return nil, err
 	}
 	return adversary.New(n, cfg)
-}
-
-// estimatorOptions assembles the core option list: structured fields
-// first, then the opaque EstimatorOptions pass-through.
-func (s *Spec) estimatorOptions() []EstimatorOption {
-	var opts []EstimatorOption
-	if s.TaggedOnly {
-		opts = append(opts, WithTaggedOnly())
-	}
-	if s.Noise != nil {
-		opts = append(opts, WithNoise(s.Noise.DetectProb, s.Noise.SpuriousProb, s.Noise.Seed))
-	}
-	return append(opts, s.EstimatorOptions...)
 }

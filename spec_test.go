@@ -104,11 +104,6 @@ func TestSpecValidationErrors(t *testing.T) {
 			want: "Spec.TaggedOnly is not supported",
 		},
 		{
-			name: "estimator options on independent",
-			spec: antdensity.IndependentSpec(base(antdensity.WithEstimatorOptions(antdensity.WithTaggedOnly()))...),
-			want: "Spec.EstimatorOptions are not supported",
-		},
-		{
 			name: "tagged count on independent",
 			spec: antdensity.IndependentSpec(base(antdensity.WithTaggedCount(2))...),
 			want: "Spec.TaggedCount/TaggedAgents are not supported",

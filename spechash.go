@@ -46,11 +46,11 @@ type GraphIdentity interface {
 //
 // It returns ok == false when the Spec's result cannot be proven
 // equal from its fields alone: a pre-built World (arbitrary mutable
-// state), opaque EstimatorOptions (closures), or a Graph with no
-// identity (no GraphIdentity implementation and no Spec.GraphKey).
+// state) or a Graph with no identity (no GraphIdentity implementation
+// and no Spec.GraphKey).
 // Non-fingerprintable Specs simply bypass result caches.
 func (s *Spec) Fingerprint() (string, bool) {
-	if s.World != nil || len(s.EstimatorOptions) > 0 {
+	if s.World != nil {
 		return "", false
 	}
 	gid, ok := s.graphIdentity()

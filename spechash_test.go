@@ -96,13 +96,6 @@ func TestFingerprintUnfingerprintable(t *testing.T) {
 		t.Error("World-backed spec should not be fingerprintable")
 	}
 
-	// Opaque estimator options: closures.
-	s = quickSpec(1)
-	s.EstimatorOptions = []antdensity.EstimatorOption{antdensity.WithTaggedOnly()}
-	if _, ok := s.Fingerprint(); ok {
-		t.Error("spec with opaque estimator options should not be fingerprintable")
-	}
-
 	// An identity-less graph is not fingerprintable — until a GraphKey
 	// asserts the recipe.
 	adj, err := antdensity.NewRandomRegular(64, 4, 9)
