@@ -20,10 +20,11 @@ const (
 	fuzzMaxDims   = 6
 )
 
-// FuzzBuildGraph drives the serve frontend's graph-recipe parser with
-// arbitrary request JSON: decode must never panic, buildGraph must
-// either error or hand back a usable graph (positive node count,
-// in-range neighbors at node 0).
+// FuzzBuildGraph drives the graph-recipe parser with arbitrary request
+// JSON: decode must never panic, buildGraph must either error or hand
+// back a usable graph (positive node count, in-range neighbors at node
+// 0), and building the same recipe again must give a graph with the
+// same GraphID — the property the result cache keys on.
 func FuzzBuildGraph(f *testing.F) {
 	for _, seed := range []string{
 		`{"kind":"torus2d","side":20}`,
@@ -74,6 +75,17 @@ func FuzzBuildGraph(f *testing.F) {
 			if v := g.Neighbor(0, i); v < 0 || v >= n {
 				t.Fatalf("buildGraph(%+v): neighbor %d of node 0 out of range: %d (n=%d)", gr, i, v, n)
 			}
+		}
+		again, err := buildGraph(gr)
+		if err != nil {
+			t.Fatalf("buildGraph(%+v) failed on a rebuild: %v", gr, err)
+		}
+		id, ok := g.(antdensity.GraphIdentity)
+		if !ok {
+			t.Fatalf("buildGraph(%+v) built a %T, which has no GraphID", gr, g)
+		}
+		if a, b := id.GraphID(), again.(antdensity.GraphIdentity).GraphID(); a != b {
+			t.Fatalf("buildGraph(%+v) built two graphs: GraphID %s, then %s", gr, a, b)
 		}
 	})
 }

@@ -12,7 +12,6 @@
 //	antdensity walk     [-topo torus2d|ring|torus3d|hypercube] [-steps M] [-trials K] [-seed N]
 //	antdensity quorum   [-side L] [-agents N] [-threshold T] [-adaptive] [-max-rounds M] [-seed N]
 //	antdensity serve    [-addr A] [-workers N] [-data-dir D] [-queue-limit Q] [-rate R] [-burst B] [-no-cache]
-//	antdensity loadtest [-addr A] [-n N] [-c C] [-dup F] [-out F]
 package main
 
 import (
@@ -26,19 +25,21 @@ import (
 	"antdensity/internal/core"
 	"antdensity/internal/experiments"
 	"antdensity/internal/expfmt"
-	"antdensity/internal/netsize"
 	"antdensity/internal/results"
 	"antdensity/internal/rng"
 	"antdensity/internal/sim"
-	"antdensity/internal/socialnet"
 	"antdensity/internal/stats"
-	"antdensity/internal/topology"
 	"antdensity/internal/walk"
 )
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "antdensity:", err)
+		// Errors from the root package already carry the prefix.
+		msg := err.Error()
+		if !strings.HasPrefix(msg, "antdensity: ") {
+			msg = "antdensity: " + msg
+		}
+		fmt.Fprintln(os.Stderr, msg)
 		os.Exit(1)
 	}
 }
@@ -69,8 +70,6 @@ func run(args []string) error {
 		return cmdSensors(args[1:])
 	case "serve":
 		return cmdServe(args[1:])
-	case "loadtest":
-		return cmdLoadtest(args[1:])
 	case "help", "-h", "--help":
 		usage()
 		return nil
@@ -92,8 +91,7 @@ func usage() {
   antdensity allocate [flags]              task-allocation dynamic (Sec. 1)
   antdensity sensors [flags]               token vs independent sensor sampling
   antdensity serve [flags]                 HTTP service over the v2 Run/Manager API
-                                           (-data-dir, -queue-limit, -rate, -no-cache)
-  antdensity loadtest [flags]              benchmark the serve API (-n, -c, -dup, -out)`)
+                                           (-data-dir, -queue-limit, -rate, -no-cache)`)
 }
 
 func cmdList() error {
@@ -253,6 +251,8 @@ func cmdEstimate(args []string) (err error) {
 	return tb.Render(os.Stdout)
 }
 
+// cmdNetsize estimates a synthetic network's size by running a
+// NetworkSizeSpec on a graph built from the -graph family's recipe.
 func cmdNetsize(args []string) error {
 	fs := flag.NewFlagSet("netsize", flag.ContinueOnError)
 	kind := fs.String("graph", "ba", "graph family: ba, er, ws, torus3")
@@ -263,20 +263,14 @@ func cmdNetsize(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	s := rng.New(*seed)
-	var g topology.Graph
-	var err error
+	var gr graphRequest
 	switch *kind {
 	case "ba":
-		g, err = socialnet.BarabasiAlbert(*nodes, 3, s)
+		gr = graphRequest{Kind: "ba", Nodes: *nodes, Degree: 3, Seed: *seed}
 	case "er":
-		var adj *topology.Adj
-		adj, err = socialnet.ErdosRenyi(*nodes, 8/float64(*nodes), s)
-		if err == nil {
-			g = socialnet.Connected(adj)
-		}
+		gr = graphRequest{Kind: "er", Nodes: *nodes, Degree: 8, Seed: *seed}
 	case "ws":
-		g, err = socialnet.WattsStrogatz(*nodes, 3, 0.1, s)
+		gr = graphRequest{Kind: "ws", Nodes: *nodes, Degree: 3, Seed: *seed}
 	case "torus3":
 		sideLen := int64(1)
 		for sideLen*sideLen*sideLen < *nodes {
@@ -285,19 +279,20 @@ func cmdNetsize(args []string) error {
 		if sideLen%2 == 0 {
 			sideLen++ // odd side keeps the torus non-bipartite
 		}
-		g, err = topology.NewTorus(3, sideLen)
+		gr = graphRequest{Kind: "torus", Dims: 3, Side: sideLen}
 	default:
 		return fmt.Errorf("netsize: unknown graph family %q", *kind)
 	}
+	g, err := buildGraph(gr)
 	if err != nil {
 		return err
 	}
-	res, err := netsize.Estimate(g, netsize.Config{
-		Walkers: *walkers, Steps: *steps, BurnIn: -1, Seed: *seed,
-	})
+	out, _, _, err := runSpec(antdensity.NetworkSizeSpec(antdensity.WithGraph(g),
+		antdensity.WithWalkers(*walkers), antdensity.WithRounds(*steps), antdensity.WithSeed(*seed)))
 	if err != nil {
 		return err
 	}
+	res := out.NetworkSize
 	tb := expfmt.NewTable("quantity", "value")
 	tb.AddRow("graph", *kind)
 	tb.AddRow("true |V|", g.NumNodes())
@@ -309,6 +304,14 @@ func cmdNetsize(args []string) error {
 	return tb.Render(os.Stdout)
 }
 
+// walkGraphs are the recipes behind walk's -topo values.
+var walkGraphs = map[string]graphRequest{
+	"torus2d":   {Kind: "torus2d", Side: 1024},
+	"ring":      {Kind: "ring", Nodes: 1 << 20},
+	"torus3d":   {Kind: "torus", Dims: 3, Side: 101},
+	"hypercube": {Kind: "hypercube", Bits: 16},
+}
+
 func cmdWalk(args []string) error {
 	fs := flag.NewFlagSet("walk", flag.ContinueOnError)
 	topo := fs.String("topo", "torus2d", "topology: torus2d, ring, torus3d, hypercube")
@@ -318,22 +321,13 @@ func cmdWalk(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var g topology.Graph
-	switch *topo {
-	case "torus2d":
-		g = topology.MustTorus(2, 1024)
-	case "ring":
-		var err error
-		g, err = topology.NewRing(1 << 20)
-		if err != nil {
-			return err
-		}
-	case "torus3d":
-		g = topology.MustTorus(3, 101)
-	case "hypercube":
-		g = topology.MustHypercube(16)
-	default:
+	gr, ok := walkGraphs[*topo]
+	if !ok {
 		return fmt.Errorf("walk: unknown topology %q", *topo)
+	}
+	g, err := buildGraph(gr)
+	if err != nil {
+		return err
 	}
 	s := rng.New(*seed)
 	curve := walk.RecollisionCurve(g, 0, *steps, *trials, s)

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -80,6 +83,36 @@ func TestRunDispatchErrors(t *testing.T) {
 				t.Errorf("run(%v) error %q does not name %q", tt.args, err, tt.want)
 			}
 		})
+	}
+}
+
+// TestMainErrorLine runs main in a child process and pins the one
+// line it prints for flag values that Spec validation refuses: the
+// root package's errors already carry the "antdensity:" prefix, and
+// main must not add a second.
+func TestMainErrorLine(t *testing.T) {
+	if args, ok := os.LookupEnv("ANTDENSITY_TEST_MAIN_ARGS"); ok {
+		os.Args = append([]string{"antdensity"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	for _, tt := range []struct{ args, want string }{
+		{"estimate -rounds 0", "antdensity: Spec.Rounds must be >= 1, got 0\n"},
+		{"quorum -agents 0", "antdensity: Spec.NumAgents must be >= 1, got 0\n"},
+		{"netsize -walkers 1", "antdensity: Spec.Walkers must be >= 2 for kind \"netsize\", got 1\n"},
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestMainErrorLine$")
+		cmd.Env = append(os.Environ(), "ANTDENSITY_TEST_MAIN_ARGS="+tt.args)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("antdensity %s: %v, want exit status 1", tt.args, err)
+		}
+		if got := stderr.String(); got != tt.want {
+			t.Errorf("antdensity %s printed %q, want %q", tt.args, got, tt.want)
+		}
 	}
 }
 
@@ -315,27 +348,26 @@ func TestCmdEstimate(t *testing.T) {
 	}
 }
 
+// TestCmdWalk pins the re-collision table of every -topo byte for
+// byte.
 func TestCmdWalk(t *testing.T) {
-	out, err := captureStdout(t, func() error {
-		return run([]string{"walk", "-topo", "torus2d", "-steps", "16", "-trials", "2000"})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "P[re-collision]") {
-		t.Errorf("walk output unexpected:\n%s", out)
+	for _, topo := range []string{"torus2d", "ring", "torus3d", "hypercube"} {
+		name := "walk_" + topo
+		t.Run(name, func(t *testing.T) {
+			checkCLIGolden(t, name, []string{"walk", "-topo", topo, "-steps", "16", "-trials", "2000", "-seed", "5"})
+		})
 	}
 }
 
-func TestCmdNetsizeTorus(t *testing.T) {
-	out, err := captureStdout(t, func() error {
-		return run([]string{"netsize", "-graph", "torus3", "-nodes", "300", "-walkers", "20", "-steps", "40", "-seed", "2"})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "estimated |V|") {
-		t.Errorf("netsize output unexpected:\n%s", out)
+// TestCmdNetsize pins netsize's table byte for byte on every -graph
+// family.
+func TestCmdNetsize(t *testing.T) {
+	for _, graph := range []string{"ba", "er", "ws", "torus3"} {
+		name := "netsize_" + graph
+		t.Run(name, func(t *testing.T) {
+			checkCLIGolden(t, name, []string{"netsize", "-graph", graph,
+				"-nodes", "3000", "-walkers", "60", "-steps", "150", "-seed", "3"})
+		})
 	}
 }
 

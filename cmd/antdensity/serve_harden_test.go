@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +17,7 @@ import (
 	"time"
 
 	"antdensity"
+	"antdensity/internal/journal"
 	"antdensity/internal/topology"
 )
 
@@ -557,6 +560,11 @@ func TestServeJournalReplay(t *testing.T) {
 	waitState(t, srv1, done.ID, "done")
 	resultBefore := getBytes(t, srv1.URL+"/v1/runs/"+done.ID+"/result", http.StatusOK)
 
+	// A run on a sampled graph, whose identity is its content.
+	baBody := `{"kind": "density", "graph": {"kind": "ba", "nodes": 400, "degree": 3, "seed": 4}, "agents": 21, "rounds": 100, "seed": 21}`
+	ba := postRun(t, srv1, baBody)
+	waitState(t, srv1, ba.ID, "done")
+
 	// A user-canceled run must stay canceled across restarts.
 	userCanceled := postRun(t, srv1, `{"kind": "density", "graph": {"kind": "torus2d", "side": 20}, "agents": 21, "rounds": 1000000000, "seed": 22}`)
 	req, _ := http.NewRequest(http.MethodDelete, srv1.URL+"/v1/runs/"+userCanceled.ID, nil)
@@ -607,24 +615,20 @@ func TestServeJournalReplay(t *testing.T) {
 		t.Fatalf("interrupted run replayed as %q, want running/queued", snap.State)
 	}
 
-	// The journaled result also serves cache hits: an identical
-	// submission returns the archived run.
-	resp, err := http.Post(srv2.URL+"/v1/runs", "application/json", strings.NewReader(doneBody))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var cachedSnap runSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&cachedSnap); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK || !cachedSnap.Cached || cachedSnap.ID != done.ID {
-		t.Fatalf("archived cache submit = %d %+v, want hit of %s", resp.StatusCode, cachedSnap, done.ID)
+	// The journaled results also serve cache hits: an identical
+	// submission returns the archived run. The ba graph is rebuilt
+	// for the submission and hashes to the journaled fingerprint.
+	for _, want := range []struct {
+		body, id string
+	}{{doneBody, done.ID}, {baBody, ba.ID}} {
+		if status, snap := submit(t, srv2, want.body); status != http.StatusOK || !snap.Cached || snap.ID != want.id {
+			t.Fatalf("archived cache submit = %d %+v, want hit of %s", status, snap, want.id)
+		}
 	}
 
 	// Fresh ids never collide with journaled ones.
 	fresh := postRun(t, srv2, `{"kind": "density", "graph": {"kind": "torus2d", "side": 20}, "agents": 5, "rounds": 10, "seed": 99}`)
-	for _, old := range []string{done.ID, userCanceled.ID, interrupted.ID} {
+	for _, old := range []string{done.ID, ba.ID, userCanceled.ID, interrupted.ID} {
 		if fresh.ID == old {
 			t.Fatalf("fresh id %s collides with journaled id", fresh.ID)
 		}
@@ -633,9 +637,76 @@ func TestServeJournalReplay(t *testing.T) {
 	// The list covers archived and live runs.
 	var list []runSnapshot
 	getJSON(t, srv2.URL+"/v1/runs", http.StatusOK, &list)
-	if len(list) < 4 {
+	if len(list) < 5 {
 		t.Fatalf("list after replay = %d entries: %+v", len(list), list)
 	}
+}
+
+// TestServeJournalReplayWithoutFingerprint replays a journal whose
+// done run carries no fingerprint, as a journal written before done
+// runs journaled one does: the run is still served by id, byte for
+// byte, but answers no submission, because its key would have to be
+// re-derived from a recipe the current binary might build differently.
+func TestServeJournalReplayWithoutFingerprint(t *testing.T) {
+	dir := t.TempDir()
+	srv1, s1 := newTestServerCfg(t, serveConfig{workers: 2, dataDir: dir})
+	body := `{"kind": "density", "graph": {"kind": "torus2d", "side": 20}, "agents": 21, "rounds": 100, "seed": 31}`
+	done := postRun(t, srv1, body)
+	waitState(t, srv1, done.ID, "done")
+	resultBefore := getBytes(t, srv1.URL+"/v1/runs/"+done.ID+"/result", http.StatusOK)
+	srv1.Close()
+	s1.close()
+
+	path := filepath.Join(dir, journal.FileName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	stripped := false
+	for _, line := range bytes.SplitAfter(raw, []byte("\n")) {
+		var rec map[string]json.RawMessage
+		if json.Unmarshal(line, &rec) == nil && string(rec["type"]) == `"terminal"` {
+			_, stripped = rec["fingerprint"]
+			delete(rec, "fingerprint")
+			b, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			line = append(b, '\n')
+		}
+		out.Write(line)
+	}
+	if !stripped {
+		t.Error("the done run's terminal record carries no fingerprint")
+	}
+	if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, _ := newTestServerCfg(t, serveConfig{workers: 2, dataDir: dir})
+	if after := getBytes(t, srv2.URL+"/v1/runs/"+done.ID+"/result", http.StatusOK); !bytes.Equal(resultBefore, after) {
+		t.Fatalf("replayed result differs:\nbefore: %s\nafter:  %s", resultBefore, after)
+	}
+	if status, snap := submit(t, srv2, body); status != http.StatusCreated || snap.Cached || snap.ID == done.ID {
+		t.Fatalf("identical submit = %d %+v, want a fresh run (201)", status, snap)
+	}
+}
+
+// submit POSTs a run and returns the status with the decoded
+// snapshot, for callers that expect a cache hit as well as a fresh run.
+func submit(t *testing.T, srv *httptest.Server, body string) (int, runSnapshot) {
+	t.Helper()
+	resp, err := http.Post(srv.URL+"/v1/runs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap runSnapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, snap
 }
 
 // TestServeSubmitJournalFailure503 checks that a submission the

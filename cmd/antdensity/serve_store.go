@@ -3,12 +3,14 @@ package main
 // Durable runs for `antdensity serve`: every accepted submission is
 // appended to a JSONL journal (internal/journal) together with the
 // wire spec, and every terminal state is appended with the final
-// snapshot and — for completed runs — the full structured result. On
-// startup the journal is replayed:
+// snapshot and — for completed runs — the full structured result and
+// the fingerprint of the Spec it ran. On startup the journal is
+// replayed:
 //
 //   - runs with a terminal record become archivedRuns, served from
 //     the journal without recomputation (GET snapshot/result/events
-//     all keep working after a restart);
+//     all keep working after a restart); a completed one also answers
+//     identical submissions under its journaled fingerprint;
 //   - runs without one were interrupted by the previous process's
 //     death; they are re-submitted under their original ids, so a
 //     client holding an id from before the restart sees its run
@@ -39,7 +41,7 @@ type archivedRun struct {
 	state  string          // done | canceled | failed
 	result json.RawMessage // structured result (done only)
 	snap   runSnapshot
-	fp     string // Spec fingerprint (done runs; "" when unknown)
+	fp     string // journaled Spec fingerprint (done runs; "" when unknown)
 }
 
 // runStore owns the journal and the archive of replayed runs.
@@ -92,7 +94,7 @@ func openRunStore(dir string, s *server) (*runStore, error) {
 			resumed++
 			continue
 		}
-		st.add(st.archivedFromEntry(e, req, specErr))
+		st.add(st.archivedFromEntry(e, req))
 	}
 	if len(entries) > 0 {
 		fmt.Fprintf(os.Stderr, "antdensity: journal: replayed %d run(s), resumed %d interrupted\n",
@@ -120,7 +122,7 @@ func (st *runStore) resume(s *server, e *journal.Entry, req runRequest, specErr 
 
 // archivedFromEntry rebuilds an archivedRun from a journaled terminal
 // record.
-func (st *runStore) archivedFromEntry(e *journal.Entry, req runRequest, specErr error) *archivedRun {
+func (st *runStore) archivedFromEntry(e *journal.Entry, req runRequest) *archivedRun {
 	term := e.Terminal
 	ar := &archivedRun{id: e.Submit.ID, state: term.State, result: term.Result}
 	// Journal marshaling compacts the embedded result; restore the
@@ -136,14 +138,13 @@ func (st *runStore) archivedFromEntry(e *journal.Entry, req runRequest, specErr 
 	if len(term.Snap) == 0 || json.Unmarshal(term.Snap, &ar.snap) != nil {
 		ar.snap = runSnapshot{ID: e.Submit.ID, Kind: req.Kind, State: term.State, Error: term.Error}
 	}
-	// Only completed runs serve cache hits; fingerprint from the
-	// replayed spec.
-	if term.State == antdensity.StateDone.String() && specErr == nil {
-		if spec, err := specFromRequest(req); err == nil {
-			if fp, ok := spec.Fingerprint(); ok {
-				ar.fp = fp
-			}
-		}
+	// Only completed runs serve cache hits, and only under the
+	// fingerprint their run journaled: re-deriving it from the request
+	// would rebuild the graph, and a binary whose generators changed
+	// would build a different one than the result ran on. A record
+	// without one still serves by id, but answers no submission.
+	if term.State == antdensity.StateDone.String() {
+		ar.fp = term.Fingerprint
 	}
 	return ar
 }
@@ -258,6 +259,7 @@ func (s *server) watch(mr *antdensity.ManagedRun) {
 			rec.Snap = b
 		}
 		if state == antdensity.StateDone {
+			rec.Fingerprint, _ = mr.Run.Spec().Fingerprint() // "" (omitted) when there is none
 			if res, err := mr.Run.Result(); err == nil {
 				stamped := *res
 				stamped.ID = mr.ID

@@ -67,18 +67,25 @@ func (e *StreamingEstimator) Interval(delta float64) (estimate, half float64) {
 		panic(fmt.Sprintf("core: delta must be in (0, 1), got %v", delta))
 	}
 	estimate = e.Estimate()
-	if e.rounds == 0 || estimate == 0 {
-		return estimate, math.Inf(1)
+	return estimate, BandHalf(estimate, e.rounds, delta, e.c1)
+}
+
+// BandHalf is the one anytime band: the additive half-width around a
+// running encounter rate est after rounds rounds, in Theorem 1's shape
+// at confidence 1-delta with constant c1. It is +Inf before the first
+// collision (est == 0 gives no multiplicative handle on d).
+func BandHalf(est float64, rounds int, delta, c1 float64) float64 {
+	if rounds == 0 || est == 0 {
+		return math.Inf(1)
 	}
 	// The plug-in density for the bound lives in (0, 1]; the running
 	// encounter rate can transiently exceed 1 in dense worlds (several
 	// collisions in one round), so clamp before evaluating Theorem 1.
-	plugin := estimate
+	plugin := est
 	if plugin > 1 {
 		plugin = 1
 	}
-	eps := TheoremOneEpsilon(e.rounds, plugin, delta, e.c1)
-	return estimate, eps * estimate
+	return TheoremOneEpsilon(rounds, plugin, delta, c1) * est
 }
 
 // AboveThreshold reports the estimator's decision about a density

@@ -51,6 +51,10 @@ type Record struct {
 	// replayed verbatim so restarted services keep serving the run's
 	// last observed view.
 	Snap json.RawMessage `json:"snapshot,omitempty"`
+	// Fingerprint is the content hash of the Spec a done run executed
+	// (terminal records), so a replayed result answers only for the
+	// inputs it actually ran on.
+	Fingerprint string `json:"fingerprint,omitempty"`
 }
 
 // Journal is an open, appendable run log. Safe for concurrent use.

@@ -1,6 +1,9 @@
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Adj is an explicit undirected graph stored in compressed sparse row
 // form. It backs the social-network experiments (paper Section 5.1)
@@ -11,6 +14,9 @@ type Adj struct {
 	offsets   []int64 // len A+1; neighbors of v are neighbors[offsets[v]:offsets[v+1]]
 	neighbors []int64
 	regular   int // common degree if every node shares one, else -1
+
+	idOnce sync.Once // guards id: hashed on the first GraphID call
+	id     string
 }
 
 var _ Graph = (*Adj)(nil)

@@ -1,7 +1,11 @@
 package topology
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"sync"
 	"testing"
 
 	"antdensity/internal/rng"
@@ -126,6 +130,39 @@ func TestAdjRegularDetection(t *testing.T) {
 	g := MustAdj(4, []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
 	if deg, ok := g.IsRegular(); !ok || deg != 2 {
 		t.Errorf("IsRegular = (%d, %v), want (2, true)", deg, ok)
+	}
+}
+
+// TestAdjGraphIDHashesCSR checks GraphID's chunked hash against one
+// SHA-256 over the whole little-endian encoding (node count, offsets,
+// neighbors) on a graph spanning many chunks, with the first call made
+// from several goroutines at once: every caller sees the one memoized
+// id.
+func TestAdjGraphIDHashesCSR(t *testing.T) {
+	g, err := NewRandomRegular(1000, 6, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var enc []byte
+	for _, x := range append(append([]int64{g.NumNodes()}, g.offsets...), g.neighbors...) {
+		enc = binary.LittleEndian.AppendUint64(enc, uint64(x))
+	}
+	sum := sha256.Sum256(enc)
+	want := "adj:sha256=" + hex.EncodeToString(sum[:])
+	ids := make([]string, 8)
+	var wg sync.WaitGroup
+	for i := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ids[i] = g.GraphID()
+		}()
+	}
+	wg.Wait()
+	for i, id := range ids {
+		if id != want {
+			t.Errorf("goroutine %d: GraphID() = %s, want %s", i, id, want)
+		}
 	}
 }
 

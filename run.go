@@ -454,20 +454,6 @@ func meanFinite(xs []float64) float64 {
 	return sum / float64(n)
 }
 
-// bandHalf returns the anytime confidence half-width for a running
-// estimate after `rounds` rounds — the StreamingEstimator.Interval
-// band shape with the Spec's delta and c1.
-func (r *Run) bandHalf(est float64, rounds int) float64 {
-	if rounds == 0 || est == 0 {
-		return math.Inf(1)
-	}
-	plugin := est
-	if plugin > 1 {
-		plugin = 1
-	}
-	return core.TheoremOneEpsilon(rounds, plugin, r.spec.delta(), r.spec.c1()) * est
-}
-
 // countEstimates converts accumulated collision counts to running
 // density estimates c/round with their anytime bands.
 func (r *Run) countEstimates(counts []int64, round int) (ests, half []float64) {
@@ -475,7 +461,7 @@ func (r *Run) countEstimates(counts []int64, round int) (ests, half []float64) {
 	half = make([]float64, len(counts))
 	for i, c := range counts {
 		ests[i] = float64(c) / float64(round)
-		half[i] = r.bandHalf(ests[i], round)
+		half[i] = core.BandHalf(ests[i], round, r.spec.delta(), r.spec.c1())
 	}
 	return ests, half
 }

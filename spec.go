@@ -188,13 +188,12 @@ type Spec struct {
 	// process-wide default.
 	Shards int
 
-	// GraphKey optionally names Graph's canonical identity when the
-	// graph type cannot carry one itself (no GraphIdentity
-	// implementation): callers that build a graph from a recipe set it
-	// to the recipe (kind, parameters, and generator seed), making the
-	// Spec fingerprintable for result caching. Two Specs with the same
-	// GraphKey are asserted to run on identical graphs. Purely
-	// observational — never affects results.
+	// GraphKey names the identity of a Graph type from outside this
+	// module that implements no GraphIdentity, making the Spec
+	// fingerprintable for result caching; two such Specs with the same
+	// GraphKey are asserted to run on identical graphs. Every graph in
+	// this module carries its own identity, which always wins, so the
+	// key is ignored for them. Never affects results.
 	GraphKey string
 
 	// graphErr records a deferred error from a graph-building option

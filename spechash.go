@@ -29,11 +29,14 @@ var fingerprintExcluded = []string{
 	"graphErr",      // deferred option error; Validate rejects the Spec before any run
 }
 
-// GraphIdentity is optionally implemented by Graphs with a canonical,
+// GraphIdentity is implemented by Graphs with a canonical,
 // content-addressable identity: equal GraphID strings mean identical
-// graphs, node for node and edge for edge. The arithmetic topologies
-// (Torus, Hypercube, Complete) implement it; adjacency graphs built
-// from a recipe should carry the recipe via Spec.GraphKey instead.
+// graphs, node for node and edge for edge. Every graph in this module
+// implements it — the arithmetic topologies (Torus, Hypercube,
+// Complete) by their parameters, and adjacency graphs (random regular,
+// the social-network generators) by a hash of their adjacency arrays —
+// so Spec.GraphKey is needed only for a Graph type from outside the
+// module.
 type GraphIdentity interface {
 	GraphID() string
 }
@@ -44,10 +47,12 @@ type GraphIdentity interface {
 // except purely observational settings like SnapshotEvery), and
 // whether the Spec is fingerprintable at all.
 //
-// It returns ok == false when the Spec's result cannot be proven
-// equal from its fields alone: a pre-built World (arbitrary mutable
-// state) or a Graph with no identity (no GraphIdentity implementation
-// and no Spec.GraphKey).
+// The graph enters as its own GraphID, so two Specs share a
+// fingerprint only when they run on the same graph, however each
+// graph was built. It returns ok == false when the Spec's result
+// cannot be proven equal from its fields alone: a pre-built World
+// (arbitrary mutable state), or a Graph type from outside the module
+// that implements no GraphIdentity and has no Spec.GraphKey.
 // Non-fingerprintable Specs simply bypass result caches.
 func (s *Spec) Fingerprint() (string, bool) {
 	if s.World != nil {
@@ -97,15 +102,15 @@ func (s *Spec) Fingerprint() (string, bool) {
 	return hex.EncodeToString(sum[:]), true
 }
 
-// graphIdentity resolves the graph's canonical identity: an explicit
-// GraphKey wins (the caller knows the recipe), then the graph's own
-// GraphID.
+// graphIdentity resolves the graph's canonical identity: the graph's
+// own GraphID, or, for a Graph type that carries none, the caller's
+// GraphKey.
 func (s *Spec) graphIdentity() (string, bool) {
-	if s.GraphKey != "" {
-		return "key:" + s.GraphKey, true
-	}
 	if g, ok := s.Graph.(GraphIdentity); ok {
 		return "id:" + g.GraphID(), true
+	}
+	if s.GraphKey != "" {
+		return "key:" + s.GraphKey, true
 	}
 	return "", false
 }
@@ -132,10 +137,3 @@ func canonicalIDList(ids []int) string {
 	}
 	return b.String()
 }
-
-// WithGraphKey attaches a canonical identity to a Graph that cannot
-// carry one itself (e.g. an adjacency graph sampled from a recipe —
-// the recipe string plus its seed is the identity). Callers are
-// responsible for the key actually determining the graph; see
-// Spec.GraphKey.
-func WithGraphKey(key string) SpecOption { return func(s *Spec) { s.GraphKey = key } }

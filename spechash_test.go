@@ -96,30 +96,59 @@ func TestFingerprintUnfingerprintable(t *testing.T) {
 		t.Error("World-backed spec should not be fingerprintable")
 	}
 
-	// An identity-less graph is not fingerprintable — until a GraphKey
-	// asserts the recipe.
-	adj, err := antdensity.NewRandomRegular(64, 4, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A Graph type from outside the module carries no identity: it is
+	// fingerprintable only once a GraphKey names it.
 	s = antdensity.DensitySpec(
-		antdensity.WithGraph(adj),
+		antdensity.WithGraph(foreignGraph{topology.MustTorus(2, 20)}),
 		antdensity.WithAgents(5),
 		antdensity.WithRounds(10),
 	)
 	if _, ok := s.Fingerprint(); ok {
-		t.Error("Adj-backed spec without GraphKey should not be fingerprintable")
+		t.Error("foreign-graph spec without GraphKey should not be fingerprintable")
 	}
-	s.GraphKey = "regular:nodes=64,degree=4,seed=9"
-	fp1 := fingerprintOK(t, s)
-	s2 := antdensity.DensitySpec(
-		antdensity.WithGraph(adj),
-		antdensity.WithAgents(5),
-		antdensity.WithRounds(10),
-		antdensity.WithGraphKey("regular:nodes=64,degree=4,seed=9"),
-	)
-	if fp2 := fingerprintOK(t, s2); fp2 != fp1 {
-		t.Errorf("equal GraphKeys disagree: %s vs %s", fp1, fp2)
+	s.GraphKey = "foreign:torus2d-20"
+	fingerprintOK(t, s)
+}
+
+// foreignGraph stands for a Graph type from outside the module: it
+// embeds only the Graph interface, so no GraphID is promoted.
+type foreignGraph struct{ antdensity.Graph }
+
+// TestFingerprintContentAddressed checks that an adjacency graph is
+// identified by what was built, not by a key a caller asserts.
+func TestFingerprintContentAddressed(t *testing.T) {
+	spec := func(g antdensity.Graph, key string) *antdensity.Spec {
+		s := antdensity.DensitySpec(antdensity.WithGraph(g), antdensity.WithAgents(5), antdensity.WithRounds(10))
+		s.GraphKey = key
+		return s
+	}
+	regular := func(seed uint64) antdensity.Graph {
+		g, err := antdensity.NewRandomRegular(64, 4, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+
+	// One GraphKey on two different graphs cannot make them one.
+	const key = "regular:nodes=64,degree=4,seed=9"
+	if a, b := fingerprintOK(t, spec(regular(9), key)), fingerprintOK(t, spec(regular(10), key)); a == b {
+		t.Errorf("two graphs under one GraphKey share fingerprint %s", a)
+	}
+
+	fp := fingerprintOK(t, spec(regular(9), ""))
+	if again := fingerprintOK(t, spec(regular(9), "")); again != fp {
+		t.Errorf("one recipe built twice: %s vs %s", fp, again)
+	}
+	if other := fingerprintOK(t, spec(regular(10), "")); other == fp {
+		t.Errorf("another seed shares fingerprint %s", fp)
+	}
+	if keyed := fingerprintOK(t, spec(regular(9), key)); keyed != fp {
+		t.Errorf("a GraphKey moved an adjacency fingerprint: %s vs %s", keyed, fp)
+	}
+	torus := topology.MustTorus(2, 20)
+	if keyed, plain := fingerprintOK(t, spec(torus, "stray")), fingerprintOK(t, spec(torus, "")); keyed != plain {
+		t.Errorf("a stray GraphKey moved a torus fingerprint: %s vs %s", keyed, plain)
 	}
 }
 
@@ -131,6 +160,7 @@ func TestGraphIDs(t *testing.T) {
 		{topology.MustTorus(2, 20), "torus:dims=2,side=20"},
 		{topology.MustHypercube(5), "hypercube:bits=5"},
 		{topology.MustComplete(9), "complete:nodes=9"},
+		{topology.MustAdj(3, []topology.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}}), "adj:sha256=e75af630cd179ef448a9e68a130751e5a5774821962831c2b002a6882e337b53"},
 	} {
 		id, ok := tc.g.(antdensity.GraphIdentity)
 		if !ok {
@@ -138,6 +168,38 @@ func TestGraphIDs(t *testing.T) {
 		}
 		if got := id.GraphID(); got != tc.want {
 			t.Errorf("GraphID(%T) = %q, want %q", tc.g, got, tc.want)
+		}
+	}
+}
+
+// TestFingerprintPinned pins literal digests for Specs on the
+// arithmetic topologies, whose identity is intrinsic: a change to how
+// Fingerprint or GraphID renders them would orphan every journaled
+// result and cache entry keyed on the old digest.
+func TestFingerprintPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec *antdensity.Spec
+		want string
+	}{
+		{"torus2d density", antdensity.DensitySpec(antdensity.WithTorus2D(20), antdensity.WithAgents(21),
+			antdensity.WithRounds(100), antdensity.WithSeed(11)),
+			"3cee536af2f8d5386b8adbfa2a73ea6496db7d4c561342e359dd696c9b881d30"},
+		{"torus3d quorum", antdensity.QuorumSpec(0.1, antdensity.WithGraph(topology.MustTorus(3, 9)),
+			antdensity.WithAgents(60), antdensity.WithRounds(150), antdensity.WithSeed(3)),
+			"8177d85a5a15cc859df8bd5465f7a77c5daa766c19c014b9b6587b66b960363d"},
+		{"hypercube density", antdensity.DensitySpec(antdensity.WithGraph(topology.MustHypercube(10)),
+			antdensity.WithAgents(100), antdensity.WithRounds(200), antdensity.WithSeed(5)),
+			"369997dcb2d33637c1e93bea41d50c85326797ca96cee887aedea599752e3420"},
+		{"ring density", antdensity.DensitySpec(antdensity.WithGraph(topology.MustTorus(1, 500)),
+			antdensity.WithAgents(50), antdensity.WithRounds(300), antdensity.WithSeed(7)),
+			"3f2cf09f6e125ca1182189e8da81b5fbeb363862a71dd2996e5d112262eaf079"},
+		{"complete netsize", antdensity.NetworkSizeSpec(antdensity.WithGraph(topology.MustComplete(1000)),
+			antdensity.WithWalkers(40), antdensity.WithRounds(100), antdensity.WithSeed(9)),
+			"ba8b1e40df99751b708e48d71f1af4eab3d3bfb6990ef8a6ac860d276d9a119e"},
+	} {
+		if got := fingerprintOK(t, tc.spec); got != tc.want {
+			t.Errorf("%s: Fingerprint() = %s, want %s", tc.name, got, tc.want)
 		}
 	}
 }
