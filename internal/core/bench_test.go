@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"antdensity/internal/rng"
 	"antdensity/internal/sim"
 	"antdensity/internal/topology"
 )
@@ -56,5 +57,35 @@ func BenchmarkEstimationRound(b *testing.B) {
 			}
 		}
 		_ = sink
+	})
+}
+
+// BenchmarkRoundBand measures one snapshot's band pass over
+// density-torus's shape (50k agents, round 400, counts near 0.19*t):
+// BandHalf once per agent against the round-band kernel, which
+// evaluates it once per distinct count.
+func BenchmarkRoundBand(b *testing.B) {
+	const n, t = 50_000, 400
+	s := rng.New(1)
+	counts := make([]int64, n)
+	for i := range counts {
+		counts[i] = int64(s.Binomial(t, 0.19))
+	}
+	half := make([]float64, n)
+	b.Run("per-agent", func(b *testing.B) {
+		for b.Loop() {
+			for i, c := range counts {
+				half[i] = BandHalf(float64(c)/t, t, 0.05, 0.35)
+			}
+		}
+	})
+	b.Run("kernel", func(b *testing.B) {
+		band := NewRoundBand(n, 0, 0.05, 0.35)
+		round := t
+		ests := make([]float64, n)
+		for b.Loop() {
+			round++ // a fresh round each pass, as a run's snapshots are
+			band.Fill(counts, round, ests, half)
+		}
 	})
 }

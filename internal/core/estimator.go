@@ -21,7 +21,9 @@
 // CollisionCounts/Algorithm1/PropertyFrequency are thin sim.Run
 // drivers around them. StreamingEstimator.AsObserver plugs the
 // anytime-confidence-band estimator into the same loop; the quorum
-// package builds per-agent early stopping on top of it. Per the
+// package builds per-agent early stopping on the same band and stop
+// rule (BandHalf, BandVerdict) through the round-band kernel
+// RoundBand. Per the
 // pipeline's determinism invariant, none of these observers' results
 // depend on what other observers share the run.
 package core
@@ -340,11 +342,27 @@ func (po *PropertyObserver) Result() *PropertyResult {
 		Frequency:       make([]float64, n),
 	}
 	for i := 0; i < n; i++ {
-		res.Density[i] = float64(po.total[i]) / float64(po.rounds)
-		res.PropertyDensity[i] = float64(po.tagged[i]) / float64(po.rounds)
-		res.Frequency[i] = res.PropertyDensity[i] / res.Density[i]
+		res.Density[i], res.PropertyDensity[i], res.Frequency[i] = po.estimates(i)
 	}
 	return res
+}
+
+// Frequencies returns Result's Frequency alone: each agent's f_P
+// estimate at the current horizon, in one allocation.
+func (po *PropertyObserver) Frequencies() []float64 {
+	f := make([]float64, len(po.total))
+	for i := range f {
+		_, _, f[i] = po.estimates(i)
+	}
+	return f
+}
+
+// estimates returns agent i's density, property-density, and
+// frequency estimates (tagged/t)/(total/t).
+func (po *PropertyObserver) estimates(i int) (d, dP, f float64) {
+	d = float64(po.total[i]) / float64(po.rounds)
+	dP = float64(po.tagged[i]) / float64(po.rounds)
+	return d, dP, dP / d
 }
 
 // PropertyFrequency implements the Section 5.2 swarm computation: each

@@ -265,9 +265,18 @@ func TestPropertyFrequencyComponentsConsistent(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		w.SetTagged(i, true)
 	}
-	res, err := PropertyFrequency(w, 200)
+	obs, err := NewPropertyObserver(w.NumAgents())
 	if err != nil {
 		t.Fatal(err)
+	}
+	sim.Run(w, 200, obs)
+	res := obs.Result()
+	// A property snapshot publishes Frequencies: Result's Frequency, bit
+	// for bit (NaN where an agent saw no collision).
+	for i, f := range obs.Frequencies() {
+		if math.Float64bits(f) != math.Float64bits(res.Frequency[i]) {
+			t.Fatalf("agent %d: Frequencies %v != Result %v", i, f, res.Frequency[i])
+		}
 	}
 	for i := range res.Density {
 		if res.PropertyDensity[i] > res.Density[i]+1e-12 {

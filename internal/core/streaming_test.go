@@ -218,3 +218,93 @@ func TestStreamingPanics(t *testing.T) {
 		})
 	}
 }
+
+// TestRoundBandIsBandHalf pins the round-band kernel to BandHalf bit
+// for bit: every (estimate, half) pair Fill publishes and every
+// (half, verdict) At returns equals c/t, BandHalf and BandVerdict
+// evaluated directly — on the memo's first and second pass over a
+// round, after rounds move, for count 0 (+Inf), for counts whose
+// estimate exceeds 1 (the clamp), for repeated counts, and for counts
+// at and beyond the memo's bound of one entry per agent.
+func TestRoundBandIsBandHalf(t *testing.T) {
+	const n, threshold = 8, 0.3
+	counts := func(t int64) []int64 {
+		return []int64{0, 1, 1, 3, 0, n - 1, n, n, n + 1, 2*t + 1, t, t + 1, 5 * t, 3}
+	}
+	for _, p := range []struct{ delta, c1 float64 }{{0.05, 0.35}, {0.05, 0.6}} {
+		band := NewRoundBand(n, threshold, p.delta, p.c1)
+		for _, round := range []int{1, 2, 400, 100_000, 2, 1} {
+			cs := counts(int64(round))
+			ests := make([]float64, len(cs))
+			half := make([]float64, len(cs))
+			for pass := 0; pass < 2; pass++ {
+				sum := band.Fill(cs, round, ests, half)
+				var wantSum float64
+				for i, c := range cs {
+					est := float64(c) / float64(round)
+					wantHalf := BandHalf(est, round, p.delta, p.c1)
+					wantSum += est
+					if math.Float64bits(ests[i]) != math.Float64bits(est) || math.Float64bits(half[i]) != math.Float64bits(wantHalf) {
+						t.Errorf("delta %v c1 %v round %d pass %d count %d: Fill = (%v, %v), want (%v, %v)",
+							p.delta, p.c1, round, pass, c, ests[i], half[i], est, wantHalf)
+					}
+					h, v := band.At(c, round)
+					if wantV := BandVerdict(est, wantHalf, round, threshold, p.delta); math.Float64bits(h) != math.Float64bits(wantHalf) || v != wantV {
+						t.Errorf("delta %v c1 %v round %d count %d: At = (%v, %d), want (%v, %d)",
+							p.delta, p.c1, round, c, h, v, wantHalf, wantV)
+					}
+				}
+				if math.Float64bits(sum) != math.Float64bits(wantSum) {
+					t.Errorf("round %d: Fill sum = %v, want the agent-order sum %v", round, sum, wantSum)
+				}
+			}
+			if !math.IsInf(half[0], 1) {
+				t.Errorf("round %d: count 0 half = %v, want +Inf", round, half[0])
+			}
+			if len(band.memo) > n {
+				t.Fatalf("memo holds %d entries, want at most one per agent (%d)", len(band.memo), n)
+			}
+			// One memo entry per distinct count inside the bound.
+			distinct := map[int64]bool{}
+			for _, c := range cs {
+				if c < n {
+					distinct[c] = true
+				}
+			}
+			fresh := 0
+			for _, e := range band.memo {
+				if e.round == round {
+					fresh++
+				}
+			}
+			if fresh != len(distinct) {
+				t.Errorf("round %d: %d memo entries evaluated, want %d distinct in-bound counts", round, fresh, len(distinct))
+			}
+		}
+	}
+	// Without a threshold the kernel applies no stop rule.
+	if _, v := NewRoundBand(n, 0, 0.05, 0.35).At(0, 100_000); v != 0 {
+		t.Errorf("verdict without a threshold = %d, want 0", v)
+	}
+}
+
+func TestRoundBandPanics(t *testing.T) {
+	band := NewRoundBand(4, 0, 0.05, 0.35)
+	band.At(3, 5) // grow the memo so round 0 could match an empty entry
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"round 0", func() { band.At(1, 0) }},
+		{"negative count", func() { band.At(-1, 5) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Error("no panic")
+				}
+			}()
+			tc.fn()
+		})
+	}
+}

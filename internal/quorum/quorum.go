@@ -15,6 +15,7 @@ package quorum
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"antdensity/internal/core"
@@ -263,21 +264,25 @@ func DetectionCurve(side int64, threshold float64, t int, ratios []float64, tria
 	return out, nil
 }
 
-// AnytimeDetector is the Section 6.2 adaptive threshold observer: one
-// streaming estimator per agent, each deciding whether the density is
-// above or below the threshold as soon as its anytime confidence band
-// clears it. Decided agents are retired through the pipeline's active
-// mask (recording per-agent stopping times), and the observer stops
-// the run once every agent has decided — the windowed early-exit that
-// replaces the fixed Theorem 1 horizon.
+// AnytimeDetector is the Section 6.2 adaptive threshold observer:
+// every agent keeps Algorithm 1's running estimate with its anytime
+// confidence band and decides whether the density is above or below
+// the threshold as soon as the band clears it. Band and stop rule are
+// core.StreamingEstimator's (core.BandHalf, core.BandVerdict), taken
+// from a core.RoundBand, so each round evaluates them once per
+// distinct collision count. Decided agents are retired through the
+// pipeline's active mask (recording per-agent stopping times), and the
+// observer stops the run once every agent has decided — the windowed
+// early-exit that replaces the fixed Theorem 1 horizon.
 //
-// The observer owns every agent it retires; per the sim.Observer
-// contract it must be the only observer deactivating those agents.
+// A detector observes one run. It owns every agent it retires; per
+// the sim.Observer contract it must be the only observer deactivating
+// agents.
 type AnytimeDetector struct {
-	threshold float64
-	delta     float64
 	filter    core.ReportFilter
-	ests      []*core.StreamingEstimator
+	band      *core.RoundBand
+	counts    []int64
+	est, half []float64 // each agent's interval, frozen once it decides
 	decision  []int
 	stopRound []int
 	decided   int
@@ -294,25 +299,25 @@ func NewAnytimeDetector(n int, threshold, delta, c1 float64) (*AnytimeDetector, 
 	if delta <= 0 || delta >= 1 {
 		return nil, fmt.Errorf("quorum: delta must be in (0, 1), got %v", delta)
 	}
+	if c1 <= 0 {
+		return nil, fmt.Errorf("quorum: c1 must be positive, got %v", c1)
+	}
 	a := &AnytimeDetector{
-		threshold: threshold,
-		delta:     delta,
-		ests:      make([]*core.StreamingEstimator, n),
+		band:      core.NewRoundBand(n, threshold, delta, c1),
+		counts:    make([]int64, n),
+		est:       make([]float64, n),
+		half:      make([]float64, n),
 		decision:  make([]int, n),
 		stopRound: make([]int, n),
 	}
-	for i := range a.ests {
-		est, err := core.NewStreamingEstimator(c1)
-		if err != nil {
-			return nil, err
-		}
-		a.ests[i] = est
+	for i := range a.half {
+		a.half[i] = math.Inf(1) // no round observed: no band yet
 	}
 	return a, nil
 }
 
 // SetReportFilter interposes f between the pipeline's shared count
-// snapshot and the per-agent streaming estimators, exactly like
+// snapshot and the per-agent counts, exactly like
 // core.WithReportFilter does for the fixed-horizon observers — the
 // adversary layer's injection point into adaptive quorum runs. Call
 // before the first observed round.
@@ -320,19 +325,27 @@ func (a *AnytimeDetector) SetReportFilter(f core.ReportFilter) { a.filter = f }
 
 // Observe feeds every still-active agent its round count and retires
 // agents whose confidence band cleared the threshold.
+//
+//antlint:noalloc
 func (a *AnytimeDetector) Observe(r *sim.Round) sim.Signal {
 	cs := r.Counts()
 	if a.filter != nil {
 		cs = a.filter(r.Index(), cs)
 	}
-	for i, est := range a.ests {
+	t := r.Index()
+	for i := range a.counts {
 		if !r.Active(i) {
 			continue
 		}
-		est.Observe(cs[i])
-		if v := est.AboveThreshold(a.threshold, a.delta); v != 0 {
+		if cs[i] < 0 {
+			panic(fmt.Sprintf("quorum: negative collision count %d", cs[i]))
+		}
+		a.counts[i] += int64(cs[i])
+		half, v := a.band.At(a.counts[i], t)
+		a.est[i], a.half[i] = float64(a.counts[i])/float64(t), half
+		if v != 0 {
 			a.decision[i] = v
-			a.stopRound[i] = r.Index()
+			a.stopRound[i] = t
 			a.decided++
 			r.Deactivate(i)
 		}
@@ -356,9 +369,15 @@ func (a *AnytimeDetector) NumDecided() int { return a.decided }
 
 // Interval returns agent i's running density estimate and its anytime
 // confidence half-width at the detector's 1-delta level (see
-// core.StreamingEstimator.Interval).
+// core.StreamingEstimator.Interval). A decided agent keeps the
+// interval of its stop round.
 func (a *AnytimeDetector) Interval(i int) (estimate, half float64) {
-	return a.ests[i].Interval(a.delta)
+	return a.est[i], a.half[i]
+}
+
+// Intervals returns every agent's Interval in two fresh slices.
+func (a *AnytimeDetector) Intervals() (ests, half []float64) {
+	return slices.Clone(a.est), slices.Clone(a.half)
 }
 
 // Result returns the decisions after a run of `rounds` observed

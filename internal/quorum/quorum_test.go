@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"antdensity/internal/adversary"
 	"antdensity/internal/core"
 	"antdensity/internal/sim"
 	"antdensity/internal/topology"
@@ -281,51 +282,107 @@ func TestAnytimeDetectorAgreesWithStreamingEstimator(t *testing.T) {
 	// The per-agent anytime observer must reproduce, agent by agent,
 	// what a hand-rolled StreamingEstimator loop decides for the same
 	// world seed — the tie between the pipeline's active mask and the
-	// scalar early-stopping loop of experiment E24.
-	g := topology.MustTorus(2, 20)
-	const agents, threshold, delta, c1, horizon = 41, 0.1, 0.05, 0.6, 4000
-	w1 := sim.MustWorld(sim.Config{Graph: g, NumAgents: agents, Seed: 77})
-	res, err := AnytimeDecide(w1, threshold, delta, c1, horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Scalar replay: every agent its own estimator, same stop rule.
-	w2 := sim.MustWorld(sim.Config{Graph: g, NumAgents: agents, Seed: 77})
-	ests := make([]*core.StreamingEstimator, agents)
-	for i := range ests {
-		ests[i], _ = core.NewStreamingEstimator(c1)
-	}
-	decision := make([]int, agents)
-	stopRound := make([]int, agents)
-	undecided := agents
-	rounds := 0
-	for r := 1; r <= horizon && undecided > 0; r++ {
-		w2.Step()
-		rounds = r
-		for i := 0; i < agents; i++ {
-			if decision[i] != 0 {
-				continue
+	// scalar early-stopping loop of experiment E24 — and publish the
+	// same intervals bit for bit: a decided agent's from its stop
+	// round, an undecided one's from the last round. The 2000-agent
+	// worlds keep counts inside the round-band memo's bound; the
+	// inflate case routes every count through a report filter.
+	for _, tc := range []struct {
+		name          string
+		side          int64
+		agents        int
+		threshold, c1 float64
+		horizon       int
+		seed          uint64
+		adversary     *adversary.Config
+		wantSplit     bool
+	}{
+		{name: "41 agents", side: 20, agents: 41, threshold: 0.1, c1: 0.6, horizon: 4000, seed: 77},
+		{name: "2000 agents c1 0.35", side: 64, agents: 2000, threshold: 0.45, c1: 0.35, horizon: 300, seed: 5, wantSplit: true},
+		{name: "2000 agents c1 0.6", side: 64, agents: 2000, threshold: 0.45, c1: 0.6, horizon: 300, seed: 6, wantSplit: true},
+		{name: "inflate filter", side: 20, agents: 41, threshold: 0.1, c1: 0.6, horizon: 4000, seed: 78,
+			adversary: &adversary.Config{Kind: adversary.Inflate, Fraction: 0.25, Param: 2, Seed: 9}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const delta = 0.05
+			cfg := sim.Config{Graph: topology.MustTorus(2, tc.side), NumAgents: tc.agents, Seed: tc.seed}
+			filter := func() core.ReportFilter {
+				if tc.adversary == nil {
+					return nil
+				}
+				tam, err := adversary.New(tc.agents, *tc.adversary)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return tam.Filter()
 			}
-			ests[i].Observe(w2.Count(i))
-			if v := ests[i].AboveThreshold(threshold, delta); v != 0 {
-				decision[i] = v
-				stopRound[i] = r
-				undecided--
+			det, err := NewAnytimeDetector(tc.agents, tc.threshold, delta, tc.c1)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if res.Rounds != rounds {
-		t.Fatalf("pipeline ran %d rounds, scalar replay %d", res.Rounds, rounds)
-	}
-	for i := 0; i < agents; i++ {
-		want := stopRound[i]
-		if decision[i] == 0 {
-			want = rounds
-		}
-		if res.Decision[i] != decision[i] || res.StopRound[i] != want {
-			t.Errorf("agent %d: pipeline (%d @ %d) != scalar (%d @ %d)",
-				i, res.Decision[i], res.StopRound[i], decision[i], want)
-		}
+			if f := filter(); f != nil {
+				det.SetReportFilter(f)
+			}
+			res := det.Result(sim.Run(sim.MustWorld(cfg), tc.horizon, det))
+
+			// Scalar replay: every agent its own estimator, same stop rule.
+			w2 := sim.MustWorld(cfg)
+			f2 := filter()
+			ests := make([]*core.StreamingEstimator, tc.agents)
+			for i := range ests {
+				ests[i], _ = core.NewStreamingEstimator(tc.c1)
+			}
+			decision := make([]int, tc.agents)
+			stopRound := make([]int, tc.agents)
+			buf := make([]int, tc.agents)
+			undecided := tc.agents
+			rounds := 0
+			for r := 1; r <= tc.horizon && undecided > 0; r++ {
+				w2.Step()
+				rounds = r
+				cs := w2.CountsAllInto(buf)
+				if f2 != nil {
+					cs = f2(r, cs)
+				}
+				for i := 0; i < tc.agents; i++ {
+					if decision[i] != 0 {
+						continue
+					}
+					ests[i].Observe(cs[i])
+					if v := ests[i].AboveThreshold(tc.threshold, delta); v != 0 {
+						decision[i] = v
+						stopRound[i] = r
+						undecided--
+					}
+				}
+			}
+			if res.Rounds != rounds {
+				t.Fatalf("pipeline ran %d rounds, scalar replay %d", res.Rounds, rounds)
+			}
+			if tc.wantSplit && (undecided == 0 || undecided == tc.agents) {
+				t.Fatalf("%d of %d agents undecided; the case needs both kinds", undecided, tc.agents)
+			}
+			allEst, allHalf := det.Intervals()
+			for i := 0; i < tc.agents; i++ {
+				want := stopRound[i]
+				if decision[i] == 0 {
+					want = rounds
+				}
+				if res.Decision[i] != decision[i] || res.StopRound[i] != want {
+					t.Errorf("agent %d: pipeline (%d @ %d) != scalar (%d @ %d)",
+						i, res.Decision[i], res.StopRound[i], decision[i], want)
+				}
+				est, half := det.Interval(i)
+				wantEst, wantHalf := ests[i].Interval(delta)
+				if math.Float64bits(est) != math.Float64bits(wantEst) || math.Float64bits(half) != math.Float64bits(wantHalf) {
+					t.Errorf("agent %d (decision %d): Interval = (%v, %v), scalar (%v, %v)",
+						i, decision[i], est, half, wantEst, wantHalf)
+				}
+				if math.Float64bits(allEst[i]) != math.Float64bits(est) || math.Float64bits(allHalf[i]) != math.Float64bits(half) {
+					t.Errorf("agent %d: Intervals = (%v, %v), Interval (%v, %v)", i, allEst[i], allHalf[i], est, half)
+				}
+			}
+		})
 	}
 }
 

@@ -89,8 +89,11 @@ type Snapshot struct {
 	// f_P for property runs; nil for netsize.
 	Estimates []float64
 	// CIHalf holds each agent's anytime confidence half-width at the
-	// Spec's Delta level (density and adaptive quorum runs; +Inf
-	// before an agent's first collision), nil for other kinds.
+	// Spec's Delta level (density, quorum and adaptive quorum runs;
+	// +Inf before an agent's first collision), nil for other kinds.
+	// The band depends on an agent only through its collision count,
+	// so each publish evaluates it once per distinct count (see
+	// core.RoundBand); the values are those of core.BandHalf.
 	CIHalf []float64
 	// Mean is the mean of the finite Estimates (0 when none).
 	Mean float64
@@ -416,12 +419,12 @@ func (r *Run) snapshotAt(round, maxRounds int, measure measureFn) {
 // them, each observed by est, then the adversary audit (which reads
 // the Tamperer's memoized per-round reports, so it must ride after the
 // estimator), then a publisher of a snapshot every SnapshotEvery
-// rounds and on round maxRounds. Early stop and
-// cancellation both land between publication strides, so it always
-// republishes the exact final view. It returns the rounds executed.
+// rounds and on round maxRounds. An early stop or a cancellation can
+// land between publication strides; then it republishes the exact
+// final view once more. It returns the rounds executed.
 func (r *Run) observe(ctx context.Context, maxRounds int, est sim.Observer, measure measureFn) (int, error) {
 	every := r.spec.snapshotEvery()
-	var last int
+	var last, published int
 	pipeline := []sim.Observer{est}
 	if r.audit != nil {
 		pipeline = append(pipeline, r.audit)
@@ -430,11 +433,14 @@ func (r *Run) observe(ctx context.Context, maxRounds int, est sim.Observer, meas
 		last = rd.Index()
 		if last%every == 0 || last == maxRounds {
 			r.snapshotAt(last, maxRounds, measure)
+			published = last
 		}
 		return sim.Continue
 	}))
 	rounds, err := sim.RunContext(ctx, r.world, maxRounds, pipeline...)
-	r.snapshotAt(last, maxRounds, measure)
+	if last != published {
+		r.snapshotAt(last, maxRounds, measure)
+	}
 	return rounds, err
 }
 
@@ -454,16 +460,23 @@ func meanFinite(xs []float64) float64 {
 	return sum / float64(n)
 }
 
-// countEstimates converts accumulated collision counts to running
-// density estimates c/round with their anytime bands.
-func (r *Run) countEstimates(counts []int64, round int) (ests, half []float64) {
-	ests = make([]float64, len(counts))
-	half = make([]float64, len(counts))
-	for i, c := range counts {
-		ests[i] = float64(c) / float64(round)
-		half[i] = core.BandHalf(ests[i], round, r.spec.delta(), r.spec.c1())
+// countEstimates fills snap with the running density estimates
+// c/round of accumulated collision counts, their anytime bands from
+// the round-band kernel, and their mean, summed in agent order.
+func countEstimates(band *core.RoundBand, counts []int64, round int, snap *Snapshot) {
+	snap.Estimates = make([]float64, len(counts))
+	snap.CIHalf = make([]float64, len(counts))
+	sum := band.Fill(counts, round, snap.Estimates, snap.CIHalf)
+	if len(counts) > 0 {
+		snap.Mean = sum / float64(len(counts))
 	}
-	return ests, half
+}
+
+// roundBand returns a round-band kernel for the run's agents at the
+// Spec's band level, with no stop rule. Engines build it when they
+// execute, so a finished run a Manager retains does not keep it.
+func (r *Run) roundBand() *core.RoundBand {
+	return core.NewRoundBand(r.numAgents, 0, r.spec.delta(), r.spec.c1())
 }
 
 // baseResult starts a structured result carrying the run's identity.
@@ -532,9 +545,9 @@ func (r *Run) compileDensity() error {
 	}
 	t := r.spec.Rounds
 	r.exec = func(ctx context.Context) (Output, *results.Result, error) {
+		band := r.roundBand()
 		measure := func(round int, snap *Snapshot) {
-			snap.Estimates, snap.CIHalf = r.countEstimates(obs.Counts(), round)
-			snap.Mean = meanFinite(snap.Estimates)
+			countEstimates(band, obs.Counts(), round, snap)
 		}
 		if _, err := r.observe(ctx, t, obs, measure); err != nil {
 			return Output{}, nil, err
@@ -585,7 +598,7 @@ func (r *Run) compileProperty() error {
 	t := r.spec.Rounds
 	r.exec = func(ctx context.Context) (Output, *results.Result, error) {
 		measure := func(round int, snap *Snapshot) {
-			snap.Estimates = obs.Result().Frequency
+			snap.Estimates = obs.Frequencies()
 			snap.Mean = meanFinite(snap.Estimates)
 		}
 		if _, err := r.observe(ctx, t, obs, measure); err != nil {
@@ -615,9 +628,9 @@ func (r *Run) compileQuorum() error {
 	}
 	t, threshold := r.spec.Rounds, r.spec.Threshold
 	r.exec = func(ctx context.Context) (Output, *results.Result, error) {
+		band := r.roundBand()
 		measure := func(round int, snap *Snapshot) {
-			snap.Estimates, snap.CIHalf = r.countEstimates(obs.Counts(), round)
-			snap.Mean = meanFinite(snap.Estimates)
+			countEstimates(band, obs.Counts(), round, snap)
 			for _, e := range snap.Estimates {
 				if e >= threshold {
 					snap.YesVotes++
@@ -666,16 +679,13 @@ func (r *Run) compileAdaptiveQuorum() error {
 	maxRounds := r.spec.Rounds
 	r.exec = func(ctx context.Context) (Output, *results.Result, error) {
 		measure := func(round int, snap *Snapshot) {
-			ests := make([]float64, r.numAgents)
-			half := make([]float64, r.numAgents)
-			for i := range ests {
-				ests[i], half[i] = det.Interval(i)
+			snap.Estimates, snap.CIHalf = det.Intervals()
+			for i := range snap.Estimates {
 				if det.Decision(i) == +1 {
 					snap.YesVotes++
 				}
 			}
-			snap.Estimates, snap.CIHalf = ests, half
-			snap.Mean = meanFinite(ests)
+			snap.Mean = meanFinite(snap.Estimates)
 			snap.Decided = det.NumDecided()
 		}
 		// The anytime detector observes first: it is the filter's first
@@ -707,10 +717,7 @@ func (r *Run) compileAdaptiveQuorum() error {
 		res.SetMetric("vote_fraction", quorum.VoteFraction(votes))
 		res.SetMetric("majority", boolMetric(quorum.MajorityVote(votes)))
 		if r.tam != nil {
-			ests := make([]float64, r.numAgents)
-			for i := range ests {
-				ests[i], _ = det.Interval(i)
-			}
+			ests, _ := det.Intervals()
 			r.addAdversaryMetrics(res, ests)
 		}
 		return Output{Rounds: ar.Rounds, Anytime: ar}, res, nil

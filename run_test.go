@@ -3,6 +3,7 @@ package antdensity_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -465,5 +466,86 @@ func TestRunShardInvariance(t *testing.T) {
 			t.Fatalf("shards=%d ran %d rounds, flat ran %d", k, out.Rounds, base.Rounds)
 		}
 		sameFloats(t, "sharded estimates", out.Estimates, base.Estimates)
+	}
+}
+
+// TestSnapshotBandsAreBandHalf pins every published band to
+// core.BandHalf bit for bit, on a dense world (estimates above 1 hit
+// the band's clamp) and a sparse one (agents without a collision carry
+// +Inf): density and quorum snapshots at the terminal round, adaptive
+// quorum snapshots at each agent's own stop round, and Mean as the
+// agent-order sum.
+func TestSnapshotBandsAreBandHalf(t *testing.T) {
+	worlds := []struct {
+		name      string
+		side      int64
+		agents    int
+		rounds    int
+		threshold float64
+		wantInf   bool
+	}{
+		{"dense", 20, 800, 300, 1.9, false},
+		{"sparse", 64, 41, 200, 0.02, true},
+	}
+	for _, w := range worlds {
+		for _, c1 := range []float64{0.35, 0.6} {
+			opts := []antdensity.SpecOption{
+				antdensity.WithGraph(topology.MustTorus(2, w.side)),
+				antdensity.WithAgents(w.agents),
+				antdensity.WithRounds(w.rounds),
+				antdensity.WithSeed(11),
+				antdensity.WithBandConstant(c1),
+			}
+			for _, s := range []*antdensity.Spec{
+				antdensity.DensitySpec(opts...),
+				antdensity.QuorumSpec(w.threshold, opts...),
+				antdensity.AdaptiveQuorumSpec(w.threshold, opts...),
+			} {
+				t.Run(fmt.Sprintf("%s/c1=%v/%s", w.name, c1, s.Kind), func(t *testing.T) {
+					r, err := s.Start(context.Background())
+					if err != nil {
+						t.Fatal(err)
+					}
+					out, err := r.Output()
+					if err != nil {
+						t.Fatal(err)
+					}
+					snap := r.Snapshot()
+					var sum float64
+					inf := 0
+					for i, est := range snap.Estimates {
+						round := snap.Round
+						if out.Anytime != nil {
+							round = out.Anytime.StopRound[i]
+						}
+						want := core.BandHalf(est, round, s.Delta, c1)
+						if math.Float64bits(snap.CIHalf[i]) != math.Float64bits(want) {
+							t.Errorf("agent %d: CIHalf %v, BandHalf(%v, %d) = %v", i, snap.CIHalf[i], est, round, want)
+						}
+						if math.IsInf(want, 1) {
+							inf++
+						}
+						sum += est
+					}
+					if got, want := snap.Mean, sum/float64(len(snap.Estimates)); math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("Mean %v, agent-order sum gives %v", got, want)
+					}
+					if out.Anytime != nil {
+						dec := 0
+						for _, d := range out.Anytime.Decision {
+							if d != 0 {
+								dec++
+							}
+						}
+						if dec == 0 || dec == len(out.Anytime.Decision) {
+							t.Errorf("%d of %d agents decided; the case needs decided and undecided agents", dec, len(out.Anytime.Decision))
+						}
+					}
+					if w.wantInf && inf == 0 {
+						t.Error("no agent without a collision; the sparse case needs one")
+					}
+				})
+			}
+		}
 	}
 }
