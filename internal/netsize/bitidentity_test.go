@@ -182,3 +182,75 @@ func equalInt64(a, b []int64) bool {
 	}
 	return true
 }
+
+// plainGraph hides a graph's concrete type, so the same graph runs
+// through the Graph-interface kernels (Graph.Degree reads, and
+// SpectralGap's interface mat-vec) instead of the CSR ones.
+type plainGraph struct{ topology.Graph }
+
+func TestCSRKernelsBitIdenticalToInterface(t *testing.T) {
+	// Property: on every CSR graph, the full pipeline with auto
+	// burn-in, the Katzir comparator and the cross-round estimator
+	// return the same Result bits whether the walkers read degrees
+	// from the CSR offsets or through Graph.Degree.
+	ba, err := socialnet.BarabasiAlbert(2000, 4, rng.New(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	er, err := socialnet.ErdosRenyi(600, 0.02, rng.New(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, err := socialnet.WattsStrogatz(800, 6, 0.1, rng.New(13))
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b *Result) bool {
+		return math.Float64bits(a.Size) == math.Float64bits(b.Size) &&
+			math.Float64bits(a.C) == math.Float64bits(b.C) &&
+			math.Float64bits(a.InvAvgDegree) == math.Float64bits(b.InvAvgDegree) &&
+			a.Queries == b.Queries
+	}
+	walkers := func(g topology.Graph) *Walkers {
+		w, err := NewWalkersAtSeed(g, 150, 0, rng.New(14))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.BurnIn(20)
+		return w
+	}
+	for _, tc := range []struct {
+		name string
+		g    *topology.Adj
+	}{{"ba", ba}, {"er-connected", socialnet.Connected(er)}, {"ws", ws}} {
+		for _, est := range []struct {
+			name string
+			run  func(g topology.Graph) (*Result, error)
+		}{
+			{"Estimate", func(g topology.Graph) (*Result, error) {
+				return Estimate(g, Config{Walkers: 200, Steps: 100, BurnIn: -1, Seed: 15})
+			}},
+			{"KatzirEstimate", func(g topology.Graph) (*Result, error) {
+				return walkers(g).KatzirEstimate(0), nil
+			}},
+			{"CrossRoundEstimate", func(g topology.Graph) (*Result, error) {
+				return walkers(g).CrossRoundEstimate(30, 0)
+			}},
+		} {
+			csr, err := est.run(tc.g)
+			if err != nil {
+				t.Fatalf("%s %s: %v", tc.name, est.name, err)
+			}
+			generic, err := est.run(plainGraph{tc.g})
+			if err != nil {
+				t.Fatalf("%s %s on plainGraph: %v", tc.name, est.name, err)
+			}
+			if !same(csr, generic) {
+				t.Errorf("%s %s: CSR %+v, interface %+v", tc.name, est.name, *csr, *generic)
+			}
+			if csr.C <= 0 {
+				t.Errorf("%s %s: no collisions (C = %v), so the fold was not exercised", tc.name, est.name, csr.C)
+			}
+		}
+	}
+}

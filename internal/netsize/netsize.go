@@ -34,13 +34,14 @@ import (
 // implementation (each walker's stream is a Split child of the caller
 // stream), so estimates are unchanged for any fixed seed.
 type Walkers struct {
-	world   *sim.World
+	world *sim.World
+	// degree reads the degree of a vertex walkers stand on, picked
+	// once: (*Adj).DegreeUnchecked on a CSR graph (walker positions
+	// are valid nodes), Graph.Degree on any other.
+	degree  func(v int64) int
 	queries int64
 	counts  []int // scratch for bulk count snapshots
 }
-
-// graph returns the topology the walkers move on.
-func (w *Walkers) graph() topology.Graph { return w.world.Graph() }
 
 // newWalkers builds the backing world from explicitly derived
 // positions and streams.
@@ -54,17 +55,26 @@ func newWalkers(g topology.Graph, pos []int64, streams []rng.Stream) (*Walkers, 
 	if err != nil {
 		return nil, err
 	}
-	return &Walkers{world: world}, nil
+	degree := g.Degree
+	if adj, ok := g.(*topology.Adj); ok {
+		degree = adj.DegreeUnchecked
+	}
+	return &Walkers{world: world, degree: degree}, nil
 }
 
 // NewWalkersAtSeed starts n walkers at the given seed vertex — the
-// realistic access model where only one vertex is known a priori.
+// realistic access model where only one vertex is known a priori. The
+// seed vertex needs at least one edge endpoint: walkers on an isolated
+// vertex never move, and their degree weights are undefined.
 func NewWalkersAtSeed(g topology.Graph, n int, seed int64, s *rng.Stream) (*Walkers, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("netsize: need >= 2 walkers, got %d", n)
 	}
 	if seed < 0 || seed >= g.NumNodes() {
 		return nil, fmt.Errorf("netsize: seed vertex %d out of range [0, %d)", seed, g.NumNodes())
+	}
+	if g.Degree(seed) == 0 {
+		return nil, fmt.Errorf("netsize: seed vertex %d has degree 0", seed)
 	}
 	pos := make([]int64, n)
 	streams := make([]rng.Stream, n)
@@ -166,11 +176,13 @@ func (w *Walkers) weightedCollisions() float64 {
 // collision total. Accumulation runs in walker-index order so the
 // float sum is bit-identical across runs, and degrees are queried only
 // for colliding walkers.
+//
+//antlint:noalloc
 func (w *Walkers) weightCounts(counts []int) float64 {
 	var sum float64
 	for i, c := range counts {
 		if c > 0 {
-			sum += float64(c) / float64(w.graph().Degree(w.world.Pos(i)))
+			sum += float64(c) / float64(w.degree(w.world.Pos(i)))
 		}
 	}
 	return sum
@@ -185,7 +197,7 @@ func (w *Walkers) EstimateAvgDegree() float64 {
 	n := w.world.NumAgents()
 	var sum float64
 	for i := 0; i < n; i++ {
-		sum += 1 / float64(w.graph().Degree(w.world.Pos(i)))
+		sum += 1 / float64(w.degree(w.world.Pos(i)))
 	}
 	return sum / float64(n)
 }
@@ -313,6 +325,10 @@ func EstimateContext(ctx context.Context, g topology.Graph, cfg Config) (*Result
 	if cfg.Delta == 0 {
 		cfg.Delta = 0.1
 	}
+	edges := topology.NumEdges(g)
+	if edges < 1 {
+		return nil, fmt.Errorf("netsize: graph has no edges")
+	}
 	root := rng.New(cfg.Seed)
 	var w *Walkers
 	var err error
@@ -336,7 +352,7 @@ func EstimateContext(ctx context.Context, g topology.Graph, cfg Config) (*Result
 			if lambda > 0.9999 {
 				return nil, fmt.Errorf("netsize: measured spectral value %.6f ~ 1; graph is (near-)bipartite or disconnected, burn-in cannot converge", lambda)
 			}
-			burn = topology.MixingTime(topology.NumEdges(g), lambda, cfg.Delta)
+			burn = topology.MixingTime(edges, lambda, cfg.Delta)
 		}
 	}
 	total := burn + cfg.Steps

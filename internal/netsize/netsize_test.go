@@ -34,6 +34,11 @@ func TestNewWalkersValidation(t *testing.T) {
 	if _, err := NewWalkersStationary(g, 1, s); err == nil {
 		t.Error("single stationary walker accepted")
 	}
+	// A seed vertex of degree 0, in a graph that has edges.
+	isolated := topology.MustAdj(4, []topology.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}})
+	if _, err := NewWalkersAtSeed(isolated, 5, 3, s); err == nil {
+		t.Error("seed vertex of degree 0 accepted")
+	}
 }
 
 func TestStationarySamplingIsDegreeProportional(t *testing.T) {
@@ -285,6 +290,28 @@ func TestEstimateConfigErrors(t *testing.T) {
 	g := topology.MustTorus(3, 4)
 	if _, err := Estimate(g, Config{Walkers: 1, Steps: 10, Stationary: true}); err == nil {
 		t.Error("walkers=1 accepted")
+	}
+	// Graphs without an edge, where auto burn-in would take the log of
+	// zero edges: one isolated node (what Connected keeps of an
+	// edgeless ER draw), and one node whose self-loop gives it degree 1
+	// but NumEdges 0. Then a seed vertex of degree 0 in a graph that
+	// has edges.
+	single := topology.MustAdj(1, nil)
+	loop := topology.MustAdj(1, []topology.Edge{{U: 0, V: 0}})
+	triangle := topology.MustAdj(4, []topology.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}})
+	for _, tc := range []struct {
+		name string
+		g    topology.Graph
+		cfg  Config
+	}{
+		{"isolated node", single, Config{Walkers: 10, Steps: 50, BurnIn: -1}},
+		{"self-loop", loop, Config{Walkers: 10, Steps: 50, BurnIn: -1}},
+		{"self-loop, stationary", loop, Config{Walkers: 10, Steps: 50, Stationary: true}},
+		{"seed vertex of degree 0", triangle, Config{Walkers: 10, Steps: 50, BurnIn: -1, SeedVertex: 3}},
+	} {
+		if res, err := Estimate(tc.g, tc.cfg); err == nil {
+			t.Errorf("%s: Estimate succeeded with %+v, want an error", tc.name, *res)
+		}
 	}
 }
 

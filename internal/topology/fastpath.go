@@ -47,6 +47,13 @@ func (g *Adj) NeighborUnchecked(v int64, i int) int64 {
 	return g.neighbors[g.offsets[v]+int64(i)]
 }
 
+// DegreeUnchecked is Degree without node validation; see
+// (*Torus).NeighborUnchecked. For the CSR adjacency graph it is two
+// array loads.
+func (g *Adj) DegreeUnchecked(v int64) int {
+	return int(g.offsets[v+1] - g.offsets[v])
+}
+
 // RandomStepFrom is RandomStep specialized to the CSR layout, without
 // node validation: one offsets load selects v's neighbor slice, one
 // uniform draw indexes it. Isolated nodes return v and consume no

@@ -271,17 +271,28 @@ func TestMixingTime(t *testing.T) {
 	if m != want {
 		t.Errorf("MixingTime = %d, want %d", m, want)
 	}
-	for _, tc := range []struct{ lambda, delta float64 }{
-		{-0.1, 0.5}, {1, 0.5}, {0.5, 0}, {0.5, 1},
+	for _, tc := range []struct {
+		edges         int64
+		lambda, delta float64
+	}{
+		{100, -0.1, 0.5}, {100, 1, 0.5}, {100, 0.5, 0}, {100, 0.5, 1},
+		{100, math.NaN(), 0.5}, {0, 0.5, 0.1}, {-1, 0.5, 0.1},
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("MixingTime(%v, %v) did not panic", tc.lambda, tc.delta)
+					t.Errorf("MixingTime(%d, %v, %v) did not panic", tc.edges, tc.lambda, tc.delta)
 				}
 			}()
-			MixingTime(100, tc.lambda, tc.delta)
+			MixingTime(tc.edges, tc.lambda, tc.delta)
 		}()
+	}
+	// A graph without edge endpoints has no walk to measure: lambda is
+	// 0, not the NaN of a zero degree sum.
+	for _, g := range []*Adj{MustAdj(1, nil), MustAdj(5, nil)} {
+		if got := SpectralGap(g, 300, rng.New(1)); got != 0 {
+			t.Errorf("SpectralGap on %d isolated nodes = %v, want 0", g.NumNodes(), got)
+		}
 	}
 }
 

@@ -16,10 +16,18 @@ import (
 // exactly 1, with stationary distribution proportional to degree).
 // iters controls the number of power steps; 200-500 is plenty for the
 // graphs in this repository. The returned value is a lower bound that
-// converges to lambda from below as iters grows.
+// converges to lambda from below as iters grows. A graph without edge
+// endpoints has no walk to measure and gives 0.
 //
-// SpectralGap materializes two vectors of length A, so it is intended
-// for graphs up to a few tens of millions of nodes.
+// The mat-vec y = W x is chosen once per call: on *Adj it reads the
+// CSR arrays directly, and on any other Graph it calls Degree and
+// Neighbor, so implicit graphs (a large torus, a complete graph) run
+// without materializing their edges. Both kernels perform the same
+// float operations in the same order and return the same bits.
+//
+// SpectralGap materializes three vectors of length A (the stationary
+// weights and two iterates), so it is intended for graphs up to a few
+// tens of millions of nodes.
 func SpectralGap(g Graph, iters int, s *rng.Stream) float64 {
 	a := g.NumNodes()
 	if a > 1<<27 {
@@ -33,6 +41,9 @@ func SpectralGap(g Graph, iters int, s *rng.Stream) float64 {
 		d := float64(g.Degree(int64(v)))
 		pi[v] = d
 		degSum += d
+	}
+	if degSum == 0 {
+		return 0
 	}
 	for v := range pi {
 		pi[v] /= degSum
@@ -72,21 +83,13 @@ func SpectralGap(g Graph, iters int, s *rng.Stream) float64 {
 		x[v] /= norm
 	}
 
+	matVec := func(y, x []float64) { walkMatVec(g, y, x) }
+	if adj, ok := g.(*Adj); ok {
+		matVec = adj.walkMatVec
+	}
 	lambda := 0.0
 	for it := 0; it < iters; it++ {
-		// y = W x where (Wx)(v) = avg over neighbors u of x(u).
-		for v := 0; v < n; v++ {
-			d := g.Degree(int64(v))
-			if d == 0 {
-				y[v] = 0
-				continue
-			}
-			var sum float64
-			for i := 0; i < d; i++ {
-				sum += x[g.Neighbor(int64(v), i)]
-			}
-			y[v] = sum / float64(d)
-		}
+		matVec(y, x)
 		deflate(y)
 		norm = piNorm(y)
 		if norm == 0 {
@@ -101,13 +104,55 @@ func SpectralGap(g Graph, iters int, s *rng.Stream) float64 {
 	return lambda
 }
 
+// walkMatVec sets y = W x, where (Wx)(v) is the average of x over v's
+// neighbor list and 0 at an isolated node, through the Graph
+// interface.
+func walkMatVec(g Graph, y, x []float64) {
+	for v := range y {
+		d := g.Degree(int64(v))
+		if d == 0 {
+			y[v] = 0
+			continue
+		}
+		var sum float64
+		for i := 0; i < d; i++ {
+			sum += x[g.Neighbor(int64(v), i)]
+		}
+		y[v] = sum / float64(d)
+	}
+}
+
+// walkMatVec is the package-level walkMatVec on the CSR arrays: one
+// offsets subtraction per node and a range over its neighbor list,
+// summing in list order, so it returns the same bits.
+//
+//antlint:noalloc
+func (g *Adj) walkMatVec(y, x []float64) {
+	offsets, neighbors := g.offsets, g.neighbors
+	for v := range y {
+		lo, hi := offsets[v], offsets[v+1]
+		if lo == hi {
+			y[v] = 0
+			continue
+		}
+		var sum float64
+		for _, u := range neighbors[lo:hi] {
+			sum += x[u]
+		}
+		y[v] = sum / float64(hi-lo)
+	}
+}
+
 // MixingTime returns the paper's burn-in length for network size
 // estimation (Section 5.1.4): M = ceil(log(|E|/delta) / (1-lambda))
 // steps suffice for every coordinate of the walk distribution to be
-// within a (1 +- delta/(n|E|)) factor of stationary. lambda must be in
-// [0, 1); delta in (0, 1).
+// within a (1 +- delta/(n|E|)) factor of stationary. numEdges must be
+// at least 1, lambda in [0, 1) and delta in (0, 1).
 func MixingTime(numEdges int64, lambda, delta float64) int {
-	if lambda < 0 || lambda >= 1 {
+	if numEdges < 1 {
+		panic(fmt.Sprintf("topology: MixingTime needs >= 1 edge, got %d", numEdges))
+	}
+	if !(lambda >= 0 && lambda < 1) {
 		panic(fmt.Sprintf("topology: MixingTime lambda must be in [0,1), got %v", lambda))
 	}
 	if delta <= 0 || delta >= 1 {

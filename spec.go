@@ -499,7 +499,7 @@ func (s *Spec) validateNetsize() error {
 		return fmt.Errorf("antdensity: Spec.Rounds (collision-counting steps) must be >= 1, got %d", s.Rounds)
 	}
 	if s.Delta < 0 || s.Delta >= 1 {
-		return fmt.Errorf("antdensity: Spec.Delta %v outside (0, 1) (0 means the 0.05 default)", s.Delta)
+		return fmt.Errorf("antdensity: Spec.Delta %v outside (0, 1) (0 means the netsize pipeline's 0.1 default)", s.Delta)
 	}
 	if s.SnapshotEvery < 0 {
 		return fmt.Errorf("antdensity: Spec.SnapshotEvery must be >= 0 (0 means every round), got %d", s.SnapshotEvery)
@@ -510,6 +510,9 @@ func (s *Spec) validateNetsize() error {
 	if !s.Stationary {
 		if s.SeedVertex < 0 || s.SeedVertex >= s.Graph.NumNodes() {
 			return fmt.Errorf("antdensity: Spec.SeedVertex %d outside [0, %d) (the graph's node range)", s.SeedVertex, s.Graph.NumNodes())
+		}
+		if s.Graph.Degree(s.SeedVertex) == 0 {
+			return fmt.Errorf("antdensity: Spec.SeedVertex %d has degree 0, so walkers started there never move", s.SeedVertex)
 		}
 	}
 	if s.NumAgents != 0 {

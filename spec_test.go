@@ -17,6 +17,21 @@ func mustGraph(t *testing.T) antdensity.Graph {
 	return g
 }
 
+// edgeAndIsolated is a three-node graph: the edge {0, 1} and the
+// isolated node 2.
+type edgeAndIsolated struct{}
+
+func (edgeAndIsolated) NumNodes() int64 { return 3 }
+
+func (edgeAndIsolated) Degree(v int64) int {
+	if v == 2 {
+		return 0
+	}
+	return 1
+}
+
+func (edgeAndIsolated) Neighbor(v int64, _ int) int64 { return 1 - v }
+
 // TestSpecValidationErrors table-tests every invalid-field path: each
 // error must name the offending Spec field (and, where applicable,
 // the valid range) so a failed Submit pinpoints the mistake.
@@ -181,6 +196,12 @@ func TestSpecValidationErrors(t *testing.T) {
 			spec: antdensity.NetworkSizeSpec(antdensity.WithGraph(g), antdensity.WithWalkers(4),
 				antdensity.WithRounds(10), antdensity.WithSeedVertex(1000)),
 			want: "Spec.SeedVertex 1000 outside [0, 100)",
+		},
+		{
+			name: "netsize seed vertex of degree 0",
+			spec: antdensity.NetworkSizeSpec(antdensity.WithGraph(edgeAndIsolated{}), antdensity.WithWalkers(4),
+				antdensity.WithRounds(10), antdensity.WithSeedVertex(2)),
+			want: "Spec.SeedVertex 2 has degree 0",
 		},
 		{
 			name: "netsize agents instead of walkers",
