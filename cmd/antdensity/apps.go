@@ -1,13 +1,13 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 
 	"antdensity"
 	"antdensity/internal/adversary"
+	"antdensity/internal/experiments"
 	"antdensity/internal/expfmt"
 	"antdensity/internal/quorum"
 	"antdensity/internal/results"
@@ -35,24 +35,6 @@ func parseAdversaryFlag(val string) (*antdensity.AdversarySpec, error) {
 		return nil, err
 	}
 	return &antdensity.AdversarySpec{Kind: cfg.Kind.String(), Fraction: cfg.Fraction, Param: cfg.Param, Seed: cfg.Seed}, nil
-}
-
-// runSpec runs spec to completion and returns its output, its
-// structured result and its terminal snapshot. Only that snapshot is
-// read, and a run always publishes it, so spec publishes no others:
-// each costs a pass over every agent.
-func runSpec(spec *antdensity.Spec) (antdensity.Output, *antdensity.RunResult, antdensity.Snapshot, error) {
-	spec.SnapshotEvery = spec.Rounds
-	run, err := spec.Start(context.Background())
-	if err != nil {
-		return antdensity.Output{}, nil, antdensity.Snapshot{}, err
-	}
-	out, err := run.Output()
-	if err != nil {
-		return antdensity.Output{}, nil, antdensity.Snapshot{}, err
-	}
-	res, err := run.Result()
-	return out, res, run.Snapshot(), err
 }
 
 // density is the density n agents have on g from one agent's view:
@@ -121,7 +103,7 @@ func cmdQuorum(args []string) error {
 		spec = antdensity.QuorumSpec(*threshold, append(opts, antdensity.WithRounds(t))...)
 	}
 	spec.Adversary = adv
-	out, res, final, err := runSpec(spec)
+	out, res, final, err := experiments.RunSpec(spec)
 	if err != nil {
 		return err
 	}

@@ -228,7 +228,7 @@ func cmdEstimate(args []string) (err error) {
 			err = e
 		}
 	}()
-	out, res, _, err := runSpec(spec)
+	out, res, _, err := experiments.RunSpec(spec)
 	if err != nil {
 		return err
 	}
@@ -287,7 +287,7 @@ func cmdNetsize(args []string) error {
 	if err != nil {
 		return err
 	}
-	out, _, _, err := runSpec(antdensity.NetworkSizeSpec(antdensity.WithGraph(g),
+	out, _, _, err := experiments.RunSpec(antdensity.NetworkSizeSpec(antdensity.WithGraph(g),
 		antdensity.WithWalkers(*walkers), antdensity.WithRounds(*steps), antdensity.WithSeed(*seed)))
 	if err != nil {
 		return err

@@ -193,12 +193,14 @@ func TestServeErrors(t *testing.T) {
 	getJSON(t, srv.URL+"/v1/runs/r424242", http.StatusNotFound, nil)
 	// Unknown kind, unknown graph kind, invalid specs, malformed JSON.
 	// ER(2, 0.5) at seed 0 draws no edge, so its connected component is
-	// one isolated node: a netsize seed vertex of degree 0.
+	// one isolated node: a netsize seed vertex of degree 0, and a graph
+	// without edges for a stationary start.
 	for _, body := range []string{
 		`{"kind": "nope", "graph": {"kind": "torus2d", "side": 20}, "agents": 5, "rounds": 10}`,
 		`{"kind": "density", "graph": {"kind": "klein-bottle"}, "agents": 5, "rounds": 10}`,
 		`{"kind": "density", "graph": {"kind": "torus2d", "side": 20}, "agents": 0, "rounds": 10}`,
 		`{"kind": "netsize", "graph": {"kind": "er", "nodes": 2, "degree": 1, "seed": 0}, "walkers": 10, "rounds": 50}`,
+		`{"kind": "netsize", "graph": {"kind": "er", "nodes": 2, "degree": 1, "seed": 0}, "walkers": 10, "rounds": 50, "stationary": true}`,
 		`{"kind": "density", "bogus_field": 1}`,
 		`{not json`,
 	} {

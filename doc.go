@@ -91,8 +91,9 @@
 //   - internal/experiments — one registered experiment per paper
 //     claim, declared as data: parameter axes, a cell function that
 //     measures one grid point, and a body that emits a structured
-//     report; see DESIGN.md for the index and EXPERIMENTS.md for
-//     paper-vs-measured results.
+//     report; see the README's experiment index. Estimator trials run
+//     a Spec through experiments.RunSpec, the helper the CLI's
+//     estimator subcommands share.
 //   - internal/results — the typed results model (Result/Series/Cell
 //     with value, 95% CI, trial count, and unit) every renderer
 //     consumes: text tables (internal/expfmt), JSON, and CSV.
@@ -126,11 +127,14 @@
 // an ExperimentResult aggregates samples, named per-trial values, and
 // Monte Carlo curves through internal/stats. Each trial draws all of
 // its randomness from a private rng substream derived from the spec's
-// base seed and the trial index, and aggregation runs in trial-index
-// order, so every reported number is bit-identical for every worker
-// count — `antdensity run -workers=1` and `-workers=64` print the
-// same bytes. New scenarios are a ~30-line TrialSpec instead of a
-// hand-rolled trial loop.
+// base seed and the trial index (E19's quorum curve keeps its
+// historical base + ratio<<32 + index world seeds, also fixed by the
+// index alone), and aggregation runs in trial-index order, so every
+// reported number is bit-identical for every worker count —
+// `antdensity run -workers=1` and `-workers=64` print the same bytes.
+// A trial of an estimator the Spec layer offers builds one Spec and
+// runs it through experiments.RunSpec. New scenarios are a ~30-line
+// TrialSpec instead of a hand-rolled trial loop.
 //
 // The benchmarks in bench_test.go regenerate every experiment table
 // (a -workers flag selects the trial-runner width); the cmd/antdensity

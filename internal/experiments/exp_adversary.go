@@ -15,13 +15,9 @@ package experiments
 import (
 	"math"
 
-	"antdensity/internal/adversary"
-	"antdensity/internal/core"
-	"antdensity/internal/quorum"
+	"antdensity"
 	"antdensity/internal/results"
-	"antdensity/internal/sim"
 	"antdensity/internal/stats"
-	"antdensity/internal/topology"
 )
 
 // Shared adversarial-world constants: the paper's side-20 torus
@@ -29,12 +25,34 @@ import (
 const (
 	advAgents = 41
 	advSide   = 20
-	// advSeedOffset derives a trial's adversary seed from its world
-	// seed (the Spec layer's convention).
-	advSeedOffset = 0xad5eed
 	// advBoost is the inflate/deflate count boost used by E27/E29.
 	advBoost = 5
 )
+
+// advTrials runs the adversarial suite's trials: each builds the Spec
+// kind returns on the side-20 torus with advAgents agents, seeded by
+// the trial (the Spec derives the adversary seed from it), for rounds
+// rounds with a fraction f of strategy adversaries (param 0: the
+// strategy's default), and hands the Run's result metrics to record.
+// i is the case's axis position (the historical seed offset).
+func advTrials(p Params, name string, i, rounds int, kind func(...antdensity.SpecOption) *antdensity.Spec,
+	strategy string, f, param float64, record func(m results.Metrics, r *TrialResult)) (*ExperimentResult, error) {
+	return p.runTrials(TrialSpec{
+		Name:   name,
+		Trials: pick(p, 10, 4),
+		Seed:   p.Seed + uint64(i)<<18,
+		Run: func(tr Trial) (TrialResult, error) {
+			_, res, _, err := RunSpec(kind(antdensity.WithTorus2D(advSide), antdensity.WithAgents(advAgents),
+				antdensity.WithSeed(tr.Seed), antdensity.WithRounds(rounds), antdensity.WithAdversary(strategy, f, param, 0)))
+			if err != nil {
+				return TrialResult{}, err
+			}
+			var r TrialResult
+			record(res.Metrics, &r)
+			return r, nil
+		},
+	})
+}
 
 var e27Axes = []Axis{FloatAxis("f", []float64{0, 0.1, 0.2, 0.3}, nil)}
 
@@ -85,36 +103,13 @@ func init() {
 // e27Measure runs Algorithm 1 with an f-fraction of count-inflating
 // adversaries and measures each aggregator's relative error.
 func e27Measure(p Params, f float64, fi int) (*ExperimentResult, error) {
-	g := topology.MustTorus(2, advSide)
-	rounds := pick(p, 2000, 400)
-	return p.runTrials(TrialSpec{
-		Name:   "E27",
-		Trials: pick(p, 10, 4),
-		Seed:   p.Seed + uint64(fi)<<18,
-		Run: func(tr Trial) (TrialResult, error) {
-			var r TrialResult
-			w, err := sim.NewWorld(sim.Config{Graph: g, NumAgents: advAgents, Seed: tr.Seed})
-			if err != nil {
-				return r, err
-			}
-			tam, err := adversary.New(advAgents, adversary.Config{
-				Kind: adversary.Inflate, Fraction: f, Param: advBoost, Seed: tr.Seed + advSeedOffset,
-			})
-			if err != nil {
-				return r, err
-			}
-			obs, err := core.NewCollisionObserver(advAgents, core.WithReportFilter(tam.Filter()))
-			if err != nil {
-				return r, err
-			}
-			sim.Run(w, rounds, obs)
-			ests, d := obs.Estimates(), w.Density()
+	return advTrials(p, "E27", fi, pick(p, 2000, 400), antdensity.DensitySpec, "inflate", f, advBoost,
+		func(m results.Metrics, r *TrialResult) {
+			d := m["true_density"]
 			for _, agg := range stats.Aggregators() {
-				r.Set("relerr_"+agg.String(), math.Abs(agg.Aggregate(ests)-d)/d)
+				r.Set("relerr_"+agg.String(), math.Abs(m["estimate_"+agg.String()]-d)/d)
 			}
-			return r, nil
-		},
-	})
+		})
 }
 
 func cellE27(p Params, pt Point) ([]results.Cell, error) {
@@ -163,47 +158,20 @@ var e28Axes = []Axis{StringAxis("strategy",
 // argue no.
 const e28Threshold = 0.06
 
-// e28Measure runs the quorum-style counting world under one fault
-// strategy at f = 0.2.
+// e28Measure runs a fixed-horizon quorum vote at e28Threshold under
+// one fault strategy at f = 0.2; a timed strategy triggers at the
+// Spec's default, half the horizon.
 func e28Measure(p Params, strategy string, si int) (*ExperimentResult, error) {
-	kind, err := adversary.ParseKind(strategy)
-	if err != nil {
-		return nil, err
+	quorumSpec := func(opts ...antdensity.SpecOption) *antdensity.Spec {
+		return antdensity.QuorumSpec(e28Threshold, opts...)
 	}
-	g := topology.MustTorus(2, advSide)
-	rounds := pick(p, 1500, 300)
-	return p.runTrials(TrialSpec{
-		Name:   "E28",
-		Trials: pick(p, 10, 4),
-		Seed:   p.Seed + uint64(si)<<18,
-		Run: func(tr Trial) (TrialResult, error) {
-			var r TrialResult
-			w, err := sim.NewWorld(sim.Config{Graph: g, NumAgents: advAgents, Seed: tr.Seed})
-			if err != nil {
-				return r, err
-			}
-			cfg := adversary.Config{Kind: kind, Fraction: 0.2, Seed: tr.Seed + advSeedOffset}
-			if kind.Timed() {
-				cfg.Param = float64(rounds / 2) // the Spec layer's half-horizon default
-			}
-			tam, err := adversary.New(advAgents, cfg)
-			if err != nil {
-				return r, err
-			}
-			tam.Attach(w)
-			obs, err := core.NewCollisionObserver(advAgents, core.WithReportFilter(tam.Filter()))
-			if err != nil {
-				return r, err
-			}
-			sim.Run(w, rounds, obs)
-			ests := obs.Estimates()
-			r.Set("mean_est", stats.AggMean.Aggregate(ests))
-			r.Set("mom_est", stats.AggMedianOfMeans.Aggregate(ests))
-			r.Set("vote_frac", quorum.VoteFraction(quorum.Votes(ests, e28Threshold)))
-			r.Set("trimmed_vote_frac", quorum.TrimmedVoteFraction(ests, e28Threshold, 0.25))
-			return r, nil
-		},
-	})
+	return advTrials(p, "E28", si, pick(p, 1500, 300), quorumSpec, strategy, 0.2, 0,
+		func(m results.Metrics, r *TrialResult) {
+			r.Set("mean_est", m["estimate_"+stats.AggMean.String()])
+			r.Set("mom_est", m["estimate_"+stats.AggMedianOfMeans.String()])
+			r.Set("vote_frac", m["vote_fraction"])
+			r.Set("trimmed_vote_frac", m["trimmed_vote_fraction"])
+		})
 }
 
 func cellE28(p Params, pt Point) ([]results.Cell, error) {
@@ -247,40 +215,15 @@ func runE28(p Params, rep *Report) error {
 
 var e29Axes = []Axis{FloatAxis("f", []float64{0.1, 0.2, 0.3, 0.4}, nil)}
 
-// e29Measure runs the detector against f-fraction inflators and
-// scores it on the ground-truth mask.
+// e29Measure scores the co-location audit every adversarial Run
+// carries against f-fraction inflators on the ground-truth mask.
 func e29Measure(p Params, f float64, fi int) (*ExperimentResult, error) {
-	g := topology.MustTorus(2, advSide)
-	rounds := pick(p, 1500, 300)
-	return p.runTrials(TrialSpec{
-		Name:   "E29",
-		Trials: pick(p, 10, 4),
-		Seed:   p.Seed + uint64(fi)<<18,
-		Run: func(tr Trial) (TrialResult, error) {
-			var r TrialResult
-			w, err := sim.NewWorld(sim.Config{Graph: g, NumAgents: advAgents, Seed: tr.Seed})
-			if err != nil {
-				return r, err
-			}
-			tam, err := adversary.New(advAgents, adversary.Config{
-				Kind: adversary.Inflate, Fraction: f, Param: advBoost, Seed: tr.Seed + advSeedOffset,
-			})
-			if err != nil {
-				return r, err
-			}
-			obs, err := core.NewCollisionObserver(advAgents, core.WithReportFilter(tam.Filter()))
-			if err != nil {
-				return r, err
-			}
-			det := adversary.NewDetector(advAgents, tam, adversary.DetectorConfig{})
-			sim.Run(w, rounds, obs, det)
-			tpr, fpr, flagged := det.Rates(tam.Mask())
-			r.Set("tpr", tpr)
-			r.Set("fpr", fpr)
-			r.Set("flagged_frac", float64(flagged)/float64(advAgents))
-			return r, nil
-		},
-	})
+	return advTrials(p, "E29", fi, pick(p, 1500, 300), antdensity.DensitySpec, "inflate", f, advBoost,
+		func(m results.Metrics, r *TrialResult) {
+			r.Set("tpr", m["detect_tpr"])
+			r.Set("fpr", m["detect_fpr"])
+			r.Set("flagged_frac", m["detect_flagged"]/advAgents)
+		})
 }
 
 func cellE29(p Params, pt Point) ([]results.Cell, error) {

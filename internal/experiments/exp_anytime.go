@@ -1,9 +1,9 @@
 package experiments
 
 import (
+	"antdensity"
 	"antdensity/internal/quorum"
 	"antdensity/internal/results"
-	"antdensity/internal/sim"
 	"antdensity/internal/stats"
 	"antdensity/internal/topology"
 )
@@ -46,46 +46,53 @@ func e26Fixed() int {
 	return quorum.DetectionRounds(e26Threshold, e26Eps, e26Delta, e26C2)
 }
 
+// anytimeQuorumTrials runs one adaptive quorum Spec per trial on the
+// side-20 torus at density ~ratio*theta, with E26's detection
+// constants (which E24 shares) and a pick(40000, 8000)-round budget,
+// and hands each trial's decisions to record.
+func anytimeQuorumTrials(p Params, name string, ratio float64, trials int, seed uint64, record func(ar *antdensity.QuorumAnytimeResult, r *TrialResult)) (*ExperimentResult, error) {
+	g := topology.MustTorus(2, 20) // A = 400
+	agents := int(ratio*e26Threshold*float64(g.NumNodes())) + 1
+	maxRounds := pick(p, 40000, 8000)
+	return p.runTrials(TrialSpec{
+		Name:   name,
+		Trials: trials,
+		Seed:   seed,
+		Run: func(tr Trial) (TrialResult, error) {
+			out, _, _, err := RunSpec(antdensity.AdaptiveQuorumSpec(e26Threshold,
+				antdensity.WithGraph(g), antdensity.WithAgents(agents), antdensity.WithSeed(tr.Seed),
+				antdensity.WithRounds(maxRounds), antdensity.WithConfidence(e26Delta), antdensity.WithBandConstant(e26C1)))
+			if err != nil {
+				return TrialResult{}, err
+			}
+			var r TrialResult
+			record(out.Anytime, &r)
+			return r, nil
+		},
+	})
+}
+
 // e26Measure runs E26 at one density ratio; ri is the ratio's position
 // in the active axis list (the historical seed offset).
 func e26Measure(p Params, ratio float64, ri int) (res *ExperimentResult, err error) {
-	g := topology.MustTorus(2, 20) // A = 400
-	maxRounds := pick(p, 40000, 8000)
-	trials := pick(p, 12, 6)
-	agents := int(ratio*e26Threshold*float64(g.NumNodes())) + 1
-	return p.runTrials(TrialSpec{
-		Name:   "E26",
-		Trials: trials,
-		Seed:   p.Seed + uint64(ri)<<18,
-		Run: func(tr Trial) (TrialResult, error) {
-			var r TrialResult
-			w, err := sim.NewWorld(sim.Config{Graph: g, NumAgents: agents, Seed: tr.Seed})
-			if err != nil {
-				return r, err
+	want := -1
+	if ratio > 1 {
+		want = +1
+	}
+	return anytimeQuorumTrials(p, "E26", ratio, pick(p, 12, 6), p.Seed+uint64(ri)<<18, func(ar *antdensity.QuorumAnytimeResult, r *TrialResult) {
+		correct, undecided := 0, 0
+		for i, d := range ar.Decision {
+			switch d {
+			case 0:
+				undecided++
+			case want:
+				correct++
 			}
-			ares, err := quorum.AnytimeDecide(w, e26Threshold, e26Delta, e26C1, maxRounds)
-			if err != nil {
-				return r, err
-			}
-			want := -1
-			if ratio > 1 {
-				want = +1
-			}
-			correct, undecided := 0, 0
-			for i, d := range ares.Decision {
-				switch d {
-				case 0:
-					undecided++
-				case want:
-					correct++
-				}
-				r.Samples = append(r.Samples, float64(ares.StopRound[i]))
-			}
-			n := float64(len(ares.Decision))
-			r.Set("correct", float64(correct)/n)
-			r.Set("undecided", float64(undecided)/n)
-			return r, nil
-		},
+			r.Samples = append(r.Samples, float64(ar.StopRound[i]))
+		}
+		n := float64(len(ar.Decision))
+		r.Set("correct", float64(correct)/n)
+		r.Set("undecided", float64(undecided)/n)
 	})
 }
 

@@ -5,8 +5,7 @@ import (
 	"math"
 	"strconv"
 
-	"antdensity/internal/core"
-	"antdensity/internal/quorum"
+	"antdensity"
 	"antdensity/internal/results"
 	"antdensity/internal/rng"
 	"antdensity/internal/sensors"
@@ -79,44 +78,15 @@ func init() {
 }
 
 // e24Measure runs E24 at one density ratio; ri is the ratio's position
-// in the active axis list (the historical seed offset). It returns the
-// correct/undecided counts, the mean round among correct decisions
-// (NaN if none), and the trial count.
+// in the active axis list (the historical seed offset). Each trial
+// scores agent 0's decision. It returns the correct/undecided counts,
+// the mean round among correct decisions (NaN if none), and the trial
+// count.
 func e24Measure(p Params, ratio float64, ri int) (correct, undecided int, meanRounds float64, trials int, err error) {
-	g := topology.MustTorus(2, 20) // A = 400
-	const threshold = 0.1
-	maxRounds := pick(p, 40000, 8000)
 	trials = pick(p, 20, 8)
-	agents := int(ratio*threshold*float64(g.NumNodes())) + 1
-	res, err := p.runTrials(TrialSpec{
-		Name:   "E24",
-		Trials: trials,
-		Seed:   p.Seed + uint64(ri)<<20,
-		Run: func(tr Trial) (TrialResult, error) {
-			var r TrialResult
-			w, err := sim.NewWorld(sim.Config{Graph: g, NumAgents: agents, Seed: tr.Seed})
-			if err != nil {
-				return r, err
-			}
-			est, err := core.NewStreamingEstimator(0.6)
-			if err != nil {
-				return r, err
-			}
-			decision := 0
-			decidedAt := maxRounds
-			for round := 1; round <= maxRounds; round++ {
-				w.Step()
-				est.Observe(w.Count(0))
-				if v := est.AboveThreshold(threshold, 0.05); v != 0 {
-					decision = v
-					decidedAt = round
-					break
-				}
-			}
-			r.Set("decision", float64(decision))
-			r.Set("rounds", float64(decidedAt))
-			return r, nil
-		},
+	res, err := anytimeQuorumTrials(p, "E24", ratio, trials, p.Seed+uint64(ri)<<20, func(ar *antdensity.QuorumAnytimeResult, r *TrialResult) {
+		r.Set("decision", float64(ar.Decision[0]))
+		r.Set("rounds", float64(ar.StopRound[0]))
 	})
 	if err != nil {
 		return 0, 0, 0, 0, err
@@ -196,42 +166,73 @@ func e19Horizons(p Params) (tShort, tLong int) {
 	return pick(p, 300, 150), pick(p, 3000, 900)
 }
 
-func cellE19(p Params, pt Point) ([]results.Cell, error) {
+// e19Curve measures the psychometric curve of quorum sensing at one
+// density ratio: the fraction of all agents voting quorum (estimate
+// >= theta = 0.1 after t rounds) over trials side-20 torus worlds at
+// density ~ratio*theta. ri is the ratio's position in the registered
+// axis list; trial worlds keep the historical seed + ri<<32 + trial
+// seeds, so the runner's own per-trial seeds go unused.
+func e19Curve(p Params, ratio float64, ri, t int, seed uint64) (float64, error) {
 	const threshold = 0.1
-	ratios := []float64{pt.Float("ratio")}
+	g := topology.MustTorus(2, 20) // A = 400
+	agents := int(math.Round(ratio*threshold*float64(g.NumNodes()))) + 1
 	trials := pick(p, 6, 2)
+	res, err := p.runTrials(TrialSpec{
+		Name:   "E19",
+		Trials: trials,
+		Seed:   seed,
+		Run: func(tr Trial) (TrialResult, error) {
+			_, vote, _, err := RunSpec(antdensity.QuorumSpec(threshold, antdensity.WithGraph(g), antdensity.WithAgents(agents),
+				antdensity.WithSeed(seed+uint64(ri)<<32+uint64(tr.Index)), antdensity.WithRounds(t)))
+			if err != nil {
+				return TrialResult{}, err
+			}
+			var r TrialResult
+			r.Set("yes", vote.Metrics["yes_votes"])
+			return r, nil
+		},
+	})
+	if err != nil {
+		return 0, err
+	}
+	return res.SumValue("yes") / float64(trials*agents), nil
+}
+
+// e19Point returns P[quorum] at one ratio for the short and the long
+// horizon.
+func e19Point(p Params, ratio float64, ri int) (short, long float64, err error) {
 	tShort, tLong := e19Horizons(p)
-	curveShort, err := quorum.DetectionCurve(20, threshold, tShort, ratios, trials, p.Seed)
+	if short, err = e19Curve(p, ratio, ri, tShort, p.Seed); err != nil {
+		return 0, 0, err
+	}
+	long, err = e19Curve(p, ratio, ri, tLong, p.Seed+1)
+	return short, long, err
+}
+
+func cellE19(p Params, pt Point) ([]results.Cell, error) {
+	short, long, err := e19Point(p, pt.Float("ratio"), pt.Index("ratio"))
 	if err != nil {
 		return nil, err
 	}
-	curveLong, err := quorum.DetectionCurve(20, threshold, tLong, ratios, trials, p.Seed+1)
-	if err != nil {
-		return nil, err
-	}
+	trials := pick(p, 6, 2)
 	return []results.Cell{
-		results.Float(curveShort[0]).WithN(trials),
-		results.Float(curveLong[0]).WithN(trials),
+		results.Float(short).WithN(trials),
+		results.Float(long).WithN(trials),
 	}, nil
 }
 
 func runE19(p Params, rep *Report) error {
-	const threshold = 0.1
-	ratios := axisFloats(p, e19Axes[0])
-	trials := pick(p, 6, 2)
 	tShort, tLong := e19Horizons(p)
-	curveShort, err := quorum.DetectionCurve(20, threshold, tShort, ratios, trials, p.Seed)
-	if err != nil {
-		return err
-	}
-	curveLong, err := quorum.DetectionCurve(20, threshold, tLong, ratios, trials, p.Seed+1)
-	if err != nil {
-		return err
-	}
+	var curveShort, curveLong []float64
 	tb := rep.Table("d/theta", "P[quorum] short t", "P[quorum] long t")
 	if err := Grid(p, e19Axes, func(pt Point) error {
-		i := pt.Index("ratio")
-		tb.AddRow(pt.Float("ratio"), curveShort[i], curveLong[i])
+		short, long, err := e19Point(p, pt.Float("ratio"), pt.Index("ratio"))
+		if err != nil {
+			return err
+		}
+		tb.AddRow(pt.Float("ratio"), short, long)
+		curveShort = append(curveShort, short)
+		curveLong = append(curveLong, long)
 		return nil
 	}); err != nil {
 		return err
@@ -248,6 +249,9 @@ func runE19(p Params, rep *Report) error {
 	return nil
 }
 
+// runE20 steps one world through internal/tasks' allocation epochs,
+// each epoch's encounter-rate estimates feeding the next epoch's task
+// switches — a feedback loop no single Spec run expresses.
 func runE20(p Params, rep *Report) error {
 	g := topology.MustTorus(2, 16)
 	agents := pick(p, 240, 120)
@@ -286,6 +290,9 @@ func runE20(p Params, rep *Report) error {
 	rep.Notef("paper motivation: encounter rates alone steer the colony to the target mix; L1 distance %.3f -> %.3f over %d epochs (%d switches)", initL1, res.FinalL1, cfg.Epochs, res.Switches)
 	return nil
 }
+
+// E21 compares token and independent sampling of a sensor field
+// (internal/sensors); it estimates no density, so it runs no Spec.
 
 // e21Graph builds the named E21 topology.
 func e21Graph(name string) (topology.Graph, error) {
@@ -353,28 +360,17 @@ func runE22(p Params, rep *Report) error {
 	agents := pick(p, 181, 91)
 	t := pick(p, 1000, 250)
 	trials := pick(p, 6, 3)
-	clusteredRes, err := p.runTrials(TrialSpec{
-		Name:   "E22-clustered",
-		Trials: trials,
-		Seed:   p.Seed,
-		Run: func(tr Trial) (TrialResult, error) {
-			w, err := sim.NewWorld(sim.Config{
-				Graph:     g,
-				NumAgents: agents,
-				Seed:      tr.Seed,
-				Placement: sim.ClusteredPlacement(0.1),
-			})
-			if err != nil {
-				return TrialResult{}, err
-			}
-			ests, err := core.Algorithm1(w, t)
-			if err != nil {
-				return TrialResult{}, err
-			}
-			r := TrialResult{Samples: ests}
-			r.Set("density", w.Density())
-			return r, nil
-		},
+	clusteredRes, err := densityTrials(p, "E22-clustered", trials, p.Seed, func(tr Trial) (*antdensity.Spec, error) {
+		w, err := sim.NewWorld(sim.Config{
+			Graph:     g,
+			NumAgents: agents,
+			Seed:      tr.Seed,
+			Placement: sim.ClusteredPlacement(0.1),
+		})
+		if err != nil {
+			return nil, err
+		}
+		return antdensity.DensitySpec(antdensity.WithWorld(w), antdensity.WithSeed(tr.Seed), antdensity.WithRounds(t)), nil
 	})
 	if err != nil {
 		return err

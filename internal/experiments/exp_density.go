@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 
+	"antdensity"
 	"antdensity/internal/core"
 	"antdensity/internal/results"
 	"antdensity/internal/sim"
@@ -116,39 +117,65 @@ func init() {
 	})
 }
 
-// algorithm1Trials runs Algorithm 1 over trials fresh worlds in
-// parallel; per-agent estimates are the samples, the true density is
-// the "density" value.
-func algorithm1Trials(p Params, g topology.Graph, agents, t, trials int, seed uint64, opts ...core.Option) (*ExperimentResult, error) {
+// densityTrials runs, for each of trials trials, the density or
+// independent-sampling Spec that build returns through RunSpec: a
+// trial's samples are its agents' estimates, its "density" value the
+// world's true density.
+func densityTrials(p Params, name string, trials int, seed uint64, build func(tr Trial) (*antdensity.Spec, error)) (*ExperimentResult, error) {
 	return p.runTrials(TrialSpec{
-		Name:   "algorithm1",
+		Name:   name,
 		Trials: trials,
 		Seed:   seed,
 		Run: func(tr Trial) (TrialResult, error) {
-			w, err := sim.NewWorld(sim.Config{Graph: g, NumAgents: agents, Seed: tr.Seed})
+			spec, err := build(tr)
 			if err != nil {
 				return TrialResult{}, err
 			}
-			ests, err := core.Algorithm1(w, t, opts...)
+			out, res, _, err := RunSpec(spec)
 			if err != nil {
 				return TrialResult{}, err
 			}
-			out := TrialResult{Samples: ests}
-			out.Set("density", w.Density())
-			return out, nil
+			r := TrialResult{Samples: out.Estimates}
+			r.Set("density", res.Metrics["true_density"])
+			return r, nil
 		},
 	})
 }
 
-// algorithm1Errors pools the per-agent relative errors of Algorithm 1
-// across trials.
-func algorithm1Errors(p Params, g topology.Graph, agents, t, trials int, seed uint64, opts ...core.Option) ([]float64, float64, error) {
-	res, err := algorithm1Trials(p, g, agents, t, trials, seed, opts...)
+// algorithm1Trials runs Algorithm 1 over trials fresh uniform worlds
+// of agents agents on g (see densityTrials).
+func algorithm1Trials(p Params, g topology.Graph, agents, t, trials int, seed uint64) (*ExperimentResult, error) {
+	return densityTrials(p, "algorithm1", trials, seed, func(tr Trial) (*antdensity.Spec, error) {
+		return antdensity.DensitySpec(antdensity.WithGraph(g), antdensity.WithAgents(agents),
+			antdensity.WithSeed(tr.Seed), antdensity.WithRounds(t)), nil
+	})
+}
+
+// algorithm4Trials runs Algorithm 4 the same way; each trial draws its
+// walking/stationary coin seed from its stream.
+func algorithm4Trials(p Params, g topology.Graph, agents, t, trials int, seed uint64) (*ExperimentResult, error) {
+	return densityTrials(p, "algorithm4", trials, seed, func(tr Trial) (*antdensity.Spec, error) {
+		return antdensity.IndependentSpec(antdensity.WithGraph(g), antdensity.WithAgents(agents),
+			antdensity.WithSeed(tr.Seed), antdensity.WithRounds(t), antdensity.WithPolicySeed(tr.Stream.Uint64())), nil
+	})
+}
+
+// relErrors returns a trial set's pooled per-agent relative errors
+// against its true density and their CI over per-trial means.
+func relErrors(res *ExperimentResult) (errs []float64, ci95 float64) {
+	d := res.Value("density")
+	return stats.RelErrors(res.Samples(), d), relErrCI95(res, d)
+}
+
+// algorithm1Errors runs algorithm1Trials and returns the pooled
+// relative errors and their CI (see relErrors).
+func algorithm1Errors(p Params, g topology.Graph, agents, t, trials int, seed uint64) ([]float64, float64, error) {
+	res, err := algorithm1Trials(p, g, agents, t, trials, seed)
 	if err != nil {
 		return nil, 0, err
 	}
-	d := res.Value("density")
-	return stats.RelErrors(res.Samples(), d), d, nil
+	errs, ci95 := relErrors(res)
+	return errs, ci95, nil
 }
 
 // relErrCI95 returns the 95% confidence half-width of the mean
@@ -282,21 +309,13 @@ func e03Measure(p Params, which string) (errs []float64, ci95 float64, rounds, t
 	const agents = 103
 	t := pick(p, 2000, 400)
 	trials = pick(p, 8, 3)
-	alg1 := func(g topology.Graph, seed uint64) ([]float64, float64, error) {
-		res, err := algorithm1Trials(p, g, agents, t, trials, seed)
-		if err != nil {
-			return nil, 0, err
-		}
-		d := res.Value("density")
-		return stats.RelErrors(res.Samples(), d), relErrCI95(res, d), nil
-	}
 	switch which {
 	case "alg1-torus2d":
-		errs, ci95, err = alg1(topology.MustTorus(2, 32), p.Seed)
+		errs, ci95, err = algorithm1Errors(p, topology.MustTorus(2, 32), agents, t, trials, p.Seed)
 		return errs, ci95, t, trials, err
 	case "alg1-complete":
 		complete := topology.MustComplete(topology.MustTorus(2, 32).NumNodes())
-		errs, ci95, err = alg1(complete, p.Seed+1000)
+		errs, ci95, err = algorithm1Errors(p, complete, agents, t, trials, p.Seed+1000)
 		return errs, ci95, t, trials, err
 	case "alg4-torus2d":
 		// Algorithm 4 requires t < sqrt(A); run it on a torus sized to
@@ -307,28 +326,12 @@ func e03Measure(p Params, which string) (errs []float64, ci95 float64, rounds, t
 		}
 		big := topology.MustTorus(2, 210)
 		bigAgents := int(0.1*float64(big.NumNodes())) + 1
-		res4, rerr := p.runTrials(TrialSpec{
-			Name:   "E03-alg4",
-			Trials: trials,
-			Seed:   p.Seed + 2000,
-			Run: func(tr Trial) (TrialResult, error) {
-				w, err := sim.NewWorld(sim.Config{Graph: big, NumAgents: bigAgents, Seed: tr.Seed})
-				if err != nil {
-					return TrialResult{}, err
-				}
-				ests, err := core.Algorithm4(w, t4, tr.Stream.Uint64())
-				if err != nil {
-					return TrialResult{}, err
-				}
-				return TrialResult{Samples: stats.RelErrors(ests, w.Density())}, nil
-			},
-		})
+		res, rerr := algorithm4Trials(p, big, bigAgents, t4, trials, p.Seed+2000)
 		if rerr != nil {
 			return nil, 0, 0, 0, rerr
 		}
-		// Algorithm 4 trials sample relative errors directly, so the
-		// result's own per-trial-mean CI is already in convention.
-		return res4.Samples(), res4.CI95(), t4, trials, nil
+		errs, ci95 = relErrors(res)
+		return errs, ci95, t4, trials, nil
 	}
 	return nil, 0, 0, 0, fmt.Errorf("E03: unknown estimator case %q", which)
 }
@@ -380,39 +383,31 @@ func runE03(p Params, rep *Report) error {
 	return nil
 }
 
-// e12Measure runs Algorithm 4 at one horizon on the Theorem 32 torus.
-func e12Measure(p Params, t int) (*ExperimentResult, error) {
-	trials := pick(p, 10, 3)
+// e12Measure runs Algorithm 4 at one horizon on the Theorem 32 torus
+// and returns its agents' relative errors, their CI and the trial
+// count.
+func e12Measure(p Params, t int) (errs []float64, ci95 float64, trials int, err error) {
+	trials = pick(p, 10, 3)
 	// Theorem 32 requires t < sqrt(A): fix a torus whose side bounds
 	// the largest t in the sweep.
 	g := topology.MustTorus(2, 210) // A = 44100, sqrt(A) = 210
 	agents := int(0.05*float64(g.NumNodes())) + 1
-	return p.runTrials(TrialSpec{
-		Name:   "E12",
-		Trials: trials,
-		Seed:   p.Seed + uint64(t)<<16,
-		Run: func(tr Trial) (TrialResult, error) {
-			w, err := sim.NewWorld(sim.Config{Graph: g, NumAgents: agents, Seed: tr.Seed})
-			if err != nil {
-				return TrialResult{}, err
-			}
-			ests, err := core.Algorithm4(w, t, tr.Stream.Uint64())
-			if err != nil {
-				return TrialResult{}, err
-			}
-			return TrialResult{Samples: stats.RelErrors(ests, w.Density())}, nil
-		},
-	})
+	res, err := algorithm4Trials(p, g, agents, t, trials, p.Seed+uint64(t)<<16)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	errs, ci95 = relErrors(res)
+	return errs, ci95, trials, nil
 }
 
 func cellE12(p Params, pt Point) ([]results.Cell, error) {
 	t := pt.Int("steps")
-	res, err := e12Measure(p, t)
+	errs, ci95, trials, err := e12Measure(p, t)
 	if err != nil {
 		return nil, err
 	}
 	return []results.Cell{
-		results.FloatCI(stats.Mean(res.Samples()), res.CI95(), len(res.Trials)),
+		results.FloatCI(stats.Mean(errs), ci95, trials),
 		results.Float(0.8 * core.Theorem32Epsilon(t, 0.05, 0.05)),
 	}, nil
 }
@@ -422,13 +417,12 @@ func runE12(p Params, rep *Report) error {
 	var xs, ys []float64
 	if err := Grid(p, e12Axes, func(pt Point) error {
 		t := pt.Int("steps")
-		res, err := e12Measure(p, t)
+		errs, ci95, _, err := e12Measure(p, t)
 		if err != nil {
 			return err
 		}
-		errs := res.Samples()
 		mean := stats.Mean(errs)
-		tb.AddRow(t, mean, res.CI95(), 0.8*core.Theorem32Epsilon(t, 0.05, 0.05))
+		tb.AddRow(t, mean, ci95, 0.8*core.Theorem32Epsilon(t, 0.05, 0.05))
 		xs = append(xs, float64(t))
 		ys = append(ys, mean)
 		return nil
@@ -456,19 +450,13 @@ func e13Measure(p Params, frac float64) (res *ExperimentResult, truth float64, e
 		Trials: trials,
 		Seed:   p.Seed + uint64(tagCount)<<16,
 		Run: func(tr Trial) (TrialResult, error) {
-			w, err := sim.NewWorld(sim.Config{Graph: g, NumAgents: agents, Seed: tr.Seed})
-			if err != nil {
-				return TrialResult{}, err
-			}
-			for i := 0; i < tagCount; i++ {
-				w.SetTagged(i, true)
-			}
-			fres, err := core.PropertyFrequency(w, t)
+			out, _, _, err := RunSpec(antdensity.PropertySpec(antdensity.WithGraph(g), antdensity.WithAgents(agents),
+				antdensity.WithSeed(tr.Seed), antdensity.WithRounds(t), antdensity.WithTaggedCount(tagCount)))
 			if err != nil {
 				return TrialResult{}, err
 			}
 			var r TrialResult
-			for _, f := range fres.Frequency {
+			for _, f := range out.Property.Frequency {
 				if !math.IsNaN(f) {
 					r.Samples = append(r.Samples, f)
 				}
@@ -523,8 +511,8 @@ func runE13(p Params, rep *Report) error {
 }
 
 // e18Case resolves one named E18 ablation variant into its predicted
-// mean, movement policy, and estimator options.
-func e18Case(p Params, name string) (predicted float64, policy sim.Policy, opts []core.Option, err error) {
+// mean, movement policy, and sensing-noise options.
+func e18Case(p Params, name string) (predicted float64, policy sim.Policy, noise []antdensity.SpecOption, err error) {
 	g := topology.MustTorus(2, 20) // A = 400
 	const agents = 41              // d = 0.1
 	d := float64(agents-1) / float64(g.NumNodes())
@@ -532,11 +520,11 @@ func e18Case(p Params, name string) (predicted float64, policy sim.Policy, opts 
 	case "baseline":
 		return d, nil, nil, nil
 	case "detect_0.8":
-		return 0.8 * d, nil, []core.Option{core.WithNoise(0.8, 0, p.Seed+5)}, nil
+		return 0.8 * d, nil, []antdensity.SpecOption{antdensity.WithSensingNoise(0.8, 0, p.Seed+5)}, nil
 	case "detect_0.5":
-		return 0.5 * d, nil, []core.Option{core.WithNoise(0.5, 0, p.Seed+6)}, nil
+		return 0.5 * d, nil, []antdensity.SpecOption{antdensity.WithSensingNoise(0.5, 0, p.Seed+6)}, nil
 	case "spurious_0.05":
-		return d + 0.05, nil, []core.Option{core.WithNoise(1, 0.05, p.Seed+7)}, nil
+		return d + 0.05, nil, []antdensity.SpecOption{antdensity.WithSensingNoise(1, 0.05, p.Seed+7)}, nil
 	case "lazy_0.2":
 		return d, sim.Lazy{StayProb: 0.2}, nil, nil
 	case "biased_2111":
@@ -550,35 +538,27 @@ func e18Case(p Params, name string) (predicted float64, policy sim.Policy, opts 
 }
 
 // e18Measure runs one E18 variant; ci is the variant's position in the
-// active axis list (the historical seed offset).
+// active axis list (the historical seed offset). A movement policy is
+// set on a world the trial builds and hands to its Spec.
 func e18Measure(p Params, name string, ci int) (res *ExperimentResult, predicted float64, err error) {
 	g := topology.MustTorus(2, 20) // A = 400
 	const agents = 41              // d = 0.1
 	t := pick(p, 2000, 300)
 	trials := pick(p, 5, 2)
-	predicted, policy, opts, err := e18Case(p, name)
+	predicted, policy, noise, err := e18Case(p, name)
 	if err != nil {
 		return nil, 0, err
 	}
-	res, err = p.runTrials(TrialSpec{
-		Name:   "E18-" + name,
-		Trials: trials,
-		Seed:   p.Seed + uint64(ci)<<24,
-		Run: func(tr Trial) (TrialResult, error) {
-			cfg := sim.Config{Graph: g, NumAgents: agents, Seed: tr.Seed}
-			if policy != nil {
-				cfg.Policy = policy
-			}
-			w, err := sim.NewWorld(cfg)
-			if err != nil {
-				return TrialResult{}, err
-			}
-			ests, err := core.Algorithm1(w, t, opts...)
-			if err != nil {
-				return TrialResult{}, err
-			}
-			return TrialResult{Samples: ests}, nil
-		},
+	res, err = densityTrials(p, "E18-"+name, trials, p.Seed+uint64(ci)<<24, func(tr Trial) (*antdensity.Spec, error) {
+		opts := append([]antdensity.SpecOption{antdensity.WithSeed(tr.Seed), antdensity.WithRounds(t)}, noise...)
+		if policy == nil {
+			return antdensity.DensitySpec(append(opts, antdensity.WithGraph(g), antdensity.WithAgents(agents))...), nil
+		}
+		w, err := sim.NewWorld(sim.Config{Graph: g, NumAgents: agents, Seed: tr.Seed, Policy: policy})
+		if err != nil {
+			return nil, err
+		}
+		return antdensity.DensitySpec(append(opts, antdensity.WithWorld(w))...), nil
 	})
 	return res, predicted, err
 }

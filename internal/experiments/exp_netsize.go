@@ -1,11 +1,19 @@
 package experiments
 
+// E14 runs the whole Section 5.1 pipeline as stationary
+// NetworkSizeSpecs. E15–E17 and E23 measure its parts, which a
+// NetworkSizeSpec runs only as a whole: Algorithm 3's average degree,
+// the Katzir snapshot against multi-round counting, burn-in starts and
+// cross-round path intersections. They drive internal/netsize's
+// walkers directly.
+
 import (
 	"fmt"
 	"math"
 	"strconv"
 	"strings"
 
+	"antdensity"
 	"antdensity/internal/netsize"
 	"antdensity/internal/results"
 	"antdensity/internal/rng"
@@ -207,13 +215,12 @@ func sizeTrialStats(p Params, g topology.Graph, walkers, steps, trials int, seed
 		Trials: trials,
 		Seed:   seed,
 		Run: func(tr Trial) (TrialResult, error) {
-			est, err := netsize.Estimate(g, netsize.Config{
-				Walkers: walkers, Steps: steps, Stationary: true, Seed: tr.Seed,
-			})
+			out, _, _, err := RunSpec(antdensity.NetworkSizeSpec(antdensity.WithGraph(g), antdensity.WithWalkers(walkers),
+				antdensity.WithRounds(steps), antdensity.WithStationary(), antdensity.WithSeed(tr.Seed)))
 			if err != nil {
 				return TrialResult{}, err
 			}
-			return TrialResult{Samples: []float64{est.C}}, nil
+			return TrialResult{Samples: []float64{out.NetworkSize.C}}, nil
 		},
 	})
 	if err != nil {

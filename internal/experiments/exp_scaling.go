@@ -1,5 +1,10 @@
 package experiments
 
+// E25 bills link queries for the Katzir snapshot and multi-round
+// counting from seed-vertex walkers with a fixed burn-in; a
+// NetworkSizeSpec runs only the multi-round pipeline and derives its
+// own burn-in, so E25 drives internal/netsize's walkers directly.
+
 import (
 	"fmt"
 	"math"

@@ -1,5 +1,12 @@
 package experiments
 
+// The walk and theory experiments (E04–E11) measure random-walk
+// quantities no Spec exposes — re-collision and equalization curves,
+// collision-count moments, B(t) growth, spectral gaps — so they run on
+// internal/walk, internal/topology and internal/core directly. Only
+// E07's and E08's estimation rows run an estimator, and those go
+// through algorithm1Trials' density Specs.
+
 import (
 	"fmt"
 	"math"

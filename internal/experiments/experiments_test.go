@@ -250,6 +250,21 @@ func TestE18NoiseAblationQuick(t *testing.T) {
 
 func TestE19QuorumCurveQuick(t *testing.T) {
 	out := runQuick(t, "E19")
+	// P[declare quorum] must not fall as the density ratio grows, at
+	// either horizon. Table columns: d/theta, short t, long t.
+	e, _ := ByID("E19")
+	res, err := e.RunResult(Params{Seed: 12345, Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := res.Series[0].Rows
+	for i := 1; i < len(rows); i++ {
+		for col := 1; col <= 2; col++ {
+			if prev, cur := rows[i-1][col].Value, rows[i][col].Value; cur < prev {
+				t.Errorf("column %d falls from %v to %v at d/theta %v", col, prev, cur, rows[i][0].Value)
+			}
+		}
+	}
 	if lo := metric(t, out, "low_long"); lo > 0.2 {
 		t.Errorf("P[quorum] at d = theta/4 = %v, want < 0.2", lo)
 	}

@@ -279,20 +279,6 @@ func gridOver(axes []Axis, values, registered [][]string, fn func(pt Point) erro
 	return nil
 }
 
-// axisFloats returns an axis's active values parsed as floats.
-func axisFloats(p Params, a Axis) []float64 {
-	vs := a.Values(p.Quick)
-	out := make([]float64, len(vs))
-	for i, v := range vs {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: axis %q value %q is not a float", a.Name, v))
-		}
-		out[i] = f
-	}
-	return out
-}
-
 // axisInts returns an axis's active values parsed as ints.
 func axisInts(p Params, a Axis) []int {
 	vs := a.Values(p.Quick)

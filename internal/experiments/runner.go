@@ -10,11 +10,13 @@ package experiments
 // number.
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
+	"antdensity"
 	"antdensity/internal/rng"
 	"antdensity/internal/stats"
 )
@@ -161,6 +163,26 @@ func RunTrials(spec TrialSpec, cfg RunConfig) (*ExperimentResult, error) {
 		}
 	}
 	return &ExperimentResult{Spec: spec, Trials: results}, nil
+}
+
+// RunSpec runs spec to completion and returns its output, its
+// structured result and its terminal snapshot. It is the one way the
+// experiments and the CLI run an estimator, so a published table and a
+// served result for the same Spec and seed are one computation. Only
+// the terminal snapshot is read, and a run always publishes it, so
+// spec publishes no others: each costs a pass over every agent.
+func RunSpec(spec *antdensity.Spec) (antdensity.Output, *antdensity.RunResult, antdensity.Snapshot, error) {
+	spec.SnapshotEvery = spec.Rounds
+	run, err := spec.Start(context.Background())
+	if err != nil {
+		return antdensity.Output{}, nil, antdensity.Snapshot{}, err
+	}
+	out, err := run.Output()
+	if err != nil {
+		return antdensity.Output{}, nil, antdensity.Snapshot{}, err
+	}
+	res, err := run.Result()
+	return out, res, run.Snapshot(), err
 }
 
 // Samples returns every trial's samples concatenated in trial-index

@@ -123,25 +123,38 @@ func TestSweepOutOfDomainValueErrors(t *testing.T) {
 // variant historically took seed offset 5<<24; a single-variant sweep
 // must still use it.
 func TestSweepSubsetMatchesRun(t *testing.T) {
-	e, _ := ByID("E18")
-	p := Params{Seed: 12345, Quick: true}
-	rows := sweepOnce(t, e, p, []string{"variant=biased_2111"})
-	if len(rows) != 1 {
-		t.Fatalf("subset sweep has %d rows, want 1", len(rows))
-	}
-	res, err := e.RunResult(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Table columns: variant, mean d-tilde, predicted, ratio — the
-	// variant is the last (6th) table row. Sweep columns: mean_dtilde,
-	// predicted, ratio.
-	trow := res.Series[0].Rows[5]
-	if got, want := rows[0].Cells[0].Value, trow[1].Value; got != want {
-		t.Errorf("subset sweep mean %v != full run %v", got, want)
-	}
-	if got, want := rows[0].Cells[2].Value, trow[3].Value; got != want {
-		t.Errorf("subset sweep ratio %v != full run %v", got, want)
+	// A one-value sweep of a registered axis value seeds its cell as
+	// the full run seeds that value's row (Point.Index), so the two
+	// agree.
+	for _, tc := range []struct {
+		id, axis string
+		row      int      // the value's row in the run's first table
+		cols     [][2]int // (sweep cell, table column) pairs that agree
+	}{
+		// Table: variant, mean d-tilde, predicted, ratio; cells:
+		// mean_dtilde, predicted, ratio.
+		{"E18", "variant=biased_2111", 5, [][2]int{{0, 1}, {2, 3}}},
+		// Table: d/theta, short t, long t; cells: short, long.
+		{"E19", "ratio=0.5", 1, [][2]int{{0, 1}, {1, 2}}},
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			e, _ := ByID(tc.id)
+			p := Params{Seed: 12345, Quick: true}
+			rows := sweepOnce(t, e, p, []string{tc.axis})
+			if len(rows) != 1 {
+				t.Fatalf("subset sweep has %d rows, want 1", len(rows))
+			}
+			res, err := e.RunResult(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			trow := res.Series[0].Rows[tc.row]
+			for _, c := range tc.cols {
+				if got, want := rows[0].Cells[c[0]].Value, trow[c[1]].Value; got != want {
+					t.Errorf("subset sweep cell %d = %v, full run column %d = %v", c[0], got, c[1], want)
+				}
+			}
+		})
 	}
 }
 

@@ -6,10 +6,12 @@
 // threshold theta; per Section 6.2, the required round count depends
 // on the detection threshold rather than the true density.
 //
-// The package provides one-shot decisions (Decide), the
-// threshold-parameterized round bound (DetectionRounds), collective
-// majority voting, and a streaming Detector with hysteresis for
-// agents that monitor density continuously.
+// The package provides per-agent votes on density estimates (Votes),
+// the threshold-parameterized round bound (DetectionRounds),
+// collective and trimmed majority voting, a streaming Detector with
+// hysteresis for agents that monitor density continuously, and the
+// anytime AnytimeDetector observer behind adaptive quorum runs. The
+// root package's QuorumSpec and AdaptiveQuorumSpec run them.
 package quorum
 
 import (
@@ -20,29 +22,7 @@ import (
 
 	"antdensity/internal/core"
 	"antdensity/internal/sim"
-	"antdensity/internal/topology"
 )
-
-// mustTorus caches nothing; it simply builds the 2-D torus used by
-// DetectionCurve and panics on invalid sides (callers pass constants).
-func mustTorus(side int64) *topology.Torus {
-	return topology.MustTorus(2, side)
-}
-
-// Decide runs Algorithm 1 for t rounds on w (through the streaming
-// observation pipeline Algorithm1 is layered on) and returns each
-// agent's quorum vote: true iff its density estimate reaches
-// threshold.
-func Decide(w *sim.World, threshold float64, t int, opts ...core.Option) ([]bool, error) {
-	if threshold <= 0 {
-		return nil, fmt.Errorf("quorum: threshold must be positive, got %v", threshold)
-	}
-	ests, err := core.Algorithm1(w, t, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return Votes(ests, threshold), nil
-}
 
 // Votes thresholds per-agent density estimates into quorum votes.
 func Votes(ests []float64, threshold float64) []bool {
@@ -221,49 +201,6 @@ func (d *Detector) AsObserver(agent int) sim.Observer {
 	})
 }
 
-// DetectionCurve measures the probability that an agent declares
-// quorum as a function of the true density, at a fixed threshold and
-// horizon — the psychometric curve of quorum sensing. For each
-// density ratio r in ratios, it simulates trials worlds with density
-// approximately r*threshold on the given torus side and records the
-// fraction of agents voting quorum.
-func DetectionCurve(side int64, threshold float64, t int, ratios []float64, trials int, seed uint64) ([]float64, error) {
-	if t < 1 {
-		return nil, fmt.Errorf("quorum: t must be >= 1, got %d", t)
-	}
-	out := make([]float64, len(ratios))
-	for ri, r := range ratios {
-		a := side * side
-		agents := int(math.Round(r*threshold*float64(a))) + 1
-		if agents < 1 {
-			agents = 1
-		}
-		var votesYes, votesAll int
-		for trial := 0; trial < trials; trial++ {
-			w, err := sim.NewWorld(sim.Config{
-				Graph:     mustTorus(side),
-				NumAgents: agents,
-				Seed:      seed + uint64(ri)<<32 + uint64(trial),
-			})
-			if err != nil {
-				return nil, err
-			}
-			votes, err := Decide(w, threshold, t)
-			if err != nil {
-				return nil, err
-			}
-			for _, v := range votes {
-				votesAll++
-				if v {
-					votesYes++
-				}
-			}
-		}
-		out[ri] = float64(votesYes) / float64(votesAll)
-	}
-	return out, nil
-}
-
 // AnytimeDetector is the Section 6.2 adaptive threshold observer:
 // every agent keeps Algorithm 1's running estimate with its anytime
 // confidence band and decides whether the density is above or below
@@ -392,7 +329,7 @@ func (a *AnytimeDetector) Result(rounds int) *AnytimeResult {
 	return &AnytimeResult{Decision: a.decision, StopRound: a.stopRound, Rounds: rounds}
 }
 
-// AnytimeResult holds the outcome of an AnytimeDecide run.
+// AnytimeResult holds the outcome of an AnytimeDetector run.
 type AnytimeResult struct {
 	// Decision[i] is agent i's verdict: +1 above, -1 below, 0
 	// undecided at the horizon.
@@ -400,23 +337,7 @@ type AnytimeResult struct {
 	// StopRound[i] is the round agent i decided; undecided agents
 	// carry the executed round count.
 	StopRound []int
-	// Rounds is the number of rounds actually executed; below
-	// maxRounds when every agent decided early.
+	// Rounds is the number of rounds actually executed; below the
+	// run's round budget when every agent decided early.
 	Rounds int
-}
-
-// AnytimeDecide is the adaptive counterpart of Decide: instead of a
-// fixed horizon, every agent runs its own anytime confidence band and
-// stops as soon as the band clears the threshold in either direction
-// (Section 6.2). The world stops stepping once all agents have
-// decided, or after maxRounds.
-func AnytimeDecide(w *sim.World, threshold, delta, c1 float64, maxRounds int) (*AnytimeResult, error) {
-	obs, err := NewAnytimeDetector(w.NumAgents(), threshold, delta, c1)
-	if err != nil {
-		return nil, err
-	}
-	if maxRounds < 1 {
-		return nil, fmt.Errorf("quorum: maxRounds must be >= 1, got %d", maxRounds)
-	}
-	return obs.Result(sim.Run(w, maxRounds, obs)), nil
 }

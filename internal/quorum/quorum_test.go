@@ -12,18 +12,19 @@ import (
 
 func TestDecideSeparatesDensities(t *testing.T) {
 	// theta = 0.1; worlds at d = 0.2 should mostly vote yes, worlds
-	// at d = 0.05 mostly no.
+	// at d = 0.05 mostly no. A fixed-horizon decision is Votes over
+	// Algorithm 1's estimates (what a QuorumSpec run computes).
 	g := topology.MustTorus(2, 20) // A = 400
 	const threshold = 0.1
 	votesAt := func(agents int, seed uint64) float64 {
 		var yes, all int
 		for trial := 0; trial < 4; trial++ {
 			w := sim.MustWorld(sim.Config{Graph: g, NumAgents: agents, Seed: seed + uint64(trial)})
-			votes, err := Decide(w, threshold, 3000)
+			ests, err := core.Algorithm1(w, 3000)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, v := range votes {
+			for _, v := range Votes(ests, threshold) {
 				all++
 				if v {
 					yes++
@@ -39,17 +40,6 @@ func TestDecideSeparatesDensities(t *testing.T) {
 	}
 	if low > 0.15 {
 		t.Errorf("low-density yes fraction = %v, want < 0.15", low)
-	}
-}
-
-func TestDecideValidation(t *testing.T) {
-	g := topology.MustTorus(2, 10)
-	w := sim.MustWorld(sim.Config{Graph: g, NumAgents: 2, Seed: 1})
-	if _, err := Decide(w, 0, 10); err == nil {
-		t.Error("zero threshold accepted")
-	}
-	if _, err := Decide(w, 0.1, 0); err == nil {
-		t.Error("t=0 accepted")
 	}
 }
 
@@ -179,24 +169,6 @@ func TestDetectorPanicsOnNegativeCount(t *testing.T) {
 	d.Observe(-1)
 }
 
-func TestDetectionCurveMonotone(t *testing.T) {
-	// P[declare quorum] should increase with the density ratio and be
-	// near 0 / 1 at the extremes.
-	curve, err := DetectionCurve(20, 0.1, 1500, []float64{0.3, 1.0, 2.5}, 3, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if curve[0] > 0.25 {
-		t.Errorf("P at ratio 0.3 = %v, want < 0.25", curve[0])
-	}
-	if curve[2] < 0.75 {
-		t.Errorf("P at ratio 2.5 = %v, want > 0.75", curve[2])
-	}
-	if !(curve[0] < curve[1] && curve[1] < curve[2]) {
-		t.Errorf("detection curve not monotone: %v", curve)
-	}
-}
-
 func TestDetectorAsObserverMatchesScalarFeed(t *testing.T) {
 	// Feeding a detector through the pipeline must be identical to
 	// feeding it Count(0) by hand on a twin world.
@@ -224,12 +196,12 @@ func TestAnytimeDecideSeparatesDensities(t *testing.T) {
 	g := topology.MustTorus(2, 20) // A = 400
 	const threshold = 0.1
 	decideAt := func(agents int, seed uint64) *AnytimeResult {
-		w := sim.MustWorld(sim.Config{Graph: g, NumAgents: agents, Seed: seed})
-		res, err := AnytimeDecide(w, threshold, 0.05, 0.6, 40000)
+		det, err := NewAnytimeDetector(agents, threshold, 0.05, 0.6)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		w := sim.MustWorld(sim.Config{Graph: g, NumAgents: agents, Seed: seed})
+		return det.Result(sim.Run(w, 40000, det))
 	}
 	high := decideAt(161, 5) // d = 0.4: all agents should decide +1 fast
 	correct := 0
@@ -262,19 +234,22 @@ func TestAnytimeDecideSeparatesDensities(t *testing.T) {
 }
 
 func TestAnytimeDecideValidation(t *testing.T) {
-	g := topology.MustTorus(2, 10)
-	w := sim.MustWorld(sim.Config{Graph: g, NumAgents: 4, Seed: 1})
-	if _, err := AnytimeDecide(w, 0, 0.05, 0.6, 10); err == nil {
-		t.Error("zero threshold accepted")
-	}
-	if _, err := AnytimeDecide(w, 0.1, 0, 0.6, 10); err == nil {
-		t.Error("zero delta accepted")
-	}
-	if _, err := AnytimeDecide(w, 0.1, 0.05, 0, 10); err == nil {
-		t.Error("zero c1 accepted")
-	}
-	if _, err := AnytimeDecide(w, 0.1, 0.05, 0.6, 0); err == nil {
-		t.Error("zero maxRounds accepted")
+	// The detector's constructor is the anytime decision's one
+	// validation point; a Spec's round budget is checked by
+	// Spec.Validate.
+	for _, tc := range []struct {
+		name                 string
+		threshold, delta, c1 float64
+	}{
+		{"zero threshold", 0, 0.05, 0.6},
+		{"negative threshold", -0.1, 0.05, 0.6},
+		{"zero delta", 0.1, 0, 0.6},
+		{"delta one", 0.1, 1, 0.6},
+		{"zero c1", 0.1, 0.05, 0},
+	} {
+		if _, err := NewAnytimeDetector(4, tc.threshold, tc.delta, tc.c1); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 

@@ -105,11 +105,15 @@ func WalkPath(g Graph, v int64, m int, s *rng.Stream) []int64 {
 
 // NumEdges returns the number of undirected edges of g (multi-edges
 // counted with multiplicity, self-loops counted once each), computed
-// as half the degree sum. It takes O(A) time for irregular graphs and
-// O(1) for Regular implementations.
+// as half the degree sum. It takes O(1) time for Regular
+// implementations and *Adj (whose neighbor array length is the degree
+// sum) and O(A) for other graphs.
 func NumEdges(g Graph) int64 {
-	if r, ok := g.(Regular); ok {
-		return g.NumNodes() * int64(r.CommonDegree()) / 2
+	switch g := g.(type) {
+	case Regular:
+		return g.NumNodes() * int64(g.CommonDegree()) / 2
+	case *Adj:
+		return g.TotalEndpoints() / 2
 	}
 	var sum int64
 	for v := int64(0); v < g.NumNodes(); v++ {

@@ -67,6 +67,26 @@ func csrGraphs(t *testing.T) []struct {
 	}
 }
 
+// TestNumEdgesCSRMatchesDegreeLoop pins NumEdges' O(1) *Adj path (its
+// neighbor array length) to the degree-sum loop every other Graph
+// takes, on each CSR shape plus an edgeless graph.
+func TestNumEdgesCSRMatchesDegreeLoop(t *testing.T) {
+	graphs := append(csrGraphs(t), struct {
+		name string
+		g    *topology.Adj
+	}{"edgeless", topology.MustAdj(2, nil)})
+	for _, tc := range graphs {
+		if got, want := topology.NumEdges(tc.g), topology.NumEdges(plainGraph{tc.g}); got != want {
+			t.Errorf("%s: NumEdges = %d, degree loop %d", tc.name, got, want)
+		}
+	}
+	// 13 endpoints: two multi-edge copies, one self-loop (counted
+	// once), four plain edges.
+	if got := topology.NumEdges(graphs[len(graphs)-2].g); got != 6 {
+		t.Errorf("hand-built NumEdges = %d, want 6", got)
+	}
+}
+
 // TestSpectralGapCSRKernelBitIdentical runs every graph through both
 // mat-vec kernels and requires the same lambda bits.
 func TestSpectralGapCSRKernelBitIdentical(t *testing.T) {

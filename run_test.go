@@ -139,10 +139,11 @@ func TestShimEquivalenceProperty(t *testing.T) {
 func TestShimEquivalenceQuorum(t *testing.T) {
 	const agents, rounds, seed = 46, 500, 3
 	const threshold = 0.1
-	direct, err := quorum.Decide(newTestWorld(t, agents, seed), threshold, rounds)
+	ests, err := core.Algorithm1(newTestWorld(t, agents, seed), rounds)
 	if err != nil {
 		t.Fatal(err)
 	}
+	direct := quorum.Votes(ests, threshold)
 	out := runSpec(t, antdensity.QuorumSpec(threshold,
 		antdensity.WithGraph(topology.MustTorus(2, 20)),
 		antdensity.WithAgents(agents),
@@ -159,10 +160,11 @@ func TestShimEquivalenceQuorum(t *testing.T) {
 func TestShimEquivalenceAdaptiveQuorum(t *testing.T) {
 	const agents, maxRounds, seed = 91, 4000, 3
 	const threshold, delta, c1 = 0.1, 0.05, 0.6
-	direct, err := quorum.AnytimeDecide(newTestWorld(t, agents, seed), threshold, delta, c1, maxRounds)
+	det, err := quorum.NewAnytimeDetector(agents, threshold, delta, c1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	direct := det.Result(sim.Run(newTestWorld(t, agents, seed), maxRounds, det))
 	s := antdensity.AdaptiveQuorumSpec(threshold,
 		antdensity.WithGraph(topology.MustTorus(2, 20)),
 		antdensity.WithAgents(agents),

@@ -13,6 +13,7 @@ import (
 
 	"antdensity/internal/adversary"
 	"antdensity/internal/sim"
+	"antdensity/internal/topology"
 )
 
 // Kind selects the estimator a Spec describes.
@@ -491,6 +492,9 @@ func (s *Spec) validateNetsize() error {
 	}
 	if s.Graph == nil {
 		return fmt.Errorf("antdensity: Spec.Graph is required for kind %q", s.Kind)
+	}
+	if topology.NumEdges(s.Graph) < 1 {
+		return fmt.Errorf("antdensity: Spec.Graph has no edges, so kind %q has no walk to run", s.Kind)
 	}
 	if s.Walkers < 2 {
 		return fmt.Errorf("antdensity: Spec.Walkers must be >= 2 for kind %q, got %d", s.Kind, s.Walkers)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"antdensity"
+	"antdensity/internal/topology"
 )
 
 // mustGraph returns a small torus for validation tests.
@@ -202,6 +203,12 @@ func TestSpecValidationErrors(t *testing.T) {
 			spec: antdensity.NetworkSizeSpec(antdensity.WithGraph(edgeAndIsolated{}), antdensity.WithWalkers(4),
 				antdensity.WithRounds(10), antdensity.WithSeedVertex(2)),
 			want: "Spec.SeedVertex 2 has degree 0",
+		},
+		{
+			name: "netsize stationary on an edgeless graph",
+			spec: antdensity.NetworkSizeSpec(antdensity.WithGraph(topology.MustAdj(2, nil)), antdensity.WithWalkers(4),
+				antdensity.WithRounds(10), antdensity.WithStationary()),
+			want: "Spec.Graph has no edges",
 		},
 		{
 			name: "netsize agents instead of walkers",
