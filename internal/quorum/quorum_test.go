@@ -43,6 +43,50 @@ func TestDecideSeparatesDensities(t *testing.T) {
 	}
 }
 
+func TestDetectionCurveMonotone(t *testing.T) {
+	// P[declare quorum] should increase with the density ratio and be
+	// near 0 / 1 at the extremes. Each point is the yes fraction of
+	// Votes over Algorithm 1's estimates in worlds at density about
+	// ratio*theta, seeded seed + ri<<32 + trial as E19 seeds its rows.
+	const (
+		side      = 20
+		threshold = 0.1
+		rounds    = 1500
+		trials    = 3
+		seed      = 42
+	)
+	g := topology.MustTorus(2, side)
+	ratios := []float64{0.3, 1.0, 2.5}
+	curve := make([]float64, len(ratios))
+	for ri, r := range ratios {
+		agents := int(math.Round(r*threshold*side*side)) + 1
+		var yes, all int
+		for trial := 0; trial < trials; trial++ {
+			w := sim.MustWorld(sim.Config{Graph: g, NumAgents: agents, Seed: seed + uint64(ri)<<32 + uint64(trial)})
+			ests, err := core.Algorithm1(w, rounds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range Votes(ests, threshold) {
+				all++
+				if v {
+					yes++
+				}
+			}
+		}
+		curve[ri] = float64(yes) / float64(all)
+	}
+	if curve[0] > 0.25 {
+		t.Errorf("P at ratio 0.3 = %v, want < 0.25", curve[0])
+	}
+	if curve[2] < 0.75 {
+		t.Errorf("P at ratio 2.5 = %v, want > 0.75", curve[2])
+	}
+	if !(curve[0] < curve[1] && curve[1] < curve[2]) {
+		t.Errorf("detection curve not monotone: %v", curve)
+	}
+}
+
 func TestDetectionRoundsThresholdScaling(t *testing.T) {
 	// Halving the threshold should roughly double the rounds (up to
 	// log factors) — t depends on theta, not on the unknown d.
