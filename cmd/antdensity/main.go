@@ -119,7 +119,9 @@ func cmdRun(args []string) (err error) {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	sim.SetDefaultShards(*shards)
+	if err := sim.SetDefaultShards(*shards); err != nil {
+		return fmt.Errorf("run: -shards: %w", err)
+	}
 	f, err := parseFormat(*format)
 	if err != nil {
 		return fmt.Errorf("run: %w", err)

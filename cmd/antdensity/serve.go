@@ -85,7 +85,9 @@ func cmdServe(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	sim.SetDefaultShards(*shards)
+	if err := sim.SetDefaultShards(*shards); err != nil {
+		return fmt.Errorf("serve: -shards: %w", err)
+	}
 	s, err := newServer(cfg)
 	if err != nil {
 		return err

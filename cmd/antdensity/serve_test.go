@@ -196,6 +196,7 @@ func TestServeErrors(t *testing.T) {
 	// one isolated node: a netsize seed vertex of degree 0, and a graph
 	// without edges for a stationary start.
 	for _, body := range []string{
+		`{"kind": "density", "graph": {"kind": "torus2d", "side": 20}, "agents": 5, "rounds": 10, "shards": 65}`,
 		`{"kind": "nope", "graph": {"kind": "torus2d", "side": 20}, "agents": 5, "rounds": 10}`,
 		`{"kind": "density", "graph": {"kind": "klein-bottle"}, "agents": 5, "rounds": 10}`,
 		`{"kind": "density", "graph": {"kind": "torus2d", "side": 20}, "agents": 0, "rounds": 10}`,
@@ -215,6 +216,9 @@ func TestServeErrors(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest || err != nil || e.Error == "" {
 			t.Errorf("POST %s = %d (err %v, body %+v), want 400 with error JSON", body, resp.StatusCode, err, e)
+		}
+		if strings.Contains(body, `"shards"`) && !strings.Contains(e.Error, "Spec.Shards") {
+			t.Errorf("POST %s: error %q does not name Spec.Shards", body, e.Error)
 		}
 	}
 }

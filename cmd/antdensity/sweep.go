@@ -70,7 +70,9 @@ func cmdSweep(args []string) (err error) {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	sim.SetDefaultShards(*shards)
+	if err := sim.SetDefaultShards(*shards); err != nil {
+		return fmt.Errorf("sweep: -shards: %w", err)
+	}
 	stopProf, err := prof.start()
 	if err != nil {
 		return err

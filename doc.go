@@ -20,7 +20,10 @@
 //     leaves its world consistent) and live anytime Snapshots
 //     (current round, per-agent estimates with confidence bands,
 //     progress) readable from any goroutine without blocking the
-//     stepping loop. Results come back typed (Output) and structured
+//     stepping loop. A publication copies the per-agent counts into a
+//     buffer the run reuses while no reader holds it; the first read
+//     materializes the estimates and bands, so an unread run pays for
+//     copies only. Results come back typed (Output) and structured
 //     (RunResult, the internal/results model).
 //   - Manager (manager.go) — schedules many concurrent Runs over a
 //     bounded worker pool with fair FIFO admission, a bounded queue
@@ -96,7 +99,8 @@
 //     estimator subcommands share.
 //   - internal/results — the typed results model (Result/Series/Cell
 //     with value, 95% CI, trial count, and unit) every renderer
-//     consumes: text tables (internal/expfmt), JSON, and CSV.
+//     consumes: text tables (internal/expfmt), JSON (a direct byte
+//     appender that writes exactly encoding/json's bytes), and CSV.
 //   - internal/journal — the append-only JSONL run journal behind
 //     `antdensity serve -data-dir`: fsync'd submit/terminal records,
 //     torn-tail and interior-corruption recovery, and the replay

@@ -1,8 +1,9 @@
 package adversary
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"antdensity/internal/sim"
 	"antdensity/internal/stats"
@@ -62,8 +63,8 @@ type Detector struct {
 	strikes []int
 	obs     []int
 
-	// Round scratch, reused: agent ids sorted by cell, and the peer
-	// reports fed to the consensus median.
+	// Round scratch, reused: the ids of agents sharing a cell, sorted
+	// by cell, and the peer reports fed to the consensus median.
 	order []int
 	peers []float64
 }
@@ -75,29 +76,34 @@ func NewDetector(n int, t *Tamperer, cfg DetectorConfig) *Detector {
 		cfg:     cfg,
 		strikes: make([]int, n),
 		obs:     make([]int, n),
-		order:   make([]int, n),
+		order:   make([]int, 0, n),
 	}
 }
 
 // Observe audits one round: it groups agents by cell and scores every
 // member of a shared cell against its co-located peers' consensus.
+// Only an agent whose true count is above 0 shares its cell, so only
+// those are sorted, by (cell, id).
 func (d *Detector) Observe(r *sim.Round) sim.Signal {
-	reports := r.Counts()
+	counts := r.Counts()
+	reports := counts
 	if d.t != nil {
-		reports = d.t.report(r.Index(), reports)
+		reports = d.t.report(r.Index(), counts)
 	}
 	w := r.World()
-	n := len(d.order)
-	for i := 0; i < n; i++ {
-		d.order[i] = i
-	}
-	sort.Slice(d.order, func(a, b int) bool {
-		pa, pb := w.Pos(d.order[a]), w.Pos(d.order[b])
-		if pa != pb {
-			return pa < pb
+	d.order = d.order[:0]
+	for i, c := range counts {
+		if c > 0 {
+			d.order = append(d.order, i)
 		}
-		return d.order[a] < d.order[b]
+	}
+	slices.SortFunc(d.order, func(a, b int) int {
+		if c := cmp.Compare(w.Pos(a), w.Pos(b)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
 	})
+	n := len(d.order)
 	for lo := 0; lo < n; {
 		hi := lo + 1
 		p := w.Pos(d.order[lo])

@@ -16,10 +16,10 @@ import (
 //
 //   - `for range m` with no iteration variables: every iteration is
 //     indistinguishable, so order cannot matter.
-//   - the collect-then-sort idiom (results.Metrics.MarshalJSON): the
-//     loop body is exactly `keys = append(keys, k)` and the same
-//     function later sorts keys (sort.Strings/Ints/Float64s/Slice/
-//     Stable or slices.Sort/SortFunc).
+//   - the collect-then-sort idiom (the results JSON appender's
+//     metrics): the loop body is exactly `keys = append(keys, k)` and
+//     the same function later sorts keys (sort.Strings/Ints/Float64s/
+//     Slice/Stable or slices.Sort/SortFunc).
 //
 // Anything else needs `//antlint:orderok <reason>` on or above the
 // `for` line, forcing the author to argue order-independence.

@@ -58,8 +58,18 @@ func (o *IndependentObserver) Rounds() int { return o.rounds }
 // argument to hold; intermediate horizons give the anytime (but
 // biased) view the facade's snapshots report.
 func (o *IndependentObserver) Estimates(t int) []float64 {
-	estimates := make([]float64, len(o.counts))
-	for i, c := range o.counts {
+	return IndependentEstimates(o.counts, t)
+}
+
+// Counts returns each agent's accumulated collision total. The slice
+// is live; it keeps accumulating if observation continues.
+func (o *IndependentObserver) Counts() []int64 { return o.counts }
+
+// IndependentEstimates applies Estimates' Appendix A reduction at
+// horizon t to a copy of an IndependentObserver's counts.
+func IndependentEstimates(counts []int64, t int) []float64 {
+	estimates := make([]float64, len(counts))
+	for i, c := range counts {
 		c %= int64(t)
 		estimates[i] = 2 * float64(c) / float64(t)
 	}

@@ -342,7 +342,7 @@ func (po *PropertyObserver) Result() *PropertyResult {
 		Frequency:       make([]float64, n),
 	}
 	for i := 0; i < n; i++ {
-		res.Density[i], res.PropertyDensity[i], res.Frequency[i] = po.estimates(i)
+		res.Density[i], res.PropertyDensity[i], res.Frequency[i] = propertyEstimates(po.total[i], po.tagged[i], po.rounds)
 	}
 	return res
 }
@@ -350,18 +350,29 @@ func (po *PropertyObserver) Result() *PropertyResult {
 // Frequencies returns Result's Frequency alone: each agent's f_P
 // estimate at the current horizon, in one allocation.
 func (po *PropertyObserver) Frequencies() []float64 {
-	f := make([]float64, len(po.total))
+	return PropertyFrequencies(po.total, po.tagged, po.rounds)
+}
+
+// Counts returns each agent's accumulated total and tagged collision
+// counts. The slices are live; they keep accumulating if observation
+// continues.
+func (po *PropertyObserver) Counts() (total, tagged []int64) { return po.total, po.tagged }
+
+// PropertyFrequencies returns Frequencies for a copy of a
+// PropertyObserver's counts after t observed rounds.
+func PropertyFrequencies(total, tagged []int64, t int) []float64 {
+	f := make([]float64, len(total))
 	for i := range f {
-		_, _, f[i] = po.estimates(i)
+		_, _, f[i] = propertyEstimates(total[i], tagged[i], t)
 	}
 	return f
 }
 
-// estimates returns agent i's density, property-density, and
-// frequency estimates (tagged/t)/(total/t).
-func (po *PropertyObserver) estimates(i int) (d, dP, f float64) {
-	d = float64(po.total[i]) / float64(po.rounds)
-	dP = float64(po.tagged[i]) / float64(po.rounds)
+// propertyEstimates returns the density, property-density, and
+// frequency estimates (tagged/t)/(total/t) of one agent's counts.
+func propertyEstimates(total, tagged int64, t int) (d, dP, f float64) {
+	d = float64(total) / float64(t)
+	dP = float64(tagged) / float64(t)
 	return d, dP, dP / d
 }
 

@@ -312,6 +312,13 @@ func (a *AnytimeDetector) Interval(i int) (estimate, half float64) {
 	return a.est[i], a.half[i]
 }
 
+// State returns the detector's live per-agent state: every agent's
+// Interval and Decision. The slices keep changing while observation
+// continues; copy what must outlive the round.
+func (a *AnytimeDetector) State() (ests, half []float64, decision []int) {
+	return a.est, a.half, a.decision
+}
+
 // Intervals returns every agent's Interval in two fresh slices.
 func (a *AnytimeDetector) Intervals() (ests, half []float64) {
 	return slices.Clone(a.est), slices.Clone(a.half)

@@ -89,8 +89,9 @@
 // few shards up — a single-core structural win on the step+count
 // round measured in BENCH_PR9.json. Shards = 0 (ShardAuto) resolves
 // to the process default (SetDefaultShards, the CLI -shards flag),
-// else GOMAXPROCS (capped at 64) for worlds of at least a million
-// agents, else 1.
+// else GOMAXPROCS for worlds of at least a million agents, else 1.
+// Every count is capped at MaxShards (64): an explicit count above it
+// is an error, because the per-(src,dst) mailboxes grow as K².
 //
 // # Occupancy index selection
 //

@@ -47,7 +47,7 @@ import (
 
 // ShardAuto (the Config.Shards zero value) lets the world pick the
 // shard count: SetDefaultShards' value if set, otherwise GOMAXPROCS
-// (capped at shardMaxAuto) for worlds with at least shardAutoMinAgents
+// (capped at MaxShards) for worlds with at least shardAutoMinAgents
 // agents, and 1 — no sharding — below that.
 const ShardAuto = 0
 
@@ -56,9 +56,11 @@ const ShardAuto = 0
 // stepping dominates per-round costs.
 const shardAutoMinAgents = 1 << 20
 
-// shardMaxAuto caps the automatically chosen shard count; explicit
-// Config.Shards may exceed it (bounded only by the graph's row count).
-const shardMaxAuto = 64
+// MaxShards caps every shard count: ShardAuto picks at most this many,
+// and an explicit Config.Shards or SetDefaultShards value above it is
+// an error. The migration mailboxes grow as the square of the count,
+// so an uncapped one lets a single request allocate without bound.
+const MaxShards = 64
 
 // defaultShards is the process-wide ShardAuto override installed by
 // SetDefaultShards (the CLI's -shards flag).
@@ -68,22 +70,24 @@ var defaultShards atomic.Int32
 
 // SetDefaultShards installs a process-wide shard count that ShardAuto
 // resolves to instead of its GOMAXPROCS heuristic. k <= 0 restores
-// the heuristic. Worlds whose Config.Shards is explicit are
-// unaffected. Results are shard-invariant, so flipping the default
-// never changes any run's output — only its execution layout.
-func SetDefaultShards(k int) {
-	if k < 0 {
-		k = 0
+// the heuristic; k above MaxShards is an error and changes nothing.
+// Worlds whose Config.Shards is explicit are unaffected. Results are
+// shard-invariant, so flipping the default never changes any run's
+// output — only its execution layout.
+func SetDefaultShards(k int) error {
+	if k > MaxShards {
+		return fmt.Errorf("sim: shard count must be at most %d, got %d", MaxShards, k)
 	}
-	defaultShards.Store(int32(k))
+	defaultShards.Store(int32(max(k, 0)))
+	return nil
 }
 
 // resolveShardCount maps cfg.Shards to an effective requested count,
 // before partitioning clamps it to the graph's unit count.
 func resolveShardCount(cfg Config) (int, error) {
 	k := cfg.Shards
-	if k < 0 {
-		return 0, fmt.Errorf("sim: Config.Shards must be >= 0, got %d", k)
+	if k < 0 || k > MaxShards {
+		return 0, fmt.Errorf("sim: Config.Shards must be in [0, %d], got %d", MaxShards, k)
 	}
 	if k != ShardAuto {
 		return k, nil
@@ -94,11 +98,7 @@ func resolveShardCount(cfg Config) (int, error) {
 	if cfg.NumAgents < shardAutoMinAgents {
 		return 1, nil
 	}
-	k = runtime.GOMAXPROCS(0)
-	if k > shardMaxAuto {
-		k = shardMaxAuto
-	}
-	return k, nil
+	return min(runtime.GOMAXPROCS(0), MaxShards), nil
 }
 
 // migrant is one agent crossing shards this round: everything the

@@ -185,6 +185,15 @@ func TestShardAutoAndDefault(t *testing.T) {
 	if _, err := NewWorld(Config{Graph: g, NumAgents: 5, Seed: 1, Shards: -1}); err == nil {
 		t.Error("negative Shards should error")
 	}
+	if _, err := NewWorld(Config{Graph: g, NumAgents: 5, Seed: 1, Shards: MaxShards + 1}); err == nil {
+		t.Errorf("Shards %d above MaxShards should error", MaxShards+1)
+	}
+	if err := SetDefaultShards(MaxShards + 1); err == nil {
+		t.Errorf("SetDefaultShards(%d) above MaxShards should error", MaxShards+1)
+	}
+	if w := MustWorld(Config{Graph: g, NumAgents: 500, Seed: 1}); w.Shards() != 3 {
+		t.Errorf("a refused SetDefaultShards changed the default of 3: world has %d shards", w.Shards())
+	}
 }
 
 // TestShardedRunner pins the pipeline integration: a Runner on a

@@ -95,9 +95,9 @@ type Config struct {
 	// streams of the agents currently inside it, with a deterministic
 	// cross-shard migration phase every round. The zero value ShardAuto
 	// picks by agent count and GOMAXPROCS (see SetDefaultShards); 1
-	// forces the flat single-shard path. Results are bit-identical for
-	// every shard count — sharding changes execution layout, never
-	// output.
+	// forces the flat single-shard path; counts above MaxShards are an
+	// error. Results are bit-identical for every shard count — sharding
+	// changes execution layout, never output.
 	Shards int
 }
 

@@ -7,9 +7,13 @@ package antdensity
 // consistent on a round boundary) and live anytime snapshots — the
 // paper's whole point is that Algorithm 1's estimate improves every
 // round, and Snapshot exposes exactly that mid-flight view to other
-// goroutines without blocking the stepping loop (an atomic pointer
-// swap per published round; readers never take a lock the hot path
-// holds).
+// goroutines without blocking the stepping loop. A publication is an
+// atomic pointer swap plus a copy of the per-agent state the view
+// derives from (collision counts, or adaptive quorum's frozen
+// intervals) into a buffer the run reuses once no reader has pinned
+// the publication; the first read of a publication materializes its
+// estimates and bands on the reader's goroutine, so a run nobody reads
+// pays for copies only. Readers never take a lock the hot path holds.
 
 import (
 	"context"
@@ -68,9 +72,12 @@ func (s RunState) Terminal() bool {
 }
 
 // Snapshot is a Run's live anytime view: how far it has progressed
-// and what every agent currently estimates. Snapshots are immutable
-// once published — treat the slices as read-only; they are shared
-// with every other reader of the same snapshot.
+// and what every agent currently estimates. The run publishes the
+// counts behind the per-agent fields as a copy into a reused buffer;
+// the first Run.Snapshot call to read a publication materializes
+// Estimates, CIHalf, Mean and YesVotes from that copy, and every later
+// reader of the same publication shares the result. Snapshots are
+// immutable once read — treat the slices as read-only.
 type Snapshot struct {
 	// State is the run's lifecycle phase at read time.
 	State RunState
@@ -92,8 +99,8 @@ type Snapshot struct {
 	// Spec's Delta level (density, quorum and adaptive quorum runs;
 	// +Inf before an agent's first collision), nil for other kinds.
 	// The band depends on an agent only through its collision count,
-	// so each publish evaluates it once per distinct count (see
-	// core.RoundBand); the values are those of core.BandHalf.
+	// so materializing a snapshot evaluates it once per distinct count
+	// (see core.RoundBand); the values are those of core.BandHalf.
 	CIHalf []float64
 	// Mean is the mean of the finite Estimates (0 when none).
 	Mean float64
@@ -139,7 +146,7 @@ type Run struct {
 	exec      func(ctx context.Context) (Output, *results.Result, error)
 
 	state   atomic.Int32
-	snap    atomic.Pointer[Snapshot]
+	snap    atomic.Pointer[publication]
 	updated atomic.Pointer[chan struct{}]
 
 	mu       sync.Mutex
@@ -190,7 +197,7 @@ func (s *Spec) NewRun() (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.snap.Store(&Snapshot{State: StatePending, MaxRounds: s.Rounds, NumAgents: r.numAgents})
+	r.snap.Store(&publication{snap: Snapshot{State: StatePending, MaxRounds: s.Rounds, NumAgents: r.numAgents}})
 	return r, nil
 }
 
@@ -249,12 +256,7 @@ func (r *Run) loop(ctx context.Context) {
 	default:
 		r.state.Store(int32(StateFailed))
 	}
-	final := *r.snap.Load()
-	final.State = r.State()
-	if err != nil {
-		final.Err = err.Error()
-	}
-	r.snap.Store(&final)
+	r.snap.Store(r.snap.Load().terminal(r.State(), err))
 	r.wake()
 	if r.cancelFn != nil {
 		r.cancelFn() // release the context's resources
@@ -294,10 +296,7 @@ func (r *Run) Cancel() {
 	r.started = true
 	r.err = context.Canceled
 	r.state.Store(int32(StateCanceled))
-	final := *r.snap.Load()
-	final.State = StateCanceled
-	final.Err = r.err.Error()
-	r.snap.Store(&final)
+	r.snap.Store(r.snap.Load().terminal(StateCanceled, r.err))
 	r.wake()
 	close(r.done)
 	r.mu.Unlock()
@@ -327,10 +326,21 @@ func (r *Run) Err() error {
 }
 
 // Snapshot returns the latest published anytime view. It never
-// blocks the run: publication is an atomic pointer swap on round
-// boundaries, and readers share the immutable published value.
+// blocks the run: it pins the latest publication with one CAS, so the
+// run never reuses that publication's buffer, and the first read of a
+// publication materializes its per-agent fields from the copy the run
+// published — O(agents) on the calling goroutine, once. Later readers
+// of the same publication share those immutable fields.
 func (r *Run) Snapshot() Snapshot {
-	snap := *r.snap.Load()
+	p := r.snap.Load()
+	for !p.pinned() {
+		p = r.snap.Load() // retired: the run has published a newer round
+	}
+	snap := p.snap
+	if p.view != nil {
+		v := p.view.materialize()
+		snap.Estimates, snap.CIHalf, snap.Mean, snap.YesVotes = v.Estimates, v.CIHalf, v.Mean, v.YesVotes
+	}
 	if !snap.State.Terminal() {
 		// Pending/queued/running transitions happen without a fresh
 		// measurement; surface the current phase.
@@ -392,27 +402,117 @@ func (r *Run) wake() {
 // channel.
 func (r *Run) Updated() <-chan struct{} { return *r.updated.Load() }
 
-// measureFn fills a snapshot's kind-specific estimate fields for the
-// given completed-round count.
-type measureFn func(round int, snap *Snapshot)
+// publication is one published round: the O(1) Snapshot fields, set
+// before the run stores it, and the per-agent view, built from the
+// run's captured state on first read.
+type publication struct {
+	snap Snapshot // Estimates, CIHalf, Mean and YesVotes come from view
+	// pin moves at most once: fresh → read when a reader pins the
+	// publication, or fresh → retired when the run has published past
+	// it unread. Only a retired publication's buffer is reused.
+	pin  atomic.Int32
+	view *agentView // nil when there is no per-agent view
+}
 
-// snapshotAt measures the view after `round` completed rounds,
-// publishes it (run goroutine only), and wakes every Updated watcher.
-// The snapshot is built in place on the heap, so a publish costs one
-// allocation beyond what measure allocates.
-func (r *Run) snapshotAt(round, maxRounds int, measure measureFn) {
-	snap := &Snapshot{
+const (
+	pubFresh int32 = iota
+	pubRead
+	pubRetired
+)
+
+// pinned pins p for reading and reports whether it may be read: false
+// once the run has retired it.
+func (p *publication) pinned() bool {
+	return p.pin.CompareAndSwap(pubFresh, pubRead) || p.pin.Load() == pubRead
+}
+
+// terminal returns the run's final publication: p's fields and view
+// under the terminal state and error. p is the last publication of an
+// engine that has returned, so nothing reuses the view's buffer.
+func (p *publication) terminal(state RunState, err error) *publication {
+	f := &publication{snap: p.snap, view: p.view}
+	f.snap.State = state
+	if err != nil {
+		f.snap.Err = err.Error()
+	}
+	return f
+}
+
+// agentView is a publication's per-agent view: the state captured at
+// its round, turned into Snapshot fields once, by the first reader.
+type agentView struct {
+	once  sync.Once
+	round int
+	cap   *capture // dropped once materialized
+	build func(c *capture, round int, snap *Snapshot)
+	out   Snapshot // only the per-agent fields build sets
+}
+
+// materialize builds the view on first call and returns it.
+func (v *agentView) materialize() *Snapshot {
+	v.once.Do(func() {
+		v.build(v.cap, v.round, &v.out)
+		v.cap = nil
+	})
+	return &v.out
+}
+
+// capture is a copy of the per-agent state one publication's view
+// derives from. Each kind fills the fields it reads; the slices keep
+// their capacity when the run reuses the capture.
+type capture struct {
+	counts, tagged []int64   // collision totals; property runs' tagged totals
+	ests, half     []float64 // adaptive quorum's frozen intervals
+	decision       []int     // adaptive quorum's decisions
+}
+
+// snapshotter is a kind's side of publication. capture copies the live
+// per-agent state into c on the run goroutine and returns the number
+// of decided agents; build sets a snapshot's Estimates, CIHalf, Mean
+// and YesVotes from a capture, on the first reader's goroutine.
+type snapshotter struct {
+	capture func(c *capture) (decided int)
+	build   func(c *capture, round int, snap *Snapshot)
+}
+
+// publisher publishes one engine call's snapshots from the run
+// goroutine. It lives only as long as that call, so the capture it
+// keeps for reuse dies with it, and a finished run a Manager retains
+// holds only its terminal publication.
+type publisher struct {
+	r     *Run
+	views snapshotter // zero for runs without a per-agent view
+	last  *publication
+	cap   *capture // last's capture
+	spare *capture // a retired publication's capture, ready for reuse
+}
+
+// publish stores the view after `round` completed rounds, retires the
+// previous publication if no reader pinned it (recycling its capture),
+// and wakes every Updated watcher.
+func (p *publisher) publish(round, maxRounds int) {
+	pub := &publication{snap: Snapshot{
 		State:     StateRunning,
 		Round:     round,
 		MaxRounds: maxRounds,
 		Progress:  float64(round) / float64(maxRounds),
-		NumAgents: r.numAgents,
+		NumAgents: p.r.numAgents,
+	}}
+	var c *capture
+	if p.views.capture != nil && round > 0 {
+		c, p.spare = p.spare, nil
+		if c == nil {
+			c = new(capture)
+		}
+		pub.snap.Decided = p.views.capture(c)
+		pub.view = &agentView{round: round, cap: c, build: p.views.build}
 	}
-	if measure != nil && round > 0 {
-		measure(round, snap)
+	p.r.snap.Store(pub)
+	if p.cap != nil && p.last.pin.CompareAndSwap(pubFresh, pubRetired) {
+		p.spare = p.cap
 	}
-	r.snap.Store(snap)
-	r.wake()
+	p.last, p.cap = pub, c
+	p.r.wake()
 }
 
 // observe runs every pipeline engine's rounds: up to maxRounds of
@@ -422,8 +522,9 @@ func (r *Run) snapshotAt(round, maxRounds int, measure measureFn) {
 // rounds and on round maxRounds. An early stop or a cancellation can
 // land between publication strides; then it republishes the exact
 // final view once more. It returns the rounds executed.
-func (r *Run) observe(ctx context.Context, maxRounds int, est sim.Observer, measure measureFn) (int, error) {
+func (r *Run) observe(ctx context.Context, maxRounds int, est sim.Observer, views snapshotter) (int, error) {
 	every := r.spec.snapshotEvery()
+	pub := publisher{r: r, views: views}
 	var last, published int
 	pipeline := []sim.Observer{est}
 	if r.audit != nil {
@@ -432,14 +533,14 @@ func (r *Run) observe(ctx context.Context, maxRounds int, est sim.Observer, meas
 	pipeline = append(pipeline, sim.ObserverFunc(func(rd *sim.Round) sim.Signal {
 		last = rd.Index()
 		if last%every == 0 || last == maxRounds {
-			r.snapshotAt(last, maxRounds, measure)
+			pub.publish(last, maxRounds)
 			published = last
 		}
 		return sim.Continue
 	}))
 	rounds, err := sim.RunContext(ctx, r.world, maxRounds, pipeline...)
 	if last != published {
-		r.snapshotAt(last, maxRounds, measure)
+		pub.publish(last, maxRounds)
 	}
 	return rounds, err
 }
@@ -472,11 +573,29 @@ func countEstimates(band *core.RoundBand, counts []int64, round int, snap *Snaps
 	}
 }
 
-// roundBand returns a round-band kernel for the run's agents at the
-// Spec's band level, with no stop rule. Engines build it when they
-// execute, so a finished run a Manager retains does not keep it.
-func (r *Run) roundBand() *core.RoundBand {
-	return core.NewRoundBand(r.numAgents, 0, r.spec.delta(), r.spec.c1())
+// countSnapshots publishes density and quorum views: a publication
+// copies every agent's collision count, and its first reader evaluates
+// c/round and the band through a round-band kernel of its own at the
+// Spec's band level, the mean in agent order, and with a positive
+// (quorum) threshold the yes votes.
+func (r *Run) countSnapshots(obs *core.CollisionObserver, threshold float64) snapshotter {
+	return snapshotter{
+		capture: func(c *capture) int {
+			c.counts = append(c.counts[:0], obs.Counts()...)
+			return 0
+		},
+		build: func(c *capture, round int, snap *Snapshot) {
+			band := core.NewRoundBand(r.numAgents, 0, r.spec.delta(), r.spec.c1())
+			countEstimates(band, c.counts, round, snap)
+			if threshold > 0 {
+				for _, e := range snap.Estimates {
+					if e >= threshold {
+						snap.YesVotes++
+					}
+				}
+			}
+		},
+	}
 }
 
 // baseResult starts a structured result carrying the run's identity.
@@ -545,11 +664,7 @@ func (r *Run) compileDensity() error {
 	}
 	t := r.spec.Rounds
 	r.exec = func(ctx context.Context) (Output, *results.Result, error) {
-		band := r.roundBand()
-		measure := func(round int, snap *Snapshot) {
-			countEstimates(band, obs.Counts(), round, snap)
-		}
-		if _, err := r.observe(ctx, t, obs, measure); err != nil {
+		if _, err := r.observe(ctx, t, obs, r.countSnapshots(obs, 0)); err != nil {
 			return Output{}, nil, err
 		}
 		ests := obs.Estimates() // c/t: nothing stops a collision run early
@@ -571,11 +686,17 @@ func (r *Run) compileIndependent() {
 	t := r.spec.Rounds
 	r.exec = func(ctx context.Context) (Output, *results.Result, error) {
 		core.SetupAlgorithm4(r.world, r.spec.PolicySeed)
-		measure := func(round int, snap *Snapshot) {
-			snap.Estimates = obs.Estimates(round)
-			snap.Mean = meanFinite(snap.Estimates)
+		views := snapshotter{
+			capture: func(c *capture) int {
+				c.counts = append(c.counts[:0], obs.Counts()...)
+				return 0
+			},
+			build: func(c *capture, round int, snap *Snapshot) {
+				snap.Estimates = core.IndependentEstimates(c.counts, round)
+				snap.Mean = meanFinite(snap.Estimates)
+			},
 		}
-		if _, err := r.observe(ctx, t, obs, measure); err != nil {
+		if _, err := r.observe(ctx, t, obs, views); err != nil {
 			return Output{}, nil, err
 		}
 		ests := obs.Estimates(t)
@@ -597,11 +718,19 @@ func (r *Run) compileProperty() error {
 	}
 	t := r.spec.Rounds
 	r.exec = func(ctx context.Context) (Output, *results.Result, error) {
-		measure := func(round int, snap *Snapshot) {
-			snap.Estimates = obs.Frequencies()
-			snap.Mean = meanFinite(snap.Estimates)
+		views := snapshotter{
+			capture: func(c *capture) int {
+				total, tagged := obs.Counts()
+				c.counts = append(c.counts[:0], total...)
+				c.tagged = append(c.tagged[:0], tagged...)
+				return 0
+			},
+			build: func(c *capture, round int, snap *Snapshot) {
+				snap.Estimates = core.PropertyFrequencies(c.counts, c.tagged, round)
+				snap.Mean = meanFinite(snap.Estimates)
+			},
 		}
-		if _, err := r.observe(ctx, t, obs, measure); err != nil {
+		if _, err := r.observe(ctx, t, obs, views); err != nil {
 			return Output{}, nil, err
 		}
 		pr := obs.Result()
@@ -628,16 +757,7 @@ func (r *Run) compileQuorum() error {
 	}
 	t, threshold := r.spec.Rounds, r.spec.Threshold
 	r.exec = func(ctx context.Context) (Output, *results.Result, error) {
-		band := r.roundBand()
-		measure := func(round int, snap *Snapshot) {
-			countEstimates(band, obs.Counts(), round, snap)
-			for _, e := range snap.Estimates {
-				if e >= threshold {
-					snap.YesVotes++
-				}
-			}
-		}
-		if _, err := r.observe(ctx, t, obs, measure); err != nil {
+		if _, err := r.observe(ctx, t, obs, r.countSnapshots(obs, threshold)); err != nil {
 			return Output{}, nil, err
 		}
 		ests := obs.Estimates() // c/t: nothing stops a collision run early
@@ -678,19 +798,29 @@ func (r *Run) compileAdaptiveQuorum() error {
 	}
 	maxRounds := r.spec.Rounds
 	r.exec = func(ctx context.Context) (Output, *results.Result, error) {
-		measure := func(round int, snap *Snapshot) {
-			snap.Estimates, snap.CIHalf = det.Intervals()
-			for i := range snap.Estimates {
-				if det.Decision(i) == +1 {
-					snap.YesVotes++
+		// A pinned capture is never reused, so the view's slices can be
+		// the captured intervals themselves.
+		views := snapshotter{
+			capture: func(c *capture) int {
+				ests, half, decision := det.State()
+				c.ests = append(c.ests[:0], ests...)
+				c.half = append(c.half[:0], half...)
+				c.decision = append(c.decision[:0], decision...)
+				return det.NumDecided()
+			},
+			build: func(c *capture, round int, snap *Snapshot) {
+				snap.Estimates, snap.CIHalf = c.ests, c.half
+				for _, d := range c.decision {
+					if d == +1 {
+						snap.YesVotes++
+					}
 				}
-			}
-			snap.Mean = meanFinite(snap.Estimates)
-			snap.Decided = det.NumDecided()
+				snap.Mean = meanFinite(snap.Estimates)
+			},
 		}
 		// The anytime detector observes first: it is the filter's first
 		// caller each round.
-		rounds, err := r.observe(ctx, maxRounds, det, measure)
+		rounds, err := r.observe(ctx, maxRounds, det, views)
 		if err != nil {
 			return Output{}, nil, err
 		}
@@ -740,18 +870,19 @@ func (r *Run) compileNetsize() error {
 	}
 	r.exec = func(ctx context.Context) (Output, *results.Result, error) {
 		every := s.snapshotEvery()
+		pub := publisher{r: r} // netsize publishes progress only
 		var last, lastTotal int
 		cfg.Progress = func(done, total int) {
 			last, lastTotal = done, total
 			if done%every == 0 || done == total {
-				r.snapshotAt(done, total, nil)
+				pub.publish(done, total)
 			}
 		}
 		nr, err := netsize.EstimateContext(ctx, s.Graph, cfg)
 		if err != nil {
 			if lastTotal > 0 {
 				// Cancelled between strides: record the true progress.
-				r.snapshotAt(last, lastTotal, nil)
+				pub.publish(last, lastTotal)
 			}
 			return Output{}, nil, err
 		}
@@ -772,7 +903,7 @@ func (r *Run) compileNetsize() error {
 func (r *Run) addEstimateSeries(res *results.Result, ests []float64) {
 	series := res.AddSeries("estimates", results.Cols("agent", "estimate")...)
 	for i, e := range ests {
-		series.AddRow(i, e)
+		series.AddCells(results.Int(int64(i)), results.Float(e))
 	}
 }
 

@@ -321,59 +321,82 @@ func TestRunDeadline(t *testing.T) {
 
 // TestRunSnapshotRace hammers Snapshot from several goroutines while
 // the run is stepping — the race detector (CI runs the suite with
-// -race) proves snapshot reads never synchronize with the hot path.
+// -race) proves snapshot reads never synchronize with the hot path,
+// and that concurrent readers materialize a shared publication once.
+// Each reader holds its first snapshot to the end: the run must never
+// recycle a buffer a reader pinned (adaptive quorum snapshots share
+// the run's captured intervals).
 func TestRunSnapshotRace(t *testing.T) {
-	s := antdensity.DensitySpec(
+	opts := []antdensity.SpecOption{
 		antdensity.WithGraph(topology.MustTorus(2, 20)),
 		antdensity.WithAgents(41),
 		antdensity.WithSeed(4),
 		antdensity.WithRounds(3000),
-	)
-	r, err := s.NewRun()
-	if err != nil {
-		t.Fatal(err)
 	}
-	if err := r.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	readers := runtime.GOMAXPROCS(0) + 2
-	for g := 0; g < readers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			lastRound := -1
-			for {
-				snap := r.Snapshot()
-				if snap.Round < lastRound {
-					t.Error("snapshot round went backwards")
-					return
-				}
-				lastRound = snap.Round
-				// Touch the shared slices the way a real consumer
-				// would; the published snapshot must be immutable.
-				for _, e := range snap.Estimates {
-					_ = e
-				}
-				if snap.State.Terminal() {
-					return
-				}
+	for _, s := range []*antdensity.Spec{
+		antdensity.DensitySpec(opts...),
+		antdensity.AdaptiveQuorumSpec(0.1, opts...), // threshold at the density: slow decisions
+	} {
+		t.Run(s.Kind.String(), func(t *testing.T) {
+			r, err := s.NewRun()
+			if err != nil {
+				t.Fatal(err)
 			}
-		}()
-	}
-	if err := r.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	snap := r.Snapshot()
-	if snap.State != antdensity.StateDone || snap.Round != 3000 || snap.Progress != 1 {
-		t.Fatalf("final snapshot = %+v", snap)
-	}
-	if len(snap.Estimates) != 41 || len(snap.CIHalf) != 41 {
-		t.Fatalf("final snapshot slices: %d estimates, %d ci", len(snap.Estimates), len(snap.CIHalf))
-	}
-	if snap.Mean <= 0 {
-		t.Fatalf("final mean estimate = %v", snap.Mean)
+			if err := r.Start(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			readers := runtime.GOMAXPROCS(0) + 2
+			for g := 0; g < readers; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					lastRound := -1
+					var held antdensity.Snapshot
+					var heldEsts, heldHalf []float64
+					for {
+						snap := r.Snapshot()
+						if snap.Round < lastRound {
+							t.Error("snapshot round went backwards")
+							return
+						}
+						lastRound = snap.Round
+						if held.Estimates == nil && snap.Estimates != nil {
+							held = snap
+							heldEsts, heldHalf = append([]float64(nil), snap.Estimates...), append([]float64(nil), snap.CIHalf...)
+						}
+						if snap.Round > 0 && (len(snap.Estimates) != 41 || len(snap.CIHalf) != 41) {
+							t.Errorf("round %d: %d estimates, %d bands", snap.Round, len(snap.Estimates), len(snap.CIHalf))
+							return
+						}
+						if snap.State.Terminal() {
+							break
+						}
+					}
+					for i := range heldEsts {
+						if math.Float64bits(held.Estimates[i]) != math.Float64bits(heldEsts[i]) ||
+							math.Float64bits(held.CIHalf[i]) != math.Float64bits(heldHalf[i]) {
+							t.Errorf("snapshot of round %d changed under its reader at agent %d", held.Round, i)
+							return
+						}
+					}
+				}()
+			}
+			if err := r.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			wg.Wait()
+			snap := r.Snapshot()
+			if snap.State != antdensity.StateDone || snap.Progress != 1 || (s.Kind == antdensity.KindDensity && snap.Round != 3000) {
+				t.Fatalf("final snapshot = %+v", snap)
+			}
+			if len(snap.Estimates) != 41 || len(snap.CIHalf) != 41 {
+				t.Fatalf("final snapshot slices: %d estimates, %d ci", len(snap.Estimates), len(snap.CIHalf))
+			}
+			if snap.Mean <= 0 {
+				t.Fatalf("final mean estimate = %v", snap.Mean)
+			}
+		})
 	}
 }
 

@@ -181,9 +181,9 @@ type Spec struct {
 	// Shards is the spatial shard count for the run's world (see
 	// sim.Config.Shards): 0 lets the world decide (sim.ShardAuto,
 	// which also honors the process-wide sim.SetDefaultShards default
-	// installed by the CLI's -shards flag). Purely an execution-layout
-	// knob — results are bit-identical for every shard count, so it is
-	// excluded from the fingerprint. Ignored when World is set (the
+	// installed by the CLI's -shards flag); at most sim.MaxShards.
+	// Purely an execution-layout knob — results are bit-identical for
+	// every shard count, so it is excluded from the fingerprint. Ignored when World is set (the
 	// injected world already has its layout) and for KindNetworkSize,
 	// whose walker world is built internally and follows the
 	// process-wide default.
@@ -414,8 +414,8 @@ func (s *Spec) Validate() error {
 	if s.SnapshotEvery < 0 {
 		return fmt.Errorf("antdensity: Spec.SnapshotEvery must be >= 0 (0 means every round), got %d", s.SnapshotEvery)
 	}
-	if s.Shards < 0 {
-		return fmt.Errorf("antdensity: Spec.Shards must be >= 0 (0 means auto), got %d", s.Shards)
+	if s.Shards < 0 || s.Shards > sim.MaxShards {
+		return fmt.Errorf("antdensity: Spec.Shards must be in [0, %d] (0 means auto), got %d", sim.MaxShards, s.Shards)
 	}
 	if s.Delta < 0 || s.Delta >= 1 {
 		return fmt.Errorf("antdensity: Spec.Delta %v outside (0, 1) (0 means the 0.05 default)", s.Delta)
@@ -508,8 +508,8 @@ func (s *Spec) validateNetsize() error {
 	if s.SnapshotEvery < 0 {
 		return fmt.Errorf("antdensity: Spec.SnapshotEvery must be >= 0 (0 means every round), got %d", s.SnapshotEvery)
 	}
-	if s.Shards < 0 {
-		return fmt.Errorf("antdensity: Spec.Shards must be >= 0 (0 means auto), got %d", s.Shards)
+	if s.Shards < 0 || s.Shards > sim.MaxShards {
+		return fmt.Errorf("antdensity: Spec.Shards must be in [0, %d] (0 means auto), got %d", sim.MaxShards, s.Shards)
 	}
 	if !s.Stationary {
 		if s.SeedVertex < 0 || s.SeedVertex >= s.Graph.NumNodes() {
