@@ -67,7 +67,6 @@ func cmdQuorum(args []string) error {
 	seed := fs.Uint64("seed", 1, "random seed")
 	adaptive := fs.Bool("adaptive", false, "anytime mode: per-agent early stopping instead of the fixed theta-sized horizon")
 	maxRounds := fs.Int("max-rounds", 40000, "adaptive-mode round budget")
-	shards := fs.Int("shards", 0, "spatial shards for the world (0 = auto); results are identical for any value")
 	advFlag := fs.String("adversary", "", adversaryFlagUsage)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -94,7 +93,7 @@ func cmdQuorum(args []string) error {
 		return err
 	}
 	opts := []antdensity.SpecOption{antdensity.WithGraph(g), antdensity.WithAgents(*agents),
-		antdensity.WithSeed(*seed), antdensity.WithShards(*shards)}
+		antdensity.WithSeed(*seed)}
 	var spec *antdensity.Spec
 	if *adaptive {
 		spec = antdensity.AdaptiveQuorumSpec(*threshold, append(opts, antdensity.WithRounds(*maxRounds),

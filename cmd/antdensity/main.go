@@ -27,7 +27,6 @@ import (
 	"antdensity/internal/expfmt"
 	"antdensity/internal/results"
 	"antdensity/internal/rng"
-	"antdensity/internal/sim"
 	"antdensity/internal/stats"
 	"antdensity/internal/walk"
 )
@@ -113,14 +112,10 @@ func cmdRun(args []string) (err error) {
 	seed := fs.Uint64("seed", 1, "random seed")
 	quick := fs.Bool("quick", false, "reduced trial counts")
 	workers := fs.Int("workers", 0, "trial-runner goroutines (0 = all CPUs); results are identical for any value")
-	shards := fs.Int("shards", 0, "spatial shards per world (0 = auto); results are identical for any value")
 	format := fs.String("format", "text", "output format: text, json, or csv")
 	prof := addProfileFlags(fs, "the selected runs")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if err := sim.SetDefaultShards(*shards); err != nil {
-		return fmt.Errorf("run: -shards: %w", err)
 	}
 	f, err := parseFormat(*format)
 	if err != nil {
@@ -197,7 +192,6 @@ func cmdEstimate(args []string) (err error) {
 	agents := fs.Int("agents", 1001, "number of agents")
 	rounds := fs.Int("rounds", 1000, "rounds of Algorithm 1")
 	seed := fs.Uint64("seed", 1, "random seed")
-	shards := fs.Int("shards", 0, "spatial shards for the world (0 = auto); results are identical for any value")
 	advFlag := fs.String("adversary", "", adversaryFlagUsage)
 	prof := addProfileFlags(fs, "the estimation run")
 	if err := fs.Parse(args); err != nil {
@@ -219,7 +213,7 @@ func cmdEstimate(args []string) (err error) {
 		return err
 	}
 	spec := antdensity.DensitySpec(antdensity.WithGraph(g), antdensity.WithAgents(*agents),
-		antdensity.WithRounds(*rounds), antdensity.WithSeed(*seed), antdensity.WithShards(*shards))
+		antdensity.WithRounds(*rounds), antdensity.WithSeed(*seed))
 	spec.Adversary = adv
 	stopProf, err := prof.start()
 	if err != nil {

@@ -50,7 +50,6 @@ import (
 
 	"antdensity"
 	"antdensity/internal/results"
-	"antdensity/internal/sim"
 )
 
 // maxRequestBody caps POST /v1/runs payloads: a run spec is a small
@@ -81,12 +80,8 @@ func cmdServe(args []string) error {
 	fs.Float64Var(&cfg.rate, "rate", 0, "per-client submissions per second (0 = no rate limit)")
 	fs.IntVar(&cfg.burst, "burst", 20, "per-client rate-limit burst")
 	fs.BoolVar(&cfg.noCache, "no-cache", false, "disable the (Spec, seed) result cache")
-	shards := fs.Int("shards", 0, "default spatial shards per run world (0 = auto); results are identical for any value")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if err := sim.SetDefaultShards(*shards); err != nil {
-		return fmt.Errorf("serve: -shards: %w", err)
 	}
 	s, err := newServer(cfg)
 	if err != nil {
@@ -242,7 +237,10 @@ func (s *server) handler() http.Handler {
 }
 
 // runRequest is the POST /v1/runs payload: a JSON rendering of a
-// Spec plus a graph recipe.
+// Spec plus a graph recipe. Like a Spec it has no layout field: the
+// run's world picks its own shape, so a POST naming one (such as
+// "shards") gets the unknown-field 400, while journal replay, which
+// decodes with json.Unmarshal, ignores it in archived records.
 type runRequest struct {
 	Kind  string       `json:"kind"`
 	Graph graphRequest `json:"graph"`
@@ -267,12 +265,6 @@ type runRequest struct {
 	SeedVertex int64 `json:"seed_vertex,omitempty"`
 
 	SnapshotEvery int `json:"snapshot_every,omitempty"`
-
-	// Shards is the spatial shard count for the run's world (0 = auto,
-	// honoring the server's -shards default). Execution layout only:
-	// results and fingerprints are identical for any value, so sharded
-	// and flat submissions of the same spec dedup together.
-	Shards int `json:"shards,omitempty"`
 }
 
 type noiseRequest struct {
@@ -343,7 +335,6 @@ func specFromRequest(req runRequest) (*antdensity.Spec, error) {
 	if req.SnapshotEvery != 0 {
 		s.SnapshotEvery = req.SnapshotEvery
 	}
-	s.Shards = req.Shards
 	return s, nil
 }
 

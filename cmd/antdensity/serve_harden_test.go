@@ -693,6 +693,80 @@ func TestServeJournalReplayWithoutFingerprint(t *testing.T) {
 	}
 }
 
+// TestServeJournalReplayIgnoresShards replays a journal whose submit
+// records carry a "shards" field, as journals written while requests
+// could name a shard count do. The archived done run is served with
+// its stored bytes, and the interrupted run is resubmitted and
+// finishes with the bytes of the same POST without the field.
+func TestServeJournalReplayIgnoresShards(t *testing.T) {
+	dir := t.TempDir()
+	srv1, s1 := newTestServerCfg(t, serveConfig{workers: 2, dataDir: dir})
+	archived := postRun(t, srv1, `{"kind": "density", "graph": {"kind": "torus2d", "side": 20}, "agents": 21, "rounds": 100, "seed": 41}`)
+	resumed := postRun(t, srv1, `{"kind": "quorum", "graph": {"kind": "torus2d", "side": 20}, "agents": 41, "rounds": 200, "threshold": 0.1, "seed": 42}`)
+	want := map[string][]byte{}
+	for _, id := range []string{archived.ID, resumed.ID} {
+		waitState(t, srv1, id, "done")
+		want[id] = getBytes(t, srv1.URL+"/v1/runs/"+id+"/result", http.StatusOK)
+	}
+	srv1.Close()
+	s1.close()
+
+	// Every submit record gains "shards": 4, and the resumed run loses
+	// its terminal record, as if the service had died mid-run.
+	path := filepath.Join(dir, journal.FileName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	shardsAdded := 0
+	for _, line := range bytes.SplitAfter(raw, []byte("\n")) {
+		var rec map[string]json.RawMessage
+		if json.Unmarshal(line, &rec) != nil {
+			out.Write(line)
+			continue
+		}
+		switch string(rec["type"]) {
+		case `"terminal"`:
+			if string(rec["id"]) == `"`+resumed.ID+`"` {
+				continue
+			}
+		case `"submit"`:
+			var spec map[string]json.RawMessage
+			if err := json.Unmarshal(rec["spec"], &spec); err != nil {
+				t.Fatal(err)
+			}
+			spec["shards"] = json.RawMessage("4")
+			b, err := json.Marshal(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec["spec"] = b
+			shardsAdded++
+		}
+		b, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Write(append(b, '\n'))
+	}
+	if shardsAdded != 2 {
+		t.Fatalf("rewrote %d submit records, want 2", shardsAdded)
+	}
+	if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, _ := newTestServerCfg(t, serveConfig{workers: 2, dataDir: dir})
+	if got := getBytes(t, srv2.URL+"/v1/runs/"+archived.ID+"/result", http.StatusOK); !bytes.Equal(got, want[archived.ID]) {
+		t.Fatalf("archived result differs:\nbefore: %s\nafter:  %s", want[archived.ID], got)
+	}
+	waitState(t, srv2, resumed.ID, "done")
+	if got := getBytes(t, srv2.URL+"/v1/runs/"+resumed.ID+"/result", http.StatusOK); !bytes.Equal(got, want[resumed.ID]) {
+		t.Fatalf("resumed result differs:\nbefore: %s\nafter:  %s", want[resumed.ID], got)
+	}
+}
+
 // submit POSTs a run and returns the status with the decoded
 // snapshot, for callers that expect a cache hit as well as a fresh run.
 func submit(t *testing.T, srv *httptest.Server, body string) (int, runSnapshot) {

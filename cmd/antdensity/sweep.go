@@ -12,7 +12,6 @@ import (
 	"antdensity/internal/experiments"
 	"antdensity/internal/expfmt"
 	"antdensity/internal/results"
-	"antdensity/internal/sim"
 )
 
 // This file implements the sweep subcommand: it executes a
@@ -62,16 +61,12 @@ func cmdSweep(args []string) (err error) {
 	seed := fs.Uint64("seed", 1, "random seed")
 	quick := fs.Bool("quick", false, "reduced trial counts")
 	workers := fs.Int("workers", 0, "trial-runner goroutines (0 = all CPUs); results are identical for any value")
-	shards := fs.Int("shards", 0, "spatial shards per world (0 = auto); results are identical for any value")
 	format := fs.String("format", "text", "output format: text, json, or csv")
 	prof := addProfileFlags(fs, "the sweep")
 	var axes repeatedFlag
 	fs.Var(&axes, "axis", "axis override name=v1,v2,... or name=lo:hi:step (repeatable)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if err := sim.SetDefaultShards(*shards); err != nil {
-		return fmt.Errorf("sweep: -shards: %w", err)
 	}
 	stopProf, err := prof.start()
 	if err != nil {

@@ -55,24 +55,24 @@
 //     arithmetic; worlds without a batched kernel for their policy
 //     take the scalar Policy.Step loop, the only other step path. An
 //     incrementally maintained occupancy index (dense array, or a
-//     split-array open-address table, chosen by a memory-budget rule)
-//     serves counts. Config.Shards (Spec.WithShards, CLI -shards)
-//     partitions the graph into contiguous node-range slabs via
-//     internal/shard: each shard owns its agents' hot state and a
-//     slab-local occupancy index, rounds run as shard-local stepping
-//     plus deterministic cross-shard migration through per-(src,dst)
-//     mailboxes merged in fixed order, and the dense-index memory
-//     budget applies per slab — so graphs too large for a flat dense
-//     index get dense per-shard indexes. The shard is also sim's only
-//     parallel grain: StepParallel hands whole shards to a persistent
-//     worker pool, and on an unsharded world it is Step. The batched
-//     path is proven bit-identical to the scalar reference by a
-//     property-test matrix (uniform × per-agent stepping, dense ×
+//     split-array open-address table) serves counts. The world picks
+//     its own shape, and nothing above sim.Config sets it: one memory
+//     budget per world picks the index from the node and agent
+//     counts, and worlds of a million agents or more split into
+//     GOMAXPROCS contiguous node-range slabs via internal/shard.
+//     Each shard owns its agents' hot state and a
+//     slab-local occupancy index in the world's representation, and
+//     rounds run as shard-local stepping plus deterministic
+//     cross-shard migration through per-(src,dst) mailboxes merged in
+//     fixed order. The shard is also sim's only parallel grain: Step
+//     hands whole shards to min(shards, GOMAXPROCS) workers of a
+//     persistent pool, and steps an unsharded world serially. The
+//     batched path is proven bit-identical to the scalar reference by
+//     a property-test matrix (uniform × per-agent stepping, dense ×
 //     sparse, shards ∈ {1,2,7}) — the bulk RNG fills advance each
 //     agent's stream exactly as scalar draws would, and migrants carry
 //     their private streams with them, so results never depend on
-//     which path executed or how the world is partitioned (sharding is
-//     excluded from the Spec fingerprint for exactly this reason).
+//     which path executed or how the world is partitioned.
 //
 // Estimation runs through sim's streaming observation pipeline: Run
 // advances the world round by round and hands every registered

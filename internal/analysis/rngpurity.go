@@ -171,7 +171,7 @@ func (p *Pass) checkPackageState() {
 }
 
 // rootObject strips selectors, indexing, derefs, and parens down to
-// the base identifier's object: registry[k], defaultShards.Store,
+// the base identifier's object: registry[k], counter.Store,
 // (&box).field all root at their package-level var.
 func rootObject(info *types.Info, e ast.Expr) types.Object {
 	for {

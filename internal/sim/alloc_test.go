@@ -1,15 +1,16 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"antdensity/internal/topology"
 )
 
 // Allocation regression tests pinning the hot path at zero
-// steady-state allocations: once the occupancy index is live and the
-// parallel pool is warm, Step, StepParallel, and the count queries
-// must not allocate. A regression here means a per-round map rebuild,
+// steady-state allocations: once the occupancy index is live and a
+// sharded world's worker pool is warm, Step and the count queries must
+// not allocate. A regression here means a per-round map rebuild,
 // goroutine churn, or stream boxing crept back in.
 
 func requireZeroAllocs(t *testing.T, name string, f func()) {
@@ -104,18 +105,23 @@ func TestBatchedPoliciesZeroAllocs(t *testing.T) {
 	})
 }
 
-// TestStepParallelZeroAllocs pins StepParallel on an unsharded world
-// at zero allocations: it is Step, and spawns no worker pool.
+// TestStepParallelZeroAllocs pins Step on an unsharded world at
+// GOMAXPROCS 4 at zero allocations: it steps serially and spawns no
+// worker pool.
 func TestStepParallelZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	g := topology.MustTorus(2, 64)
 	w := MustWorld(Config{Graph: g, NumAgents: 4096, Seed: 3})
 	w.Count(0)
-	requireZeroAllocs(t, "StepParallel(4)", func() {
-		w.StepParallel(4)
+	requireZeroAllocs(t, "Step (unsharded, GOMAXPROCS 4)", func() {
+		w.Step()
 	})
+	if w.pool != nil {
+		t.Error("Step on an unsharded world built a worker pool")
+	}
 }
 
 func TestCountsIntoZeroAllocs(t *testing.T) {
@@ -209,33 +215,37 @@ func padShardCapacities(w *World) {
 
 // TestShardedStepZeroAllocs pins the sharded round — both phases,
 // including cross-shard migration and incremental slab occupancy — at
-// zero steady-state allocations, serial and through the pool, plus the
-// sharded bulk count reduction.
+// zero steady-state allocations, serial and through Step's pool, plus
+// the sharded bulk count reduction.
 func TestShardedStepZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	g := topology.MustTorus(2, 64)
 	w := MustWorld(Config{Graph: g, NumAgents: 4096, Seed: 12, Shards: 4})
 	defer w.Close()
 	w.SetTagged(0, true)
-	w.Count(0)        // live index: phases maintain slabs incrementally
-	w.StepParallel(4) // create and warm the pool
+	w.Count(0) // live index: phases maintain slabs incrementally
+	w.Step()   // create and warm the 4-worker pool
 	buf := make([]int, w.NumAgents())
 	w.CountsAllInto(buf)
 	padShardCapacities(w)
 	for r := 0; r < 4; r++ { // settle prev/scratch views after padding
+		w.stepSharded(1)
 		w.Step()
-		w.StepParallel(4)
 	}
-	requireZeroAllocs(t, "Step+Count (sharded serial)", func() {
-		w.Step()
+	requireZeroAllocs(t, "stepSharded(1)+Count (sharded serial)", func() {
+		w.stepSharded(1)
 		_ = w.Count(9)
 		_ = w.CountTagged(9)
 	})
-	requireZeroAllocs(t, "StepParallel(4) (sharded)", func() {
-		w.StepParallel(4)
+	requireZeroAllocs(t, "Step (sharded, 4 pooled workers)", func() {
+		w.Step()
 	})
+	if w.pool == nil || w.pool.workers() != 4 {
+		t.Error("Step on a 4-shard world at GOMAXPROCS 4 did not run a 4-worker pool")
+	}
 	requireZeroAllocs(t, "CountsAllInto (sharded)", func() { w.CountsAllInto(buf) })
 	requireZeroAllocs(t, "CountsTaggedAllInto (sharded)", func() { w.CountsTaggedAllInto(buf) })
 	// Grouping an agent only now keeps the stepping pins above free of

@@ -13,11 +13,11 @@ import (
 )
 
 // Sharded-stepping benchmarks: the PR 9 spatial domain decomposition
-// on the 4096×4096 torus (16.8M nodes — sparse when flat, dense slabs
-// from 4 shards up, since the OccAuto budget applies per shard). One
-// op is a synchronous round via StepParallel(shards); shards=1 is the
-// flat serial baseline. Default population is 1M agents so the CI
-// `-benchtime=1x` smoke stays cheap; set SHARD_BENCH_10M=1 for the
+// on the 4096×4096 torus (16.8M nodes). One op is a synchronous round
+// via Step, which runs min(shards, GOMAXPROCS) workers, so `-cpu 1,2,4`
+// sweeps the worker count; shards=1 is the flat serial baseline. The
+// default population is 1M agents so the CI `-benchtime=1x` smoke
+// stays cheap; set SHARD_BENCH_10M=1 for the
 // 10M-agent configuration recorded in BENCH_PR9.json. Numbers from a
 // machine whose GOMAXPROCS exceeds its hardware CPUs measure
 // oversubscription, not scaling — see the "env" block in
@@ -44,11 +44,11 @@ func BenchmarkWorldStepSharded(b *testing.B) {
 		b.Run(fmt.Sprintf("torus2d-4096/%d/s%d", agents, shards), func(b *testing.B) {
 			w := MustWorld(Config{Graph: g, NumAgents: agents, Seed: 1, Shards: shards})
 			defer w.Close()
-			w.StepParallel(shards) // warm pool, scratch, and outbox capacities
+			w.Step() // warm pool, scratch, and outbox capacities
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				w.StepParallel(shards)
+				w.Step()
 			}
 		})
 	}
@@ -57,9 +57,10 @@ func BenchmarkWorldStepSharded(b *testing.B) {
 // BenchmarkWorldStepCountSharded is the full Algorithm 1 inner round
 // (step + every agent's count) sharded: it additionally exercises the
 // incremental slab occupancy through migration and the shard-local
-// bulk count reduction. On this graph the flat baseline pays the
-// sparse hash index while 4 shards get dense slabs — the structural
-// win of partitioning, on top of the parallelism.
+// bulk count reduction. The occupancy representation follows the
+// world's size alone, so at 1M agents the flat baseline and the 4
+// slabs both hold a dense index of the same 128 MiB: the comparison is
+// at equal memory.
 func BenchmarkWorldStepCountSharded(b *testing.B) {
 	g := topology.MustTorus(2, 4096)
 	agents := benchShardAgents()
@@ -69,12 +70,12 @@ func BenchmarkWorldStepCountSharded(b *testing.B) {
 			w := MustWorld(Config{Graph: g, NumAgents: agents, Seed: 1, Shards: shards})
 			defer w.Close()
 			w.CountsAllInto(counts) // build the live index
-			w.StepParallel(shards)
+			w.Step()
 			w.CountsAllInto(counts)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				w.StepParallel(shards)
+				w.Step()
 				w.CountsAllInto(counts)
 			}
 		})
@@ -83,24 +84,30 @@ func BenchmarkWorldStepCountSharded(b *testing.B) {
 
 // shardScalingReport is the JSON written by TestShardScaling (the CI
 // shard-scaling gate): wall-clock per round for the flat serial world
-// and the 4-shard 4-worker world, with the benchenv block making
+// and the 4-shard world stepped on 4 workers, each world's resolved
+// occupancy representation, and the benchenv block making
 // oversubscribed numbers machine-detectable.
 type shardScalingReport struct {
 	Env        benchenv.Env `json:"env"`
 	Graph      string       `json:"graph"`
 	Agents     int          `json:"agents"`
 	Rounds     int          `json:"rounds"`
+	FlatOcc    string       `json:"flat_occupancy"`
+	Shard4Occ  string       `json:"shards4_occupancy"`
 	FlatNsOp   int64        `json:"flat_ns_per_round"`
 	Shard4NsOp int64        `json:"shards4_ns_per_round"`
 	Speedup    float64      `json:"speedup"`
 }
 
 // TestShardScaling is the CI multi-core regression gate: on a runner
-// with >= 4 CPUs, a 1M-agent 4096×4096 torus stepped as 4 shards by 4
-// workers must beat the flat serial world. Gated behind SHARD_SCALING=1
-// because wall-clock assertions are meaningless on loaded or
-// single-core machines (the dev container has one CPU); CI runs it on
-// the multi-core runner. SHARD_SCALING_OUT names a JSON report path.
+// with >= 4 CPUs, a 1M-agent 4096×4096 torus stepped as 4 shards on 4
+// workers must beat the flat serial world. Both worlds resolve the
+// same dense occupancy representation (the world rule reads only the
+// node and agent counts), so the comparison is at equal memory; the
+// gate times Step alone, which builds neither index. Gated behind
+// SHARD_SCALING=1 because wall-clock assertions are meaningless on
+// loaded or single-core machines; CI runs it on the multi-core runner.
+// SHARD_SCALING_OUT names a JSON report path.
 func TestShardScaling(t *testing.T) {
 	if os.Getenv("SHARD_SCALING") == "" {
 		t.Skip("set SHARD_SCALING=1 to run the wall-clock shard scaling gate")
@@ -108,38 +115,42 @@ func TestShardScaling(t *testing.T) {
 	if n := runtime.NumCPU(); n < 4 {
 		t.Skipf("need >= 4 CPUs for an honest scaling measurement, have %d", n)
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	g := topology.MustTorus(2, 4096)
 	const agents = 1 << 20
 	const rounds = 40
-	measure := func(shards, workers int) time.Duration {
+	occName := map[OccupancyIndex]string{OccDense: "dense", OccSparse: "sparse"}
+	measure := func(shards int) (time.Duration, string) {
 		w := MustWorld(Config{Graph: g, NumAgents: agents, Seed: 1, Shards: shards})
 		defer w.Close()
 		best := time.Duration(0)
 		for rep := 0; rep < 3; rep++ {
 			for r := 0; r < 3; r++ { // warm pool, scratch, outboxes
-				w.StepParallel(workers)
+				w.Step()
 			}
 			start := time.Now()
 			for r := 0; r < rounds; r++ {
-				w.StepParallel(workers)
+				w.Step()
 			}
 			if d := time.Since(start); best == 0 || d < best {
 				best = d
 			}
 		}
-		return best
+		return best, occName[w.occMode]
 	}
-	flat := measure(1, 1)
-	sharded := measure(4, 4)
+	flat, flatOcc := measure(1)
+	sharded, shardOcc := measure(4)
 	speedup := float64(flat) / float64(sharded)
-	t.Logf("flat serial: %v/round, shards=4 workers=4: %v/round, speedup %.2fx",
-		flat/rounds, sharded/rounds, speedup)
+	t.Logf("flat serial (%s): %v/round, shards=4 workers=4 (%s): %v/round, speedup %.2fx",
+		flatOcc, flat/rounds, shardOcc, sharded/rounds, speedup)
 	if out := os.Getenv("SHARD_SCALING_OUT"); out != "" {
 		rep := shardScalingReport{
 			Env:        benchenv.Capture(),
 			Graph:      "torus2d-4096",
 			Agents:     agents,
 			Rounds:     rounds,
+			FlatOcc:    flatOcc,
+			Shard4Occ:  shardOcc,
 			FlatNsOp:   flat.Nanoseconds() / rounds,
 			Shard4NsOp: sharded.Nanoseconds() / rounds,
 			Speedup:    speedup,

@@ -12,7 +12,7 @@
 // value per agent), so the same Config produces the same byte-for-byte
 // results regardless of scheduling. The invariant is load-bearing and
 // guarded by property tests: for a fixed seed, positions and all count
-// queries are identical for every shard count and StepParallel worker
+// queries are identical for every shard count and stepping worker
 // count, whether agents step through the batched path or the scalar
 // per-agent path, and whether the occupancy index is dense or sparse.
 //
@@ -54,12 +54,22 @@
 //
 // # Parallelism is per shard
 //
-// The shard is the only parallel grain. StepParallel on a sharded
-// world spreads whole shards over a persistent worker pool (created
-// lazily on first use, reused every round, so steady-state parallel
-// stepping starts no goroutines and allocates nothing); on an
-// unsharded world it is Step. With the index active, Step,
-// StepParallel, and Count run at zero allocations per round.
+// The shard is the only parallel grain. Step on a sharded world
+// spreads whole shards over min(shards, GOMAXPROCS) workers from a
+// persistent pool (created lazily on first use, reused every round, so
+// steady-state parallel stepping starts no goroutines and allocates
+// nothing); an unsharded world always steps serially. With the index
+// active, Step and Count run at zero allocations per round.
+//
+// # World shape
+//
+// A world's shape is a function of its inputs, decided once in
+// NewWorld: the occupancy representation from the node and agent
+// counts, the shard count from the agent count and GOMAXPROCS, and
+// the step workers from the shard count and GOMAXPROCS. None of them
+// changes a result, so nothing above Config can set them.
+// Config.Shards and Config.Occupancy are explicit overrides for tests,
+// benchmarks, and worlds injected into a Spec.
 //
 // # Spatial sharding (Config.Shards)
 //
@@ -73,25 +83,18 @@
 // phases: every shard steps its own agents through the same two step
 // paths as the flat world, depositing agents that crossed a slab
 // boundary into per-(src,dst) mailboxes; then each destination shard
-// drains its mailboxes in fixed (source shard, insertion index) order. That fixed merge
-// order, plus each agent carrying its private rng stream with it,
-// makes sharded results bit-identical to the flat world for every
-// shard and worker count — the property matrix steps shards ∈
-// {1,2,7} against the flat reference. Because sharding cannot change
-// results, Spec.Shards is excluded from the canonical fingerprint.
+// drains its mailboxes in fixed (source shard, insertion index) order.
+// That fixed merge order, plus each agent carrying its private rng
+// stream with it, makes sharded results bit-identical to the flat
+// world for every shard and worker count — the property matrix steps
+// shards ∈ {1,2,7} against the flat reference.
 //
-// Sharding pays off twice. It is the unit of multi-core work: with K
-// shards, StepParallel(K) gives each worker whole-shard ownership, no
-// shared writes, no false sharing, zero steady-state allocations.
-// And it shrinks the occupancy problem: the dense-index memory budget
-// applies per shard slab, so a graph too large for a flat dense index
-// (the 16.8M-node 4096×4096 torus) gets dense per-slab indexes from a
-// few shards up — a single-core structural win on the step+count
-// round measured in BENCH_PR9.json. Shards = 0 (ShardAuto) resolves
-// to the process default (SetDefaultShards, the CLI -shards flag),
-// else GOMAXPROCS for worlds of at least a million agents, else 1.
-// Every count is capped at MaxShards (64): an explicit count above it
-// is an error, because the per-(src,dst) mailboxes grow as K².
+// Shards = 0 (ShardAuto) resolves to GOMAXPROCS for worlds of at least
+// a million agents, else 1. Every count is capped at MaxShards (64):
+// an explicit count above it is an error, because the per-(src,dst)
+// mailboxes grow as K². The shard is the unit of multi-core work: with
+// K shards, each of Step's workers owns whole shards, with no shared
+// writes, no false sharing, and zero steady-state allocations.
 //
 // # Occupancy index selection
 //
@@ -99,24 +102,27 @@
 // (occIndex, occindex.go) with two interchangeable representations.
 // One index type serves both world shapes: the flat world keeps one
 // over the whole graph, and each shard slab keeps one over its own
-// node range; the world resolves the representation once and only
-// the index's own methods branch on it. When the node span fits the
-// dense memory budget (at most 1<<22 nodes, 32 MiB of cells), the
-// index is a []cell array indexed by node offset in the span; larger
-// spans — including the paper's "A larger than the area agents
+// node range. The world resolves the representation once, from its
+// node count and population alone, and every slab inherits it, so the
+// shard count never changes the representation or its memory; only
+// the index's own methods branch on it. OccAuto picks the dense []cell
+// array, indexed by node offset in the span, when the world has at
+// most max(1<<22, 32 × agents) nodes — max(32 MiB, 256 B per agent)
+// of cells — and never above the 1<<26-node force limit. Larger
+// worlds — including the paper's "A larger than the area agents
 // traverse" regime with 10^12-node tori — use a sparse open-addressing
 // table keyed by occupied node, stored as split key/cell arrays so
 // probe loops touch 8-byte key slots and bulk queries batch their
 // probe sequences (lookupInto). Config.Occupancy can force either
-// choice (OccDense, OccSparse) for testing or tuning; OccAuto applies
-// the budget rule. Both representations are maintained incrementally
-// while the world steps: once a count query has built the index, each
-// subsequent round only decrements the cell an agent left and
-// increments the cell it entered, so Count/CountTagged/CountInGroup
-// never trigger an O(agents) rebuild and allocate nothing in steady
-// state. The dense update is a plain in-order scatter on purpose: a
-// cache-blocked counting-sort variant was measured and lost at every
-// reachable size (see applyMoves).
+// choice (OccDense, OccSparse) for testing or tuning. Both
+// representations are maintained incrementally while the world steps:
+// once a count query has built the index, each subsequent round only
+// decrements the cell an agent left and increments the cell it
+// entered, so Count/CountTagged/CountInGroup never trigger an
+// O(agents) rebuild and allocate nothing in steady state. The dense
+// update is a plain in-order scatter on purpose: a cache-blocked
+// counting-sort variant was measured and lost at every reachable size
+// (see applyMoves).
 //
 // # Observation pipeline
 //

@@ -128,8 +128,8 @@ func TestFastPathBitIdentical(t *testing.T) {
 					for r := 0; r < 5; r++ {
 						fast.Step()
 						slow.Step()
-						sh2.Step()
-						sh7.StepParallel(3)
+						sh2.stepSharded(1)
+						sh7.stepSharded(3)
 						ctx := fmt.Sprintf("%s/%s case %d round %d", tp.name, pl.name, c, r)
 						compareWorlds(t, slow, fast, ctx+" dense+uniform")
 						compareWorlds(t, slow, sh2, ctx+" sharded2+serial")
@@ -237,8 +237,9 @@ func TestAdjBulkHandlesIsolatedAndLoops(t *testing.T) {
 	}
 }
 
-// TestOccupancyIndexSelection pins the OccAuto budget rule and the
-// explicit-selection error path.
+// TestOccupancyIndexSelection pins OccAuto's world rule — dense when
+// the world has at most max(1<<22, 32 × agents) nodes, and never above
+// the 1<<26-node force limit — and the explicit-selection paths.
 func TestOccupancyIndexSelection(t *testing.T) {
 	small := MustWorld(Config{Graph: topology.MustTorus(2, 64), NumAgents: 10, Seed: 1})
 	if small.occMode != OccDense {
@@ -251,12 +252,34 @@ func TestOccupancyIndexSelection(t *testing.T) {
 	if small.occ.dense == nil {
 		t.Error("dense storage missing after the first count query")
 	}
-	// 2100^2 = 4.41M nodes exceeds the 1<<22 auto budget.
-	big := MustWorld(Config{Graph: topology.MustTorus(2, 2100), NumAgents: 10, Seed: 1})
-	if big.occMode != OccSparse {
-		t.Error("OccAuto on a 4.41M-node torus should pick the sparse index")
+	// 2100^2 = 4.41M nodes exceeds the fixed 1<<22 budget; 32 nodes per
+	// agent covers it from 137,813 agents up.
+	g := topology.MustTorus(2, 2100)
+	for _, c := range []struct {
+		agents int
+		want   OccupancyIndex
+	}{{10, OccSparse}, {137812, OccSparse}, {137813, OccDense}} {
+		if w := MustWorld(Config{Graph: g, NumAgents: c.agents, Seed: 1}); w.occMode != c.want {
+			t.Errorf("OccAuto on 4.41M nodes with %d agents picked %d, want %d", c.agents, w.occMode, c.want)
+		}
 	}
-	forced := MustWorld(Config{Graph: topology.MustTorus(2, 2100), NumAgents: 10, Seed: 1, Occupancy: OccDense})
+	for _, c := range []struct {
+		nodes  int64
+		agents int
+		want   OccupancyIndex
+	}{
+		{1 << 22, 1, OccDense},
+		{1<<22 + 1, 1, OccSparse},
+		{1 << 24, 1 << 19, OccDense},
+		{1 << 24, 1<<19 - 1, OccSparse},
+		{1 << 26, 1 << 21, OccDense},
+		{1<<26 + 1, 1 << 30, OccSparse}, // no population buys more than the force limit
+	} {
+		if got := autoOccupancy(c.nodes, c.agents); got != c.want {
+			t.Errorf("autoOccupancy(%d nodes, %d agents) = %d, want %d", c.nodes, c.agents, got, c.want)
+		}
+	}
+	forced := MustWorld(Config{Graph: g, NumAgents: 10, Seed: 1, Occupancy: OccDense})
 	if forced.occMode != OccDense {
 		t.Error("OccDense was not honored within the force limit")
 	}

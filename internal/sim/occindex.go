@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"antdensity/internal/shard"
-)
+import "fmt"
 
 // OccupancyIndex selects the representation of the occupancy index
 // that serves Count/CountTagged/CountInGroup queries; see the package
@@ -12,8 +8,9 @@ import (
 type OccupancyIndex int
 
 const (
-	// OccAuto picks OccDense when the graph's node count is at most
-	// denseOccupancyMaxNodes, and OccSparse otherwise.
+	// OccAuto picks by the world's node and agent counts
+	// (autoOccupancy): OccDense when the array fits the world's
+	// budget, OccSparse otherwise.
 	OccAuto OccupancyIndex = iota
 	// OccDense indexes occupancy with a flat []cell array of length
 	// NumNodes — O(1) untyped-array lookups, 8 bytes per node.
@@ -24,14 +21,41 @@ const (
 	OccSparse
 )
 
-// denseOccupancyMaxNodes is the OccAuto memory budget: up to 1<<22
-// cells of 8 bytes each (32 MiB) may be spent on the dense array.
+// denseOccupancyMaxNodes is the fixed part of OccAuto's budget: a
+// world of at most 1<<22 nodes (32 MiB of cells) gets the dense array
+// whatever its population.
 const denseOccupancyMaxNodes = 1 << 22
 
-// denseOccupancyForceLimit caps an explicit Config{Occupancy: OccDense}
-// request; beyond it the array itself would be unreasonably large
-// (1<<26 cells = 512 MiB).
+// denseOccupancyNodesPerAgent is the per-agent part of OccAuto's
+// budget: a larger world still gets the dense array while it has at
+// most this many nodes per agent (256 B of cells per agent). It is a
+// memory bound, set below the speed crossover. Whole density runs on
+// flat 4096² worlds (world build plus 100 rounds, GOMAXPROCS=1, 4
+// alternating reps, 2-vCPU VM) ran dense 1.3–1.5× faster than sparse
+// at 256 nodes per agent, 1.9–2.5× at 32 and 2.1–2.6× at 16; at 1024
+// sparse was faster (median 0.077 s against 0.109 s), because
+// allocating and zeroing the 128 MiB array outweighs what 16k agents
+// save per round.
+const denseOccupancyNodesPerAgent = 32
+
+// denseOccupancyForceLimit caps any world's dense array, picked by
+// OccAuto or forced by Config{Occupancy: OccDense}: beyond it the array
+// itself would be unreasonably large (1<<26 cells = 512 MiB).
 const denseOccupancyForceLimit = 1 << 26
+
+// autoOccupancy is OccAuto's rule: dense when the world's node count
+// is at most max(denseOccupancyMaxNodes, denseOccupancyNodesPerAgent ×
+// agents) and within the force limit, sparse otherwise. It reads only
+// the world's size, never its partition, so a sharded world's slabs
+// inherit the flat world's representation and the shard count changes
+// neither it nor its memory.
+func autoOccupancy(nodes int64, agents int) OccupancyIndex {
+	budget := max(denseOccupancyMaxNodes, denseOccupancyNodesPerAgent*int64(agents))
+	if nodes <= min(budget, denseOccupancyForceLimit) {
+		return OccDense
+	}
+	return OccSparse
+}
 
 // cell is one node's occupancy: every agent there, and the tagged ones.
 type cell struct {
@@ -60,40 +84,23 @@ type occIndex struct {
 	group  map[groupKey]int32
 }
 
-// initOcc resolves and validates the index mode chosen by cfg. For a
-// sharded world (part non-nil) the budget and force limits apply to
-// the widest shard's node span rather than the whole graph, because
-// each shard allocates its own dense slab — a 16M-node torus that is
-// sparse flat becomes dense under 4+ shards, one of the structural
-// wins of the decomposition.
-func (w *World) initOcc(mode OccupancyIndex, part *shard.Partition) error {
-	span := w.graph.NumNodes()
-	if part != nil && part.K() >= 2 {
-		span = 0
-		for s := 0; s < part.K(); s++ {
-			lo, hi := part.Bounds(s)
-			if hi-lo > span {
-				span = hi - lo
-			}
-		}
-	}
+// initOcc resolves and validates the index mode chosen by cfg, once
+// for the whole world; every slab of a sharded world uses it.
+func (w *World) initOcc(mode OccupancyIndex) error {
+	nodes := w.graph.NumNodes()
 	switch mode {
 	case OccAuto:
-		if span <= denseOccupancyMaxNodes {
-			mode = OccDense
-		} else {
-			mode = OccSparse
-		}
+		mode = autoOccupancy(nodes, len(w.pos))
 	case OccDense:
-		if span > denseOccupancyForceLimit {
-			return fmt.Errorf("sim: graph with %d nodes per shard is too large for a dense occupancy index (limit %d)", span, int64(denseOccupancyForceLimit))
+		if nodes > denseOccupancyForceLimit {
+			return fmt.Errorf("sim: graph with %d nodes is too large for a dense occupancy index (limit %d)", nodes, int64(denseOccupancyForceLimit))
 		}
 	case OccSparse:
 	default:
 		return fmt.Errorf("sim: unknown occupancy index selector %d", mode)
 	}
 	w.occMode = mode
-	w.occ.hi = w.graph.NumNodes()
+	w.occ.hi = nodes
 	return nil
 }
 

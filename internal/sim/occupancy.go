@@ -5,12 +5,13 @@ import (
 	"sort"
 )
 
-// This file holds the alternative collision-counting implementation
-// used as an ablation: counting by sorting the position array instead
-// of hashing it. Both paths must
-// agree exactly; CountsAll (hash) is the default because it wins at
-// the agent counts the experiments use, while sorting avoids hash
-// overhead for very large, collision-dense worlds.
+// This file holds the bulk count queries. CountsAllInto and its
+// tagged and per-group variants read every agent's count from the
+// occupancy index in one pass; they are the observation pipeline's
+// snapshot primitive. The *Sorted twins compute the same counts by
+// sorting a copy of the position array instead, as the
+// comparison-based reference the index is tested against; both must
+// agree exactly.
 
 // CountsAll returns every agent's count(position) for the current
 // round in one pass over the occupancy index — equivalent to calling

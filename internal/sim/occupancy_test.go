@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"antdensity/internal/topology"
@@ -50,19 +51,25 @@ func TestCountsAllSortedMatchesHash(t *testing.T) {
 	}
 }
 
-// TestStepParallelMatchesSerial pins StepParallel on an unsharded
-// world to Step: one shard is one parallel unit, so it steps serially
-// and never builds a worker pool.
+// TestStepParallelMatchesSerial pins who steps in parallel: at
+// GOMAXPROCS 4, Step on an unsharded world stays serial and builds no
+// worker pool, while Step on a 4-shard world runs a 4-worker pool and
+// matches the flat world bit for bit.
 func TestStepParallelMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	g := topology.MustTorus(2, 50)
 	serial := MustWorld(Config{Graph: g, NumAgents: 500, Seed: 9})
-	parallel := MustWorld(Config{Graph: g, NumAgents: 500, Seed: 9})
+	parallel := MustWorld(Config{Graph: g, NumAgents: 500, Seed: 9, Shards: 4})
+	defer parallel.Close()
 	for r := 0; r < 20; r++ {
 		serial.Step()
-		parallel.StepParallel(8)
+		parallel.Step()
 	}
-	if parallel.pool != nil {
-		t.Error("StepParallel on an unsharded world built a worker pool")
+	if serial.pool != nil {
+		t.Error("Step on an unsharded world built a worker pool")
+	}
+	if parallel.pool == nil || parallel.pool.workers() != 4 {
+		t.Error("Step on a 4-shard world at GOMAXPROCS 4 did not run a 4-worker pool")
 	}
 	for i := 0; i < serial.NumAgents(); i++ {
 		if serial.Pos(i) != parallel.Pos(i) {
@@ -82,12 +89,12 @@ func TestStepParallelSmallWorldFallback(t *testing.T) {
 	g := topology.MustTorus(2, 10)
 	w := MustWorld(Config{Graph: g, NumAgents: 3, Seed: 2, Shards: 5})
 	defer w.Close()
-	w.StepParallel(16) // must not panic or skip
+	w.stepSharded(16) // must not panic or skip
 	if w.Round() != 1 {
 		t.Errorf("Round = %d, want 1", w.Round())
 	}
 	if w.pool == nil || w.pool.workers() != 5 {
-		t.Errorf("StepParallel(16) on 5 shards did not run a 5-worker pool")
+		t.Errorf("stepSharded(16) on 5 shards did not run a 5-worker pool")
 	}
 }
 

@@ -6,12 +6,13 @@ import (
 	"antdensity/internal/topology"
 )
 
-// TestStepParallelWorkerInvariance asserts that StepParallel(k) on a
-// sharded world is bit-identical to Step on its flat twin for every
-// worker count, including more workers than shards — positions,
-// counts, and round counters — so parallel stepping can never change
-// an experiment's numbers. Run under -race this also exercises the
-// worker goroutines for data races.
+// TestStepParallelWorkerInvariance asserts that stepping a sharded
+// world on k workers (stepSharded(k), the kernel Step runs with
+// min(shards, GOMAXPROCS)) is bit-identical to Step on its flat twin
+// for every worker count, including more workers than shards —
+// positions, counts, and round counters — so parallel stepping can
+// never change an experiment's numbers. Run under -race this also
+// exercises the worker goroutines for data races.
 func TestStepParallelWorkerInvariance(t *testing.T) {
 	g := topology.MustTorus(2, 40)
 	const agents = 600
@@ -27,7 +28,7 @@ func TestStepParallelWorkerInvariance(t *testing.T) {
 		}
 		for r := 1; r <= rounds; r++ {
 			serial.Step()
-			parallel.StepParallel(k)
+			parallel.stepSharded(k)
 			sp, pp := serial.Positions(), parallel.Positions()
 			sc, pc := serial.CountsAll(), parallel.CountsAll()
 			st, pt := serial.CountsTaggedAll(), parallel.CountsTaggedAll()

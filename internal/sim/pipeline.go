@@ -158,33 +158,26 @@ func (r *Round) beginRound() {
 // other work (and by the allocation regression tests, which pin a
 // steady-state Step at zero allocations).
 type Runner struct {
-	w       *World
-	obs     []Observer
-	done    []bool
-	live    int // observers not yet done
-	workers int // stepping workers per round; >1 routes through StepParallel
-	r       Round
+	w    *World
+	obs  []Observer
+	done []bool
+	live int // observers not yet done
+	r    Round
 }
 
 // NewRunner returns a Runner observing w. The observer list may be
-// empty, in which case Step just advances the world. The stepping
-// worker count is the world's own recommendation (autoStepWorkers: one
-// worker per shard up to GOMAXPROCS for sharded worlds, serial
-// otherwise), so every pipeline-driven caller — Run, the estimators,
-// serve — parallelizes sharded worlds without a new parameter. Worker
-// count never affects results, by the determinism invariant.
+// empty, in which case Step just advances the world.
 func NewRunner(w *World, obs ...Observer) *Runner {
 	active := make([]bool, w.NumAgents())
 	for i := range active {
 		active[i] = true
 	}
 	return &Runner{
-		w:       w,
-		obs:     obs,
-		done:    make([]bool, len(obs)),
-		live:    len(obs),
-		workers: w.autoStepWorkers(),
-		r:       Round{w: w, active: active, numActive: w.NumAgents()},
+		w:    w,
+		obs:  obs,
+		done: make([]bool, len(obs)),
+		live: len(obs),
+		r:    Round{w: w, active: active, numActive: w.NumAgents()},
 	}
 }
 
@@ -206,11 +199,7 @@ func (rn *Runner) Step() bool {
 	if rn.Stopped() {
 		return false
 	}
-	if rn.workers > 1 {
-		rn.w.StepParallel(rn.workers)
-	} else {
-		rn.w.Step()
-	}
+	rn.w.Step()
 	rn.r.beginRound()
 	for k, o := range rn.obs {
 		if rn.done[k] {

@@ -7,8 +7,9 @@ import (
 
 // stepPool is a persistent set of worker goroutines that sharded
 // worlds reuse every round, instead of spawning goroutines and a
-// channel per call. The pool is created lazily on the first parallel
-// call and resized only when the requested worker count changes;
+// channel per call. The pool is created lazily by the first Step that
+// runs on two or more workers, and resized only when the worker count
+// (min(shards, GOMAXPROCS)) changes;
 // steady-state rounds perform two channel operations per worker and
 // allocate nothing.
 //
@@ -139,11 +140,11 @@ func (w *World) ensurePool(workers int) *stepPool {
 	return p
 }
 
-// Close stops the world's persistent worker pool, if a parallel call
-// on a sharded world created one. It is optional — an unreachable
-// World's pool is stopped by a GC cleanup — but releases the
-// goroutines promptly. The world remains usable; a later parallel call
-// creates a fresh pool.
+// Close stops the world's persistent worker pool, if stepping a
+// sharded world on two or more workers created one. It is optional —
+// an unreachable World's pool is stopped by a GC cleanup — but
+// releases the goroutines promptly. The world remains usable; a later
+// Step creates a fresh pool.
 func (w *World) Close() {
 	if w.pool != nil {
 		w.pool.stop()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync/atomic"
 
 	"antdensity/internal/rng"
 	"antdensity/internal/shard"
@@ -46,9 +45,8 @@ import (
 // mode and released at construction.
 
 // ShardAuto (the Config.Shards zero value) lets the world pick the
-// shard count: SetDefaultShards' value if set, otherwise GOMAXPROCS
-// (capped at MaxShards) for worlds with at least shardAutoMinAgents
-// agents, and 1 — no sharding — below that.
+// shard count: GOMAXPROCS (capped at MaxShards) for worlds with at
+// least shardAutoMinAgents agents, and 1 — no sharding — below that.
 const ShardAuto = 0
 
 // shardAutoMinAgents is the population below which ShardAuto keeps the
@@ -57,30 +55,10 @@ const ShardAuto = 0
 const shardAutoMinAgents = 1 << 20
 
 // MaxShards caps every shard count: ShardAuto picks at most this many,
-// and an explicit Config.Shards or SetDefaultShards value above it is
-// an error. The migration mailboxes grow as the square of the count,
-// so an uncapped one lets a single request allocate without bound.
+// and an explicit Config.Shards above it is an error. The migration
+// mailboxes grow as the square of the count, so an uncapped one lets a
+// single world allocate without bound.
 const MaxShards = 64
-
-// defaultShards is the process-wide ShardAuto override installed by
-// SetDefaultShards (the CLI's -shards flag).
-//
-//antlint:globalok execution-layout default only; results are shard-invariant for every count (TestRunShardInvariance)
-var defaultShards atomic.Int32
-
-// SetDefaultShards installs a process-wide shard count that ShardAuto
-// resolves to instead of its GOMAXPROCS heuristic. k <= 0 restores
-// the heuristic; k above MaxShards is an error and changes nothing.
-// Worlds whose Config.Shards is explicit are unaffected. Results are
-// shard-invariant, so flipping the default never changes any run's
-// output — only its execution layout.
-func SetDefaultShards(k int) error {
-	if k > MaxShards {
-		return fmt.Errorf("sim: shard count must be at most %d, got %d", MaxShards, k)
-	}
-	defaultShards.Store(int32(max(k, 0)))
-	return nil
-}
 
 // resolveShardCount maps cfg.Shards to an effective requested count,
 // before partitioning clamps it to the graph's unit count.
@@ -91,9 +69,6 @@ func resolveShardCount(cfg Config) (int, error) {
 	}
 	if k != ShardAuto {
 		return k, nil
-	}
-	if d := int(defaultShards.Load()); d > 0 {
-		return d, nil
 	}
 	if cfg.NumAgents < shardAutoMinAgents {
 		return 1, nil
@@ -184,26 +159,12 @@ func (w *World) Shards() int {
 	return len(w.sh.slabs)
 }
 
-// autoStepWorkers returns the worker count a driver with no explicit
-// preference should use: one shard per worker up to GOMAXPROCS for
-// sharded worlds, serial otherwise. The pipeline Runner uses it so
-// sharded worlds parallelize without every call site growing a knob.
-func (w *World) autoStepWorkers() int {
-	if w.sh == nil {
-		return 1
-	}
-	k := len(w.sh.slabs)
-	if g := runtime.GOMAXPROCS(0); g < k {
-		k = g
-	}
-	return k
-}
-
-// stepSharded advances one synchronous round in sharded mode. The
-// migration phase runs every round — even for worlds that never query
-// counts — because slab ownership (agent in slab s iff its position is
-// in s's range) is the structural invariant everything else indexes
-// by.
+// stepSharded advances one synchronous round in sharded mode on
+// min(workers, shards) workers; Step passes GOMAXPROCS, and tests pass
+// the count they need. The migration phase runs every round — even
+// for worlds that never query counts — because slab ownership (agent
+// in slab s iff its position is in s's range) is the structural
+// invariant everything else indexes by.
 //
 //antlint:noalloc
 func (w *World) stepSharded(workers int) {

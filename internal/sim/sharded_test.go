@@ -24,7 +24,7 @@ func TestShardedOwnershipInvariant(t *testing.T) {
 	w.Count(0) // live index, so migration also maintains occupancy
 	for r := 0; r < 12; r++ {
 		if r%3 == 2 {
-			w.StepParallel(3)
+			w.stepSharded(3)
 		} else {
 			w.Step()
 		}
@@ -124,55 +124,89 @@ func TestShardedPerAgentPoliciesAllocateNoScratch(t *testing.T) {
 	}
 }
 
-// TestShardedOccupancySelection pins the sharded OccAuto rule: budgets
-// apply to the widest shard span, not the whole graph, so a graph that
-// is sparse flat becomes dense under enough shards — the dense-slab
-// win the decomposition is partly for.
+// TestShardedOccupancySelection pins the world rule: the occupancy
+// representation follows the world's node and agent counts only, so
+// every explicit shard count of a shape resolves the flat world's
+// choice, and every slab's storage after the first count is that
+// representation. The 1<<20-agent world is resolved but never counted
+// (its dense index is 128 MiB).
 func TestShardedOccupancySelection(t *testing.T) {
-	g := topology.MustTorus(2, 2100) // 4.41M nodes: sparse flat (> 1<<22)
-	flat := MustWorld(Config{Graph: g, NumAgents: 100, Seed: 1})
-	if flat.occMode != OccSparse {
-		t.Error("flat 4.41M-node torus should be sparse under OccAuto")
+	shapes := []struct {
+		name   string
+		side   int64
+		agents int
+		want   OccupancyIndex
+		count  bool
+	}{
+		{"64²/10", 64, 10, OccDense, true},
+		{"2100²/100", 2100, 100, OccSparse, true},
+		{"4096²/100", 4096, 100, OccSparse, true},
+		{"4096²/2^20", 4096, 1 << 20, OccDense, false},
 	}
-	sh := MustWorld(Config{Graph: g, NumAgents: 100, Seed: 1, Shards: 4})
-	if sh.occMode != OccDense {
-		t.Error("4-sharded 4.41M-node torus should be dense under OccAuto (1.1M-node spans)")
-	}
-	sh.Count(0)
-	for s := range sh.sh.slabs {
-		sl := &sh.sh.slabs[s]
-		if sl.dense == nil {
-			t.Fatalf("shard %d: no dense slab after first count", s)
+	for _, sp := range shapes {
+		g := topology.MustTorus(2, sp.side)
+		for _, k := range []int{1, 2, 4, 7} {
+			w := MustWorld(Config{Graph: g, NumAgents: sp.agents, Seed: 1, Shards: k})
+			if w.Shards() != k {
+				t.Fatalf("%s: world has %d shards, want %d", sp.name, w.Shards(), k)
+			}
+			if w.occMode != sp.want {
+				t.Errorf("%s with %d shards resolved occupancy %d, want %d", sp.name, k, w.occMode, sp.want)
+			}
+			if !sp.count {
+				continue
+			}
+			w.Count(0)
+			indexes := []*occIndex{&w.occ}
+			if w.sh != nil {
+				indexes = indexes[:0]
+				for s := range w.sh.slabs {
+					indexes = append(indexes, &w.sh.slabs[s].occIndex)
+				}
+			}
+			for s, x := range indexes {
+				if dense := x.dense != nil; dense != (sp.want == OccDense) || dense == (x.sparse != nil) {
+					t.Errorf("%s with %d shards: index %d holds dense=%v sparse=%v, want %d", sp.name, k, s, dense, x.sparse != nil, sp.want)
+				}
+				if x.dense != nil && int64(len(x.dense)) != x.hi-x.lo {
+					t.Errorf("%s with %d shards: index %d has %d dense cells for span %d", sp.name, k, s, len(x.dense), x.hi-x.lo)
+				}
+			}
 		}
-		if int64(len(sl.dense)) != sl.hi-sl.lo {
-			t.Fatalf("shard %d: dense slab %d cells for span %d", s, len(sl.dense), sl.hi-sl.lo)
-		}
 	}
-	// The force limit also applies per shard: a 100M-node torus is too
-	// big for a flat dense index but fine across 4 shards.
+	// The force limit bounds the world, not a slab: 10^8 nodes is too
+	// big for a dense index at every shard count.
 	big := topology.MustTorus(2, 10000)
-	if _, err := NewWorld(Config{Graph: big, NumAgents: 10, Seed: 1, Occupancy: OccDense}); err == nil {
-		t.Error("flat OccDense beyond the force limit should error")
+	for _, k := range []int{1, 2, 4, 7} {
+		if _, err := NewWorld(Config{Graph: big, NumAgents: 10, Seed: 1, Occupancy: OccDense, Shards: k}); err == nil {
+			t.Errorf("OccDense on 10^8 nodes with %d shards should error", k)
+		}
 	}
-	if _, err := NewWorld(Config{Graph: big, NumAgents: 10, Seed: 1, Occupancy: OccDense, Shards: 4}); err != nil {
-		t.Errorf("4-sharded OccDense within the per-shard force limit should work: %v", err)
+}
+
+// TestShardedSparseFirstCountBytes pins the memory side of the world
+// rule: a 100-agent world on the 16.8M-node torus split into 4 shards
+// builds 4 small sparse slabs at its first count, not 128 MiB of dense
+// slabs.
+func TestShardedSparseFirstCountBytes(t *testing.T) {
+	w := MustWorld(Config{Graph: topology.MustTorus(2, 4096), NumAgents: 100, Seed: 1, Shards: 4})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w.Count(0)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("first Count allocated %d B, want under 1 MiB", got)
 	}
 }
 
 // TestShardAutoAndDefault pins ShardAuto resolution: small worlds stay
-// flat, SetDefaultShards overrides the heuristic, and explicit
-// Config.Shards beats the default.
+// flat, an explicit Config.Shards is honored, and counts outside
+// [0, MaxShards] error.
 func TestShardAutoAndDefault(t *testing.T) {
 	g := topology.MustTorus(2, 32)
 	auto := MustWorld(Config{Graph: g, NumAgents: 500, Seed: 1})
 	if auto.Shards() != 1 {
 		t.Errorf("small auto world sharded into %d", auto.Shards())
-	}
-	SetDefaultShards(3)
-	defer SetDefaultShards(0)
-	def := MustWorld(Config{Graph: g, NumAgents: 500, Seed: 1})
-	if def.Shards() != 3 {
-		t.Errorf("SetDefaultShards(3) world has %d shards", def.Shards())
 	}
 	explicit := MustWorld(Config{Graph: g, NumAgents: 500, Seed: 1, Shards: 2})
 	if explicit.Shards() != 2 {
@@ -180,7 +214,7 @@ func TestShardAutoAndDefault(t *testing.T) {
 	}
 	one := MustWorld(Config{Graph: g, NumAgents: 500, Seed: 1, Shards: 1})
 	if one.Shards() != 1 || one.sh != nil {
-		t.Error("Shards: 1 must force the flat path over the default")
+		t.Error("Shards: 1 must force the flat path")
 	}
 	if _, err := NewWorld(Config{Graph: g, NumAgents: 5, Seed: 1, Shards: -1}); err == nil {
 		t.Error("negative Shards should error")
@@ -188,18 +222,11 @@ func TestShardAutoAndDefault(t *testing.T) {
 	if _, err := NewWorld(Config{Graph: g, NumAgents: 5, Seed: 1, Shards: MaxShards + 1}); err == nil {
 		t.Errorf("Shards %d above MaxShards should error", MaxShards+1)
 	}
-	if err := SetDefaultShards(MaxShards + 1); err == nil {
-		t.Errorf("SetDefaultShards(%d) above MaxShards should error", MaxShards+1)
-	}
-	if w := MustWorld(Config{Graph: g, NumAgents: 500, Seed: 1}); w.Shards() != 3 {
-		t.Errorf("a refused SetDefaultShards changed the default of 3: world has %d shards", w.Shards())
-	}
 }
 
 // TestShardedRunner pins the pipeline integration: a Runner on a
-// sharded world steps it in parallel (one worker per shard, up to
-// GOMAXPROCS) with results bit-identical to a flat serial twin, and
-// sharded runs through Run/observers behave like unsharded ones.
+// sharded world steps it through Step, which runs one worker per shard
+// up to GOMAXPROCS, with results bit-identical to a flat serial twin.
 func TestShardedRunner(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
 	g := topology.MustTorus(2, 12)
@@ -208,9 +235,6 @@ func TestShardedRunner(t *testing.T) {
 	shw := MustWorld(Config{Graph: g, NumAgents: agents, Seed: 9, Shards: 4})
 	defer shw.Close()
 	rn := NewRunner(shw)
-	if rn.workers != 3 {
-		t.Fatalf("Runner on a 4-shard world at GOMAXPROCS 3 uses %d workers, want 3", rn.workers)
-	}
 	for r := 0; r < 10; r++ {
 		flat.Step()
 		rn.Step()
@@ -219,7 +243,10 @@ func TestShardedRunner(t *testing.T) {
 			return
 		}
 	}
-	if shw.pool == nil {
-		t.Error("Runner on a sharded world never engaged the parallel pool")
+	if shw.pool == nil || shw.pool.workers() != 3 {
+		t.Error("Runner on a 4-shard world at GOMAXPROCS 3 did not step on a 3-worker pool")
+	}
+	if flat.pool != nil {
+		t.Error("the flat world built a worker pool")
 	}
 }

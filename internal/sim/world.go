@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 
 	"antdensity/internal/rng"
@@ -74,9 +75,11 @@ type Config struct {
 	// World.SetPolicy.
 	Policy Policy
 	// Occupancy selects the occupancy-index representation; the zero
-	// value OccAuto picks the dense array when the graph fits the
-	// memory budget and the sparse map otherwise. Both give identical
-	// results; see the package documentation.
+	// value OccAuto picks from the world's node and agent counts alone
+	// (the dense array when it fits the world's budget, the sparse
+	// table otherwise), so every shard count gets the same one. Both
+	// give identical results; see the package documentation. An
+	// explicit value overrides the rule, for tests and benchmarks.
 	Occupancy OccupancyIndex
 	// Positions, when non-nil, fixes every agent's initial position
 	// directly (length must equal NumAgents) and Placement is ignored.
@@ -94,9 +97,10 @@ type Config struct {
 	// on tori), each owning the hot state, occupancy slab, and rng
 	// streams of the agents currently inside it, with a deterministic
 	// cross-shard migration phase every round. The zero value ShardAuto
-	// picks by agent count and GOMAXPROCS (see SetDefaultShards); 1
-	// forces the flat single-shard path; counts above MaxShards are an
-	// error. Results are bit-identical for every shard count — sharding
+	// picks by agent count and GOMAXPROCS; 1 forces the flat
+	// single-shard path; counts above MaxShards are an error. An
+	// explicit value overrides the rule, for tests and benchmarks.
+	// Results are bit-identical for every shard count — sharding
 	// changes execution layout, never output.
 	Shards int
 }
@@ -180,7 +184,7 @@ func NewWorld(cfg Config) (*World, error) {
 		groups:   make([]int32, cfg.NumAgents),
 		numGroup: make(map[int32]int),
 	}
-	if err := w.initOcc(cfg.Occupancy, part); err != nil {
+	if err := w.initOcc(cfg.Occupancy); err != nil {
 		return nil, err
 	}
 	for i := 0; i < cfg.NumAgents; i++ {
@@ -290,16 +294,20 @@ func (w *World) TaggedDensityFor(i int) float64 {
 // Step advances the simulation one synchronous round: every agent
 // moves once according to its policy. Uniform-policy worlds step
 // through one batched dispatch or the scalar loop (soa.go); worlds
-// with per-agent overrides dispatch per agent. Collision queries after
-// Step reflect the new positions, per the model's "collide in round r
-// if they have the same position at the end of the round". If the
-// occupancy index is live it is updated incrementally; worlds that
+// with per-agent overrides dispatch per agent. A sharded world steps
+// its shards on min(shards, GOMAXPROCS) workers from its persistent
+// pool (created on first use, reused every round); because every agent
+// steps from its own private stream, the result is bit-identical to
+// the flat world's for every shard and worker count. Collision queries
+// after Step reflect the new positions, per the model's "collide in
+// round r if they have the same position at the end of the round". If
+// the occupancy index is live it is updated incrementally; worlds that
 // never query counts pay nothing for it.
 //
 //antlint:noalloc
 func (w *World) Step() {
 	if w.sh != nil {
-		w.stepSharded(1)
+		w.stepSharded(runtime.GOMAXPROCS(0)) // clamped to the shard count
 		return
 	}
 	w.ensureScratch()
@@ -322,24 +330,6 @@ func (w *World) Step() {
 		}
 		w.occ.applyMoves(w.pos, w.prev, w.tagged, groups)
 	}
-}
-
-// StepParallel advances one round using the given number of worker
-// goroutines from the world's persistent pool (created on first use,
-// reused every round). The shard is the parallel grain: workers range
-// over shards, each phase of the round splitting its shards across
-// the pool. An unsharded world has one shard and steps serially, so
-// there StepParallel is Step. Because every agent steps from its own
-// private stream, the result is bit-identical to Step regardless of
-// workers.
-//
-//antlint:noalloc
-func (w *World) StepParallel(workers int) {
-	if w.sh != nil {
-		w.stepSharded(workers)
-		return
-	}
-	w.Step()
 }
 
 // SetGroup assigns agent i to a group. Group 0 is the default

@@ -737,7 +737,7 @@ func (r *Run) compileProperty() error {
 		res := r.baseResult("Section 5.2 property-frequency estimation")
 		series := res.AddSeries("agents", results.Cols("agent", "density", "property_density", "frequency")...)
 		for i := range pr.Density {
-			series.AddRow(i, pr.Density[i], pr.PropertyDensity[i], pr.Frequency[i])
+			series.AddCells(results.Int(int64(i)), results.Float(pr.Density[i]), results.Float(pr.PropertyDensity[i]), results.Float(pr.Frequency[i]))
 		}
 		res.SetMetric("rounds", float64(t))
 		res.SetMetric("num_agents", float64(r.numAgents))
@@ -766,7 +766,7 @@ func (r *Run) compileQuorum() error {
 		series := res.AddSeries("votes", results.Cols("agent", "estimate", "vote")...)
 		yes := 0
 		for i, v := range votes {
-			series.AddRow(i, ests[i], v)
+			series.AddCells(results.Int(int64(i)), results.Float(ests[i]), results.Bool(v))
 			if v {
 				yes++
 			}
@@ -830,7 +830,7 @@ func (r *Run) compileAdaptiveQuorum() error {
 		yes, undecided := 0, 0
 		votes := make([]bool, len(ar.Decision))
 		for i, d := range ar.Decision {
-			series.AddRow(i, d, ar.StopRound[i])
+			series.AddCells(results.Int(int64(i)), results.Int(int64(d)), results.Int(int64(ar.StopRound[i])))
 			votes[i] = d == +1
 			if d == +1 {
 				yes++

@@ -1,6 +1,7 @@
 package antdensity_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 	"antdensity/internal/core"
 	"antdensity/internal/netsize"
 	"antdensity/internal/quorum"
+	"antdensity/internal/results"
 	"antdensity/internal/sim"
 	"antdensity/internal/topology"
 )
@@ -469,28 +471,58 @@ func TestRunResultStructured(t *testing.T) {
 	}
 }
 
-// TestRunShardInvariance pins shard-transparency at the facade: the
-// same Spec run flat, sharded serially, and sharded with a prime shard
-// count yields bit-identical per-agent estimates, because sharding is
-// execution layout only (the shards=1-vs-K twin of the workers=1-vs-N
-// invariant, proven at the sim layer by the property matrix).
+// TestRunShardInvariance pins shard-transparency at the facade: every
+// world-stepping kind, run on a world injected flat, split into 2
+// shards, and split into a prime 7, writes byte-identical results,
+// because sharding is execution layout only (the shards=1-vs-K twin of
+// the workers=1-vs-N invariant, proven at the sim layer by the
+// property matrix).
 func TestRunShardInvariance(t *testing.T) {
-	build := func(k int) *antdensity.Spec {
-		return antdensity.DensitySpec(
-			antdensity.WithTorus2D(20),
-			antdensity.WithAgents(41),
-			antdensity.WithSeed(7),
-			antdensity.WithRounds(150),
-			antdensity.WithShards(k),
-		)
+	kinds := []struct {
+		name string
+		spec func(...antdensity.SpecOption) *antdensity.Spec
+	}{
+		{"density", antdensity.DensitySpec},
+		{"independent", func(o ...antdensity.SpecOption) *antdensity.Spec {
+			return antdensity.IndependentSpec(append(o, antdensity.WithPolicySeed(3))...)
+		}},
+		{"property", func(o ...antdensity.SpecOption) *antdensity.Spec {
+			return antdensity.PropertySpec(append(o, antdensity.WithTaggedCount(12))...)
+		}},
+		{"quorum", func(o ...antdensity.SpecOption) *antdensity.Spec { return antdensity.QuorumSpec(0.1, o...) }},
+		{"quorum_adaptive", func(o ...antdensity.SpecOption) *antdensity.Spec {
+			return antdensity.AdaptiveQuorumSpec(0.1, o...)
+		}},
 	}
-	base := runSpec(t, build(1))
-	for _, k := range []int{2, 7} {
-		out := runSpec(t, build(k))
-		if out.Rounds != base.Rounds {
-			t.Fatalf("shards=%d ran %d rounds, flat ran %d", k, out.Rounds, base.Rounds)
+	for _, kc := range kinds {
+		var flat []byte
+		for _, k := range []int{1, 2, 7} {
+			w, err := sim.NewWorld(sim.Config{Graph: topology.MustTorus(2, 20), NumAgents: 41, Seed: 7, Shards: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w.Shards() != k {
+				t.Fatalf("world has %d shards, want %d", w.Shards(), k)
+			}
+			r, err := kc.spec(antdensity.WithWorld(w), antdensity.WithRounds(150)).Start(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := r.Result()
+			w.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := results.WriteJSON(&buf, res); err != nil {
+				t.Fatal(err)
+			}
+			if k == 1 {
+				flat = buf.Bytes()
+			} else if !bytes.Equal(buf.Bytes(), flat) {
+				t.Errorf("%s: the %d-shard world's result differs from the flat world's", kc.name, k)
+			}
 		}
-		sameFloats(t, "sharded estimates", out.Estimates, base.Estimates)
 	}
 }
 

@@ -111,6 +111,13 @@ type AdversarySpec struct {
 // Exactly one input source must be set: a Graph (the run builds its
 // own World from NumAgents and Seed) or, for advanced callers, a
 // pre-built World.
+//
+// A Spec has no layout field. The world it builds picks its own shape
+// from the graph and agent count (occupancy index, shard count, step
+// workers; see package sim), and no shape changes a result. A caller
+// that needs a particular shape builds the world with NewWorld (the
+// Shards and Occupancy fields of WorldConfig) and injects it with
+// WithWorld.
 type Spec struct {
 	// Kind selects the estimator.
 	Kind Kind
@@ -177,17 +184,6 @@ type Spec struct {
 	// SnapshotEvery throttles live snapshot publication to every k-th
 	// round. 0 means 1 (publish every round).
 	SnapshotEvery int
-
-	// Shards is the spatial shard count for the run's world (see
-	// sim.Config.Shards): 0 lets the world decide (sim.ShardAuto,
-	// which also honors the process-wide sim.SetDefaultShards default
-	// installed by the CLI's -shards flag); at most sim.MaxShards.
-	// Purely an execution-layout knob — results are bit-identical for
-	// every shard count, so it is excluded from the fingerprint. Ignored when World is set (the
-	// injected world already has its layout) and for KindNetworkSize,
-	// whose walker world is built internally and follows the
-	// process-wide default.
-	Shards int
 
 	// GraphKey names the identity of a Graph type from outside this
 	// module that implements no GraphIdentity, making the Spec
@@ -363,10 +359,6 @@ func WithSeedVertex(v int64) SpecOption { return func(s *Spec) { s.SeedVertex = 
 // of every round; larger k lowers snapshot overhead on huge worlds.
 func WithSnapshotEvery(k int) SpecOption { return func(s *Spec) { s.SnapshotEvery = k } }
 
-// WithShards sets the run world's spatial shard count (0 = auto; see
-// Spec.Shards — never affects results, only execution layout).
-func WithShards(k int) SpecOption { return func(s *Spec) { s.Shards = k } }
-
 // isQuorum reports whether the kind is one of the quorum estimators.
 func (k Kind) isQuorum() bool { return k == KindQuorum || k == KindQuorumAdaptive }
 
@@ -413,9 +405,6 @@ func (s *Spec) Validate() error {
 	}
 	if s.SnapshotEvery < 0 {
 		return fmt.Errorf("antdensity: Spec.SnapshotEvery must be >= 0 (0 means every round), got %d", s.SnapshotEvery)
-	}
-	if s.Shards < 0 || s.Shards > sim.MaxShards {
-		return fmt.Errorf("antdensity: Spec.Shards must be in [0, %d] (0 means auto), got %d", sim.MaxShards, s.Shards)
 	}
 	if s.Delta < 0 || s.Delta >= 1 {
 		return fmt.Errorf("antdensity: Spec.Delta %v outside (0, 1) (0 means the 0.05 default)", s.Delta)
@@ -508,9 +497,6 @@ func (s *Spec) validateNetsize() error {
 	if s.SnapshotEvery < 0 {
 		return fmt.Errorf("antdensity: Spec.SnapshotEvery must be >= 0 (0 means every round), got %d", s.SnapshotEvery)
 	}
-	if s.Shards < 0 || s.Shards > sim.MaxShards {
-		return fmt.Errorf("antdensity: Spec.Shards must be in [0, %d] (0 means auto), got %d", sim.MaxShards, s.Shards)
-	}
 	if !s.Stationary {
 		if s.SeedVertex < 0 || s.SeedVertex >= s.Graph.NumNodes() {
 			return fmt.Errorf("antdensity: Spec.SeedVertex %d outside [0, %d) (the graph's node range)", s.SeedVertex, s.Graph.NumNodes())
@@ -576,7 +562,7 @@ func (s *Spec) buildWorld() (*World, error) {
 	w := s.World
 	if w == nil {
 		var err error
-		w, err = sim.NewWorld(sim.Config{Graph: s.Graph, NumAgents: s.NumAgents, Seed: s.Seed, Shards: s.Shards})
+		w, err = sim.NewWorld(sim.Config{Graph: s.Graph, NumAgents: s.NumAgents, Seed: s.Seed})
 		if err != nil {
 			return nil, err
 		}

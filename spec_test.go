@@ -81,11 +81,6 @@ func TestSpecValidationErrors(t *testing.T) {
 			want: "Spec.SnapshotEvery",
 		},
 		{
-			name: "shards above the cap",
-			spec: antdensity.DensitySpec(base(antdensity.WithShards(65))...),
-			want: "Spec.Shards must be in [0, 64]",
-		},
-		{
 			name: "delta out of range",
 			spec: antdensity.DensitySpec(base(antdensity.WithConfidence(1.5))...),
 			want: "Spec.Delta 1.5 outside (0, 1)",

@@ -25,7 +25,6 @@ import (
 // (Spec, seed) cache serve wrong results to every deduped client.
 var fingerprintExcluded = []string{
 	"SnapshotEvery", // snapshot publication throttle: purely observational
-	"Shards",        // execution layout; results are shard-invariant (TestRunShardInvariance)
 	"graphErr",      // deferred option error; Validate rejects the Spec before any run
 }
 

@@ -50,16 +50,6 @@ func TestFingerprintStableAndSensitive(t *testing.T) {
 		t.Errorf("SnapshotEvery changed the fingerprint: %s vs %s", got, fp)
 	}
 
-	// Shards is execution layout only (results are shard-invariant):
-	// same fingerprint, so sharded and flat submissions dedup together.
-	for _, k := range []int{1, 2, 7} {
-		s = base()
-		s.Shards = k
-		if got := fingerprintOK(t, s); got != fp {
-			t.Errorf("Shards = %d changed the fingerprint: %s vs %s", k, got, fp)
-		}
-	}
-
 	// Explicit Delta equal to the default hashes like the default.
 	s = base()
 	s.Delta = 0.05
