@@ -20,6 +20,28 @@ func requireZeroAllocs(t *testing.T, name string, f func()) {
 	}
 }
 
+// requireZeroAllocsAtProcs is requireZeroAllocs at the caller's
+// GOMAXPROCS. testing.AllocsPerRun sets GOMAXPROCS to 1 while it
+// measures, and Step reads GOMAXPROCS to pick a sharded world's
+// workers, so under AllocsPerRun Step never reaches the pool. The
+// count is AllocsPerRun's: one warm-up call, then the mallocs of 50
+// calls integer-divided by 50.
+func requireZeroAllocsAtProcs(t *testing.T, name string, f func()) {
+	t.Helper()
+	const runs = 50
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	if avg := (after.Mallocs - before.Mallocs) / runs; avg != 0 {
+		t.Errorf("%s allocates %d times per round in steady state at GOMAXPROCS %d, want 0",
+			name, avg, runtime.GOMAXPROCS(0))
+	}
+}
+
 func TestStepAndCountZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -116,7 +138,7 @@ func TestStepParallelZeroAllocs(t *testing.T) {
 	g := topology.MustTorus(2, 64)
 	w := MustWorld(Config{Graph: g, NumAgents: 4096, Seed: 3})
 	w.Count(0)
-	requireZeroAllocs(t, "Step (unsharded, GOMAXPROCS 4)", func() {
+	requireZeroAllocsAtProcs(t, "Step (unsharded, GOMAXPROCS 4)", func() {
 		w.Step()
 	})
 	if w.pool != nil {
@@ -215,8 +237,8 @@ func padShardCapacities(w *World) {
 
 // TestShardedStepZeroAllocs pins the sharded round — both phases,
 // including cross-shard migration and incremental slab occupancy — at
-// zero steady-state allocations, serial and through Step's pool, plus
-// the sharded bulk count reduction.
+// zero steady-state allocations, serial and through Step's pool at
+// GOMAXPROCS 4, plus the sharded bulk count reduction.
 func TestShardedStepZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -240,7 +262,11 @@ func TestShardedStepZeroAllocs(t *testing.T) {
 		_ = w.Count(9)
 		_ = w.CountTagged(9)
 	})
-	requireZeroAllocs(t, "Step (sharded, 4 pooled workers)", func() {
+	// Closing the pool makes the pin's warm-up Step build it again, so
+	// the check after the pin shows that Step at this GOMAXPROCS is
+	// what ran the pool.
+	w.Close()
+	requireZeroAllocsAtProcs(t, "Step (sharded, GOMAXPROCS 4, 4 pooled workers)", func() {
 		w.Step()
 	})
 	if w.pool == nil || w.pool.workers() != 4 {

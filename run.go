@@ -337,14 +337,24 @@ func (r *Run) Snapshot() Snapshot {
 		p = r.snap.Load() // retired: the run has published a newer round
 	}
 	snap := p.snap
+	if !snap.State.Terminal() {
+		// Pending/queued/running transitions happen without a fresh
+		// measurement; surface the current phase. A terminal phase
+		// means the run is finishing: it stores that state and then,
+		// still under r.mu, the terminal publication that carries its
+		// error, so wait out that critical section and read the
+		// publication.
+		st := r.State()
+		if st.Terminal() {
+			r.mu.Lock()
+			r.mu.Unlock()
+			return r.Snapshot()
+		}
+		snap.State = st
+	}
 	if p.view != nil {
 		v := p.view.materialize()
 		snap.Estimates, snap.CIHalf, snap.Mean, snap.YesVotes = v.Estimates, v.CIHalf, v.Mean, v.YesVotes
-	}
-	if !snap.State.Terminal() {
-		// Pending/queued/running transitions happen without a fresh
-		// measurement; surface the current phase.
-		snap.State = r.State()
 	}
 	return snap
 }
