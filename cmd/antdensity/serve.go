@@ -150,12 +150,10 @@ func newServer(cfg serveConfig) (*server, error) {
 		s.limiter = newRateLimiter(cfg.rate, cfg.burst)
 	}
 	if cfg.dataDir != "" {
-		store, err := openRunStore(cfg.dataDir, s)
-		if err != nil {
+		if err := openRunStore(cfg.dataDir, s); err != nil {
 			s.m.Close()
 			return nil, err
 		}
-		s.store = store
 	}
 	// After replay: the replayed backlog must never be rejected by the
 	// fresh-traffic admission bound.

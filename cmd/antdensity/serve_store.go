@@ -55,11 +55,14 @@ type runStore struct {
 }
 
 // openRunStore opens the journal under dir, replays it, archives
-// finished runs, and re-submits interrupted ones through s.m.
-func openRunStore(dir string, s *server) (*runStore, error) {
+// finished runs, and re-submits interrupted ones through s.m. It
+// installs the store as s.store before it re-submits anything: a
+// resumed run's terminal watcher journals through s.store, and the run
+// can finish before openRunStore returns.
+func openRunStore(dir string, s *server) error {
 	jr, recs, skipped, err := journal.Open(dir)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if skipped > 0 {
 		fmt.Fprintf(os.Stderr, "antdensity: journal: skipped %d unparseable line(s)\n", skipped)
@@ -74,6 +77,7 @@ func openRunStore(dir string, s *server) (*runStore, error) {
 		archive: make(map[string]*archivedRun),
 		byFP:    make(map[string]string),
 	}
+	s.store = st
 	resumed := 0
 	for _, e := range entries {
 		var req runRequest
@@ -100,7 +104,7 @@ func openRunStore(dir string, s *server) (*runStore, error) {
 		fmt.Fprintf(os.Stderr, "antdensity: journal: replayed %d run(s), resumed %d interrupted\n",
 			len(entries), resumed)
 	}
-	return st, nil
+	return nil
 }
 
 // resume re-submits an interrupted run under its original id.

@@ -49,12 +49,17 @@
 //   - internal/sim — the synchronous multi-agent model of Section 2.
 //     Its hot path is allocation-free in steady state and laid out as
 //     a strict structure of arrays: positions, previous positions, and
-//     per-agent RNG streams are parallel flat slices, stepped by
-//     batched kernels that bulk-fill randomness (internal/rng's
-//     Uint64nEach/FloatEach) and apply moves with branch-free
-//     arithmetic; worlds without a batched kernel for their policy
-//     take the scalar Policy.Step loop, the only other step path. An
-//     incrementally maintained occupancy index (dense array, or a
+//     per-agent RNG streams are parallel flat slices. The random
+//     walk's batched kernels (internal/topology's RandomStepsInto)
+//     make each agent's bounded draw inline and take its step in the
+//     same pass with branch-free arithmetic, draw for draw as
+//     internal/rng's Uint64nEach would (it stays for bulk callers such
+//     as perfbench's replay); the Lazy and Biased kernels bulk-fill
+//     floats with rng.FloatEach before a move pass. Worlds without a
+//     batched kernel for their policy take the scalar Policy.Step
+//     loop, the only other step path. An incrementally maintained
+//     occupancy index (a dense array of 4-byte totals, with tagged
+//     counts only once the world holds a tagged agent, or a
 //     split-array open-address table) serves counts. The world picks
 //     its own shape, and nothing above sim.Config sets it: one memory
 //     budget per world picks the index from the node and agent
@@ -69,7 +74,7 @@
 //     persistent pool, and steps an unsharded world serially. The
 //     batched path is proven bit-identical to the scalar reference by
 //     a property-test matrix (uniform × per-agent stepping, dense ×
-//     sparse, shards ∈ {1,2,7}) — the bulk RNG fills advance each
+//     sparse, shards ∈ {1,2,7}) — the batched kernels advance each
 //     agent's stream exactly as scalar draws would, and migrants carry
 //     their private streams with them, so results never depend on
 //     which path executed or how the world is partitioned.

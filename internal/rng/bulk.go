@@ -17,9 +17,14 @@ import "math/bits"
 //     same stream would produce, consuming the identical number of
 //     underlying Uint64 draws (rejections included).
 //   - Uint64nEach / FloatEach make exactly one bounded draw from each
-//     stream of a []Stream — the shape the simulator's
-//     substream-per-agent layout needs — advancing every stream
-//     exactly as its own scalar call would.
+//     stream of a []Stream — the simulator's substream-per-agent
+//     layout — advancing every stream exactly as its own scalar call
+//     would. The world's random-walk step does not call Uint64nEach:
+//     internal/topology's RandomStepsInto makes the same draw inline
+//     and steps in the same pass, so the stream and the position stay
+//     in registers. Uint64nEach is the reference that inline draw
+//     follows, and the bulk fill perfbench's replay times; the Lazy
+//     and Biased kernels call FloatEach.
 //
 // Because draw order within each stream is unchanged and streams are
 // independent, any mix of bulk and scalar consumption yields

@@ -22,7 +22,7 @@ type benchTopo struct {
 
 // benchTopos covers all four regular families. torus2d-4096 (16.8M
 // nodes) exceeds the dense occupancy budget and exercises the sparse
-// hash index; torus2d-2048 (4.2M nodes, a 32 MiB dense array) is the
+// hash index; torus2d-2048 (4.2M nodes, 16 MiB of dense totals) is the
 // largest OccAuto dense world, where the index update's scattered ±1
 // pass misses cache on nearly every touch; the rest fit well inside
 // the budget.

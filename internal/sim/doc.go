@@ -22,19 +22,23 @@
 // positions, previous positions, and per-agent RNG streams are
 // parallel flat slices indexed by agent id (World embeds hotState),
 // so stepping kernels stream through contiguous memory with no
-// per-agent pointer chasing. The batched kernels (stepBatched) split
-// each round into two passes over that layout: rng.Uint64nEach /
-// rng.FloatEach bulk-fill one draw per agent stream into scratch
-// buffers reused for the world's lifetime, then the topology
-// fast-path kernels (RandomStepsInto) turn draws into moves with
-// arithmetic only — no interface dispatch, no data-dependent branches
-// on the torus. The bulk fills obey a strict bit-identity contract:
-// they advance each agent's stream exactly as the equivalent scalar
-// draws would, including bounded-rejection behavior, so per-agent
-// draw sequences — and therefore all positions and counts — are
-// independent of which path executed. Scratch buffers are allocated
-// once by ensureScratch (policy- and graph-gated), keeping the
-// batched path at zero allocations per round.
+// per-agent pointer chasing. The random walk's batched kernels (the
+// topology fast paths' RandomStepsInto) make one pass over that
+// layout: for each agent they advance its stream, make its bounded
+// draw inline (Lemire's method, as rng.Uint64nEach makes it), store
+// the draw in a scratch buffer reused for the world's lifetime, and
+// take the step with arithmetic only — no interface dispatch, no
+// data-dependent branches on the torus — while the stream and the
+// position are in registers. The Lazy and Biased kernels split a
+// round into two passes: rng.FloatEach bulk-fills one float per
+// agent stream, then a move pass applies them. Every kernel obeys a
+// strict bit-identity contract: it advances each agent's stream
+// exactly as the equivalent scalar draws would, including
+// bounded-rejection behavior, so per-agent draw sequences — and
+// therefore all positions and counts — are independent of which path
+// executed. Scratch buffers are allocated once by ensureScratch
+// (policy- and graph-gated), keeping the batched path at zero
+// allocations per round.
 //
 // # Step paths
 //
@@ -105,24 +109,30 @@
 // node range. The world resolves the representation once, from its
 // node count and population alone, and every slab inherits it, so the
 // shard count never changes the representation or its memory; only
-// the index's own methods branch on it. OccAuto picks the dense []cell
-// array, indexed by node offset in the span, when the world has at
-// most max(1<<22, 32 × agents) nodes — max(32 MiB, 256 B per agent)
-// of cells — and never above the 1<<26-node force limit. Larger
-// worlds — including the paper's "A larger than the area agents
-// traverse" regime with 10^12-node tori — use a sparse open-addressing
-// table keyed by occupied node, stored as split key/cell arrays so
-// probe loops touch 8-byte key slots and bulk queries batch their
-// probe sequences (lookupInto). Config.Occupancy can force either
-// choice (OccDense, OccSparse) for testing or tuning. Both
-// representations are maintained incrementally while the world steps:
-// once a count query has built the index, each subsequent round only
-// decrements the cell an agent left and increments the cell it
-// entered, so Count/CountTagged/CountInGroup never trigger an
-// O(agents) rebuild and allocate nothing in steady state. The dense
-// update is a plain in-order scatter on purpose: a cache-blocked
-// counting-sort variant was measured and lost at every reachable size
-// (see applyMoves).
+// the index's own methods branch on it. OccAuto picks the dense
+// representation, a []int32 of per-node totals indexed by node offset
+// in the span, when the world has at most max(1<<22, 32 × agents)
+// nodes — max(16 MiB, 128 B per agent) of totals — and never above the
+// 1<<26-node force limit. A second []int32 of tagged counts exists
+// only once the world holds a tagged agent: the first such agent
+// allocates it for every index of the world at once (ensureTagCounts),
+// so density, quorum and netsize worlds never carry it and no Step
+// ever allocates it. Larger worlds — including the paper's "A larger
+// than the area agents traverse" regime with 10^12-node tori — use a
+// sparse open-addressing table keyed by occupied node, stored as split
+// key/cell arrays so probe loops touch 8-byte key slots and bulk
+// queries batch their probe sequences (lookupInto). Config.Occupancy
+// can force either choice (OccDense, OccSparse) for testing or tuning.
+// Both representations are maintained incrementally while the world
+// steps: once a count query has built the index, each subsequent round
+// only decrements the count of the node an agent left and increments
+// the count of the node it entered, so Count/CountTagged/CountInGroup
+// never trigger an O(agents) rebuild and allocate nothing in steady
+// state. The dense update is a plain in-order scatter on purpose — a
+// branch-free pass over the totals, then a tag pass only when the tag
+// counts exist and a group pass only when groups exist: a
+// cache-blocked counting-sort variant was measured and lost at every
+// reachable size (see applyMoves).
 //
 // # Observation pipeline
 //

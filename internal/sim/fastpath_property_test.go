@@ -245,11 +245,11 @@ func TestOccupancyIndexSelection(t *testing.T) {
 	if small.occMode != OccDense {
 		t.Error("OccAuto on a 4096-node torus should pick the dense index")
 	}
-	if small.occ.dense != nil {
+	if small.occ.totals != nil {
 		t.Error("dense storage should not be allocated before the first count query")
 	}
 	small.Count(0)
-	if small.occ.dense == nil {
+	if small.occ.totals == nil {
 		t.Error("dense storage missing after the first count query")
 	}
 	// 2100^2 = 4.41M nodes exceeds the fixed 1<<22 budget; 32 nodes per

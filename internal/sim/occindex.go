@@ -12,8 +12,10 @@ const (
 	// (autoOccupancy): OccDense when the array fits the world's
 	// budget, OccSparse otherwise.
 	OccAuto OccupancyIndex = iota
-	// OccDense indexes occupancy with a flat []cell array of length
-	// NumNodes — O(1) untyped-array lookups, 8 bytes per node.
+	// OccDense indexes occupancy with a flat []int32 array of totals
+	// of length NumNodes — O(1) untyped-array lookups, 4 bytes per
+	// node — plus a second such array of tagged counts once the world
+	// holds a tagged agent.
 	OccDense
 	// OccSparse indexes occupancy with an open-addressed hash table
 	// keyed by occupied node — memory proportional to the agent count,
@@ -22,25 +24,26 @@ const (
 )
 
 // denseOccupancyMaxNodes is the fixed part of OccAuto's budget: a
-// world of at most 1<<22 nodes (32 MiB of cells) gets the dense array
+// world of at most 1<<22 nodes (16 MiB of totals) gets the dense array
 // whatever its population.
 const denseOccupancyMaxNodes = 1 << 22
 
 // denseOccupancyNodesPerAgent is the per-agent part of OccAuto's
 // budget: a larger world still gets the dense array while it has at
-// most this many nodes per agent (256 B of cells per agent). It is a
+// most this many nodes per agent (128 B of totals per agent). It is a
 // memory bound, set below the speed crossover. Whole density runs on
 // flat 4096² worlds (world build plus 100 rounds, GOMAXPROCS=1, 4
-// alternating reps, 2-vCPU VM) ran dense 1.3–1.5× faster than sparse
-// at 256 nodes per agent, 1.9–2.5× at 32 and 2.1–2.6× at 16; at 1024
-// sparse was faster (median 0.077 s against 0.109 s), because
-// allocating and zeroing the 128 MiB array outweighs what 16k agents
-// save per round.
+// alternating reps, 2-vCPU VM, with the 8-byte cells the dense array
+// then held) ran dense 1.3–1.5× faster than sparse at 256 nodes per
+// agent, 1.9–2.5× at 32 and 2.1–2.6× at 16; at 1024 sparse was faster
+// (median 0.077 s against 0.109 s), because allocating and zeroing the
+// 128 MiB array outweighs what 16k agents save per round.
 const denseOccupancyNodesPerAgent = 32
 
 // denseOccupancyForceLimit caps any world's dense array, picked by
 // OccAuto or forced by Config{Occupancy: OccDense}: beyond it the array
-// itself would be unreasonably large (1<<26 cells = 512 MiB).
+// itself would be unreasonably large (1<<26 totals = 256 MiB, twice
+// that with tag counts).
 const denseOccupancyForceLimit = 1 << 26
 
 // autoOccupancy is OccAuto's rule: dense when the world's node count
@@ -57,7 +60,8 @@ func autoOccupancy(nodes int64, agents int) OccupancyIndex {
 	return OccSparse
 }
 
-// cell is one node's occupancy: every agent there, and the tagged ones.
+// cell is one node's occupancy in the sparse table: every agent there,
+// and the tagged ones.
 type cell struct {
 	total  int32
 	tagged int32
@@ -72,14 +76,17 @@ type groupKey struct {
 // occIndex is the per-round collision-count index over the node range
 // [lo, hi): the flat world keeps one spanning the whole graph, and
 // each shard slab keeps one over its own range. It is the only code
-// that knows which representation is live: a dense []cell indexed by
-// p-lo, or a sparse occTable keyed by node. Storage is allocated by
+// that knows which representation is live: dense int32 arrays indexed
+// by p-lo, or a sparse occTable keyed by node. Storage is allocated by
 // the first reset, so worlds that never query counts pay nothing for
-// it. group always holds the per-(position, group) counts of grouped
-// agents, in either representation.
+// it; the dense tag counts wait further, until the world holds a
+// tagged agent (ensureTags), so density, quorum and netsize worlds
+// never carry them. group always holds the per-(position, group)
+// counts of grouped agents, in either representation.
 type occIndex struct {
 	lo, hi int64
-	dense  []cell
+	totals []int32 // dense: every agent at node lo+j; nil when sparse
+	tags   []int32 // dense: the tagged agents at node lo+j; nil until the world holds one
 	sparse *occTable
 	group  map[groupKey]int32
 }
@@ -113,7 +120,7 @@ func (w *World) rebuildOcc() {
 	if sh := w.sh; sh != nil {
 		for s := range sh.slabs {
 			sl := &sh.slabs[s]
-			sl.reset(w.occMode, len(sl.pos))
+			sl.reset(w.occMode, len(sl.pos), w.numTag > 0)
 			for k, p := range sl.pos {
 				id := sl.ids[k]
 				sl.inc(p, w.tagged[id])
@@ -123,7 +130,7 @@ func (w *World) rebuildOcc() {
 			}
 		}
 	} else {
-		w.occ.reset(w.occMode, len(w.pos))
+		w.occ.reset(w.occMode, len(w.pos), w.numTag > 0)
 		for i, p := range w.pos {
 			w.occ.inc(p, w.tagged[i])
 			if g := w.groups[i]; g != 0 {
@@ -144,20 +151,48 @@ func (w *World) occAt(p int64) *occIndex {
 	return &w.occ
 }
 
+// ensureTagCounts gives every dense index of the world — the flat
+// one, or every shard slab's — its tag counts, all zero, unless it has
+// them. SetTagged calls it for the live index's first tagged agent, so
+// the tag arrays are allocated once for the whole world, never by Step.
+func (w *World) ensureTagCounts() {
+	if sh := w.sh; sh != nil {
+		for s := range sh.slabs {
+			sh.slabs[s].ensureTags()
+		}
+		return
+	}
+	w.occ.ensureTags()
+}
+
+// ensureTags allocates a dense index's tag counts, all zero, unless it
+// has them; the sparse table keeps its tagged counts in its cells.
+func (x *occIndex) ensureTags() {
+	if x.tags == nil && x.totals != nil {
+		x.tags = make([]int32, len(x.totals))
+	}
+}
+
 // reset empties the index in the given resolved mode, allocating its
-// storage on first use: a dense array spanning [lo, hi), or a sparse
-// table sized for agents. Always clearing the group map keeps stale
-// entries from surviving the last member of a group being cleared.
-func (x *occIndex) reset(mode OccupancyIndex, agents int) {
+// storage on first use: a dense totals array spanning [lo, hi), with
+// tag counts too when the world holds a tagged agent (withTags), or a
+// sparse table sized for agents. Always clearing the group map keeps
+// stale entries from surviving the last member of a group being
+// cleared.
+func (x *occIndex) reset(mode OccupancyIndex, agents int, withTags bool) {
 	switch {
 	case mode == OccSparse && x.sparse == nil:
 		x.sparse = newOccTable(agents)
 	case mode == OccSparse:
 		x.sparse.reset()
-	case x.dense == nil:
-		x.dense = make([]cell, x.hi-x.lo)
+	case x.totals == nil:
+		x.totals = make([]int32, x.hi-x.lo)
 	default:
-		clear(x.dense)
+		clear(x.totals)
+	}
+	clear(x.tags)
+	if withTags {
+		x.ensureTags()
 	}
 	if x.group == nil {
 		x.group = make(map[groupKey]int32)
@@ -166,48 +201,54 @@ func (x *occIndex) reset(mode OccupancyIndex, agents int) {
 	}
 }
 
-// inc adds one agent (tagged or not) to node p's cell.
+// inc adds one agent (tagged or not) to node p. A dense index holds
+// tag counts whenever the world holds a tagged agent.
 func (x *occIndex) inc(p int64, tag bool) {
-	if x.dense == nil {
+	if x.totals == nil {
 		x.sparse.inc(p, tag)
 		return
 	}
-	c := &x.dense[p-x.lo]
-	c.total++
+	j := p - x.lo
+	x.totals[j]++
 	if tag {
-		c.tagged++
+		x.tags[j]++
 	}
 }
 
-// dec removes one agent (tagged or not) from node p's cell.
+// dec removes one agent (tagged or not) from node p.
 func (x *occIndex) dec(p int64, tag bool) {
-	if x.dense == nil {
+	if x.totals == nil {
 		x.sparse.dec(p, tag)
 		return
 	}
-	c := &x.dense[p-x.lo]
-	c.total--
+	j := p - x.lo
+	x.totals[j]--
 	if tag {
-		c.tagged--
+		x.tags[j]--
 	}
 }
 
-// addTag adjusts only the tagged counter of node p's cell by delta;
-// an agent stands at p.
+// addTag adjusts only the tagged count of node p by delta; an agent
+// stands at p, and a dense index holds tag counts (ensureTagCounts).
 func (x *occIndex) addTag(p int64, delta int32) {
-	if x.dense == nil {
+	if x.totals == nil {
 		x.sparse.addTag(p, delta)
 		return
 	}
-	x.dense[p-x.lo].tagged += delta
+	x.tags[p-x.lo] += delta
 }
 
-// cellAt returns node p's cell (zero if unoccupied).
+// cellAt returns node p's occupancy (zero if unoccupied).
 func (x *occIndex) cellAt(p int64) cell {
-	if x.dense == nil {
+	if x.totals == nil {
 		return x.sparse.get(p)
 	}
-	return x.dense[p-x.lo]
+	j := p - x.lo
+	c := cell{total: x.totals[j]}
+	if x.tags != nil {
+		c.tagged = x.tags[j]
+	}
+	return c
 }
 
 // groupInc adds one member of group g at node p to the per-group
@@ -235,10 +276,10 @@ func (x *occIndex) groupDec(p int64, g int32) {
 //antlint:noalloc
 func (x *occIndex) othersInto(pos []int64, out []int) {
 	out = out[:len(pos)]
-	if d := x.dense; d != nil {
+	if d := x.totals; d != nil {
 		lo := x.lo
 		for k, p := range pos {
-			out[k] = int(d[p-lo].total) - 1
+			out[k] = int(d[p-lo]) - 1
 		}
 		return
 	}
@@ -257,10 +298,15 @@ func (x *occIndex) othersInto(pos []int64, out []int) {
 //antlint:noalloc
 func (x *occIndex) taggedInto(pos []int64, out []int) {
 	out = out[:len(pos)]
-	if d := x.dense; d != nil {
+	if x.totals != nil {
+		tg := x.tags
+		if tg == nil {
+			clear(out) // the world has never held a tagged agent
+			return
+		}
 		lo := x.lo
 		for k, p := range pos {
-			out[k] = int(d[p-lo].tagged)
+			out[k] = int(tg[p-lo])
 		}
 		return
 	}
@@ -269,41 +315,47 @@ func (x *occIndex) taggedInto(pos []int64, out []int) {
 
 // applyMoves updates the index with the flat world's round of
 // movement: for every agent whose position changed from prev[i] to
-// pos[i], decrement the cell it left and increment the cell it
-// entered. groups is nil when no agent has a group. Cost is O(agents)
-// arithmetic with no rebuild, no clearing, and no steady-state
-// allocation.
+// pos[i], decrement the count of the node it left and increment the
+// count of the node it entered. groups is nil when no agent has a
+// group. Cost is O(agents) arithmetic with no rebuild, no clearing,
+// and no steady-state allocation.
 //
-// The dense branch is a deliberately plain scatter, written inline
-// rather than through inc/dec, which do not inline. A cache-blocked
-// variant (pack the round's ±1 deltas, counting-sort them by 64 KiB
-// cell block, apply block by block — sound because the deltas
-// commute) was implemented and measured for PR 8 and LOST at every
-// reachable dense size, including the 1<<22-cell OccAuto maximum and
-// a forced-dense 1<<24-cell array: the sort's three extra streaming
-// passes cost more bandwidth than the scattered misses they save,
-// because out-of-order execution already overlaps those misses.
+// The dense branch is one plain, branch-free scatter over the totals
+// — a stayer's decrement and increment hit one node and cancel, so no
+// p == q test is needed — then a tag pass only when the world has tag
+// counts and a group pass only when it has groups. It is written
+// inline rather than through inc/dec, which do not inline. A
+// cache-blocked variant (pack the round's ±1 deltas, counting-sort
+// them by 64 KiB cell block, apply block by block — sound because the
+// deltas commute) was implemented, measured against the scatter, and
+// LOST at every reachable dense size, including the 1<<22-cell OccAuto
+// maximum and a forced-dense 1<<24-cell array: the sort's three extra
+// streaming passes cost more bandwidth than the scattered misses they
+// save, because out-of-order execution already overlaps those misses.
 // BENCH_PR8.json records the numbers; don't re-add blocking without
 // beating them.
 //
 //antlint:noalloc
 func (x *occIndex) applyMoves(pos, prev []int64, tagged []bool, groups []int32) {
 	prev, tagged = prev[:len(pos)], tagged[:len(pos)]
-	if d := x.dense; d != nil {
+	if d := x.totals; d != nil {
 		lo := x.lo
 		for i, p := range pos {
-			q := prev[i]
-			if p == q {
-				continue
+			d[prev[i]-lo]--
+			d[p-lo]++
+		}
+		if tg := x.tags; tg != nil {
+			for i, p := range pos {
+				if tagged[i] {
+					tg[prev[i]-lo]--
+					tg[p-lo]++
+				}
 			}
-			d[q-lo].total--
-			d[p-lo].total++
-			if tagged[i] {
-				d[q-lo].tagged--
-				d[p-lo].tagged++
-			}
-			if groups != nil {
-				if g := groups[i]; g != 0 {
+		}
+		if groups != nil {
+			groups = groups[:len(pos)]
+			for i, p := range pos {
+				if g, q := groups[i], prev[i]; g != 0 && p != q {
 					x.groupDec(q, g)
 					x.groupInc(p, g)
 				}

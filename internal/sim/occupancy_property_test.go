@@ -12,7 +12,11 @@ import (
 // index against the sort-based ablation on randomized worlds: for
 // every topology family, random agent counts, tag sets, and group
 // assignments, all count variants must agree exactly — with each
-// other and with the per-agent query path.
+// other and with the per-agent query path. Every family runs flat and
+// split into 3 shards, so tagged agents also cross slab boundaries.
+// Half the cases tag their agents only once the index is live, where
+// the first tagged agent gives the world its tag counts, and every
+// round flips one agent's tag on the live index.
 func TestOccupancyAblationProperty(t *testing.T) {
 	topologies := []struct {
 		name string
@@ -30,47 +34,70 @@ func TestOccupancyAblationProperty(t *testing.T) {
 		{name: "complete", make: func() topology.Graph { return topology.MustComplete(40) }},
 	}
 	for _, tp := range topologies {
-		tp := tp
-		t.Run(tp.name, func(t *testing.T) {
-			g := tp.make()
-			s := rng.New(uint64(len(tp.name)) * 1000003)
-			const cases = 25
-			for c := 0; c < cases; c++ {
-				agents := 1 + s.Intn(3*int(g.NumNodes()))
-				w := MustWorld(Config{Graph: g, NumAgents: agents, Seed: s.Uint64()})
-				// Random tag set and random assignment over groups
-				// {0 (none), 1, 2}.
-				for i := 0; i < agents; i++ {
-					if s.Bernoulli(0.3) {
-						w.SetTagged(i, true)
+		for _, shards := range []int{1, 3} {
+			name := tp.name
+			if shards > 1 {
+				name = fmt.Sprintf("%s-%dshards", tp.name, shards)
+			}
+			t.Run(name, func(t *testing.T) {
+				g := tp.make()
+				s := rng.New(uint64(len(tp.name)) * 1000003)
+				const cases = 25
+				for c := 0; c < cases; c++ {
+					agents := 1 + s.Intn(3*int(g.NumNodes()))
+					w := MustWorld(Config{Graph: g, NumAgents: agents, Seed: s.Uint64(), Shards: shards})
+					if w.Shards() != shards {
+						t.Fatalf("%s case %d: world has %d shards, want %d", name, c, w.Shards(), shards)
 					}
-					w.SetGroup(i, s.Intn(3))
-				}
-				for r := 0; r < 4; r++ {
-					w.Step()
-					checkOccupancyAgreement(t, w, fmt.Sprintf("%s case %d round %d", tp.name, c, r))
+					// Random tag set and random assignment over groups
+					// {0 (none), 1, 2}.
+					live := c%2 == 1
+					tags := make([]bool, agents)
+					for i := 0; i < agents; i++ {
+						tags[i] = s.Bernoulli(0.3)
+						if tags[i] && !live {
+							w.SetTagged(i, true)
+						}
+						w.SetGroup(i, s.Intn(3))
+					}
+					if live {
+						w.Count(0) // build the index with no tagged agent
+						for i, tag := range tags {
+							if tag {
+								w.SetTagged(i, true)
+							}
+						}
+					}
+					for r := 0; r < 4; r++ {
+						if r > 0 {
+							i := (7*c + r) % agents
+							w.SetTagged(i, !w.Tagged(i))
+						}
+						w.Step()
+						checkOccupancyAgreement(t, w, fmt.Sprintf("%s case %d round %d", name, c, r))
+						if t.Failed() {
+							return
+						}
+					}
+					// Regression: clearing the last member of every group
+					// must not leave stale per-group occupancy behind.
+					for i := 0; i < agents; i++ {
+						w.SetGroup(i, 0)
+					}
+					for _, grp := range []int{1, 2} {
+						for i, n := range w.CountsInGroupAll(grp) {
+							if n != 0 {
+								t.Fatalf("%s case %d: agent %d sees %d members of cleared group %d", name, c, i, n, grp)
+							}
+						}
+					}
+					checkOccupancyAgreement(t, w, fmt.Sprintf("%s case %d cleared-groups", name, c))
 					if t.Failed() {
 						return
 					}
 				}
-				// Regression: clearing the last member of every group
-				// must not leave stale per-group occupancy behind.
-				for i := 0; i < agents; i++ {
-					w.SetGroup(i, 0)
-				}
-				for _, grp := range []int{1, 2} {
-					for i, n := range w.CountsInGroupAll(grp) {
-						if n != 0 {
-							t.Fatalf("%s case %d: agent %d sees %d members of cleared group %d", tp.name, c, i, n, grp)
-						}
-					}
-				}
-				checkOccupancyAgreement(t, w, fmt.Sprintf("%s case %d cleared-groups", tp.name, c))
-				if t.Failed() {
-					return
-				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -165,11 +165,11 @@ func TestShardedOccupancySelection(t *testing.T) {
 				}
 			}
 			for s, x := range indexes {
-				if dense := x.dense != nil; dense != (sp.want == OccDense) || dense == (x.sparse != nil) {
+				if dense := x.totals != nil; dense != (sp.want == OccDense) || dense == (x.sparse != nil) {
 					t.Errorf("%s with %d shards: index %d holds dense=%v sparse=%v, want %d", sp.name, k, s, dense, x.sparse != nil, sp.want)
 				}
-				if x.dense != nil && int64(len(x.dense)) != x.hi-x.lo {
-					t.Errorf("%s with %d shards: index %d has %d dense cells for span %d", sp.name, k, s, len(x.dense), x.hi-x.lo)
+				if x.totals != nil && int64(len(x.totals)) != x.hi-x.lo {
+					t.Errorf("%s with %d shards: index %d has %d dense totals for span %d", sp.name, k, s, len(x.totals), x.hi-x.lo)
 				}
 			}
 		}

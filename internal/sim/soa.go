@@ -9,10 +9,10 @@ import (
 // round loop touches per agent: parallel flat slices indexed by agent
 // id. Positions, previous positions, and RNG streams are the
 // authoritative state; draws and floats are caller-owned scratch
-// buffers the batched RNG kernels fill once per round (allocated
-// lazily by ensureScratch, only for policy/topology pairs with a
-// batched path). The per-agent active mask of the observation
-// pipeline lives in Round.active, completing the SoA set.
+// buffers the batched kernels fill once per round (allocated lazily
+// by ensureScratch, only for policy/topology pairs with a batched
+// path). The per-agent active mask of the observation pipeline lives
+// in Round.active, completing the SoA set.
 //
 // World embeds hotState anonymously, so w.pos[i], w.prev[i],
 // w.streams[i], w.draws[i], and w.floats[i] are always element i of
@@ -121,9 +121,10 @@ func (h *hotState) stepUniform(g topology.Graph, p Policy) {
 // stepBatched advances every agent of h on g through a batched kernel,
 // reporting false (with state untouched) when the policy/topology pair
 // has none or its scratch was not provisioned. Draw consumption per
-// agent stream is identical to the scalar Step —
-// rng.Uint64nEach/FloatEach make exactly the draws the per-agent calls
-// would — so the two paths are interchangeable bit for bit.
+// agent stream is identical to the scalar Step — the kernels' inline
+// bounded draws and rng.FloatEach make exactly the draws the
+// per-agent calls would — so the two paths are interchangeable bit
+// for bit.
 func (h *hotState) stepBatched(g topology.Graph, p Policy) bool {
 	switch pl := p.(type) {
 	case RandomWalk:
@@ -143,8 +144,9 @@ func (h *hotState) stepBatched(g topology.Graph, p Policy) bool {
 }
 
 // randomWalkBatched is stepBatched's uniform-random-walk kernel: one
-// bulk bounded-draw fill, one arithmetic apply pass. A CSR graph with
-// no fixed draw bound gets no draws scratch; it steps in one pass of
+// pass that draws each agent's step from its stream and applies it
+// with arithmetic (RandomStepsInto). A CSR graph with no fixed draw
+// bound gets no draws scratch; it steps in one pass of
 // (*Adj).RandomSteps, which bounds each agent's draw by its own node's
 // degree.
 func (h *hotState) randomWalkBatched(g topology.Graph) bool {

@@ -262,8 +262,12 @@ func (w *World) SetTagged(i int, tagged bool) {
 	if w.occDirty {
 		return
 	}
-	// The index is live: patch the agent's current cell in place
-	// instead of invalidating everything.
+	// The index is live: patch the agent's current node in place
+	// instead of invalidating everything. A dense index gets its tag
+	// counts here, with the world's first tagged agent.
+	if tagged {
+		w.ensureTagCounts()
+	}
 	p := w.pos[i]
 	w.occAt(p).addTag(p, int32(delta))
 }

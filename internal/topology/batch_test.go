@@ -54,13 +54,24 @@ func TestTorusStepMatchesCoordinateArithmetic(t *testing.T) {
 // paths fall back to the generic scalar route.
 type graphOnly struct{ Graph }
 
+// TestRandomStepsIntoMatchesScalar checks every batched kernel against
+// RandomStep: positions, stream state, and draws[k] against the
+// neighbor index the scalar step drew. complete-huge has a draw bound
+// of 3·2^61 - 1, so about one first draw in four falls in Lemire's
+// rejected fringe and the redraw path runs every round.
 func TestRandomStepsIntoMatchesScalar(t *testing.T) {
+	var cycle []Edge
+	for v := int64(0); v < 40; v++ {
+		cycle = append(cycle, Edge{v, (v + 1) % 40}, Edge{v, (v + 7) % 40})
+	}
 	graphs := map[string]Graph{
-		"ring":      MustTorus(1, 1024),
-		"torus2d":   MustTorus(2, 512),
-		"torus3d":   MustTorus(3, 31),
-		"hypercube": MustHypercube(10),
-		"complete":  MustComplete(1000),
+		"ring":          MustTorus(1, 1024),
+		"torus2d":       MustTorus(2, 512),
+		"torus3d":       MustTorus(3, 31),
+		"hypercube":     MustHypercube(10),
+		"complete":      MustComplete(1000),
+		"complete-huge": MustComplete(3 << 61),
+		"adj-regular":   MustAdj(40, cycle),
 	}
 	for name, g := range graphs {
 		root := rng.New(77)
@@ -76,6 +87,7 @@ func TestRandomStepsIntoMatchesScalar(t *testing.T) {
 			posB[i], posS[i] = p, p
 		}
 		draws := make([]uint64, agents)
+		want := make([]uint64, agents)
 		for round := 0; round < 20; round++ {
 			switch gr := g.(type) {
 			case *Torus:
@@ -84,8 +96,14 @@ func TestRandomStepsIntoMatchesScalar(t *testing.T) {
 				gr.RandomStepsInto(posB, batched, draws)
 			case *Complete:
 				gr.RandomStepsInto(posB, batched, draws)
+			case *Adj:
+				if !gr.RandomStepsInto(posB, batched, draws) {
+					t.Fatalf("%s: RandomStepsInto returned false for a regular graph", name)
+				}
 			}
 			for i := range posS {
+				probe := scalar[i] // RandomStep draws Intn(degree) first
+				want[i] = uint64(probe.Intn(g.Degree(posS[i])))
 				posS[i] = RandomStep(g, posS[i], &scalar[i])
 			}
 			for i := range posB {
@@ -94,6 +112,9 @@ func TestRandomStepsIntoMatchesScalar(t *testing.T) {
 				}
 				if batched[i] != scalar[i] {
 					t.Fatalf("%s round %d agent %d: stream state diverged", name, round, i)
+				}
+				if draws[i] != want[i] {
+					t.Fatalf("%s round %d agent %d: draws %d, scalar drew index %d", name, round, i, draws[i], want[i])
 				}
 			}
 		}

@@ -1,6 +1,10 @@
 package topology
 
-import "antdensity/internal/rng"
+import (
+	"math/bits"
+
+	"antdensity/internal/rng"
+)
 
 // This file holds the devirtualized fast-path kernels for the regular
 // topologies and the CSR adjacency graph. The generic Graph interface
@@ -85,86 +89,142 @@ func (g *Adj) RandomSteps(pos []int64, streams []rng.Stream) {
 }
 
 // RandomStepsInto advances pos[k] by one uniformly random step drawing
-// from streams[k], for every k, with the draws batched: one
-// rng.Uint64nEach fill (one bounded draw per agent stream, written to
-// the caller-owned draws buffer) followed by an arithmetic-only apply
-// loop. Draw consumption per stream is identical to RandomStep, so the
-// batched and scalar paths are interchangeable bit for bit; draws must
-// have at least len(pos) elements, and pos, streams, and draws must be
-// indexed alike.
+// from streams[k], for every k, in one pass: each agent's bounded draw
+// is made inline exactly as rng.Uint64nEach makes it (Lemire's method
+// with the threshold hoisted out of the loop, rejection redraws
+// included), stored in draws[k], and applied while the agent's stream
+// and position are in registers. Draw consumption per stream is
+// identical to RandomStep, so the batched and scalar paths are
+// interchangeable bit for bit, and draws[k] is the neighbor index the
+// scalar step would draw. draws must have at least len(pos) elements,
+// and pos, streams, and draws must be indexed alike.
 func (t *Torus) RandomStepsInto(pos []int64, streams []rng.Stream, draws []uint64) {
-	rng.Uint64nEach(streams, uint64(2*t.dims), draws)
+	n := uint64(2 * t.dims)
+	thresh := -n % n
+	streams, draws = streams[:len(pos)], draws[:len(pos)]
 	if t.dims == 2 {
 		// The paper's sqrt(A) x sqrt(A) grid is the headline benchmark;
-		// specialize it so each apply step costs one fastDiv, with the
+		// specialize it so each step costs one fastDiv, with the
 		// coordinate (x for dim 0, y for dim 1) and its stride selected
 		// by mask — the drawn dimension is random, so a branch on it
 		// would mispredict half the time.
-		side, rs := uint64(t.side), t.recipSide
-		for k, d := range draws {
-			v := uint64(pos[k])
+		side, rs := t.side, t.recipSide
+		for k, v := range pos {
+			x, s := streams[k].Next()
+			d, lo := bits.Mul64(x, n)
+			if lo < thresh {
+				d, s = redraw(s, n, thresh)
+			}
+			streams[k], draws[k] = s, d
 			delta := int64(1) - int64(d&1)<<1
-			y := int64(fastDiv(v, side, rs))
-			x := int64(v) - y*t.side
+			y := int64(fastDiv(uint64(v), uint64(side), rs))
+			xc := v - y*side
 			dimMask := -int64(d >> 1) // 0 for dim 0, -1 for dim 1
-			coord := x ^ ((x ^ y) & dimMask)
-			stride := int64(1) ^ ((int64(1) ^ t.side) & dimMask)
+			coord := xc ^ ((xc ^ y) & dimMask)
+			stride := int64(1) ^ ((int64(1) ^ side) & dimMask)
 			next := coord + delta
 			switch {
-			case next == t.side:
+			case next == side:
 				next = 0
 			case next < 0:
-				next = t.side - 1
+				next = side - 1
 			}
-			pos[k] += (next - coord) * stride
+			pos[k] = v + (next-coord)*stride
 		}
 		return
 	}
-	for k, d := range draws {
+	for k, v := range pos {
+		x, s := streams[k].Next()
+		d, lo := bits.Mul64(x, n)
+		if lo < thresh {
+			d, s = redraw(s, n, thresh)
+		}
+		streams[k], draws[k] = s, d
 		i := int(d)
-		pos[k] = t.step(pos[k], i>>1, 1-int64(i&1)<<1)
+		pos[k] = t.step(v, i>>1, 1-int64(i&1)<<1)
 	}
 }
 
-// RandomStepsInto advances every pos[k] by one batched uniformly
-// random step; see (*Torus).RandomStepsInto.
+// RandomStepsInto advances every pos[k] by one uniformly random step
+// in one draw-and-step pass; see (*Torus).RandomStepsInto.
 func (h *Hypercube) RandomStepsInto(pos []int64, streams []rng.Stream, draws []uint64) {
-	rng.Uint64nEach(streams, uint64(h.bits), draws)
-	for k, d := range draws {
-		pos[k] ^= 1 << uint(d)
+	n := uint64(h.bits)
+	thresh := -n % n
+	streams, draws = streams[:len(pos)], draws[:len(pos)]
+	for k, v := range pos {
+		x, s := streams[k].Next()
+		d, lo := bits.Mul64(x, n)
+		if lo < thresh {
+			d, s = redraw(s, n, thresh)
+		}
+		streams[k], draws[k] = s, d
+		pos[k] = v ^ 1<<uint(d)
 	}
 }
 
-// RandomStepsInto advances every pos[k] by one batched uniformly
-// random step; see (*Torus).RandomStepsInto.
+// RandomStepsInto advances every pos[k] by one uniformly random step
+// in one draw-and-step pass; see (*Torus).RandomStepsInto.
 func (c *Complete) RandomStepsInto(pos []int64, streams []rng.Stream, draws []uint64) {
-	rng.Uint64nEach(streams, uint64(c.nodes-1), draws)
-	for k, d := range draws {
+	n := uint64(c.nodes - 1)
+	thresh := -n % n
+	streams, draws = streams[:len(pos)], draws[:len(pos)]
+	for k, v := range pos {
+		x, s := streams[k].Next()
+		d, lo := bits.Mul64(x, n)
+		if lo < thresh {
+			d, s = redraw(s, n, thresh)
+		}
+		streams[k], draws[k] = s, d
 		j := int64(d)
-		if j >= pos[k] {
+		if j >= v {
 			j++
 		}
 		pos[k] = j
 	}
 }
 
-// RandomStepsInto is RandomSteps with the draws batched, possible for
-// the CSR graph only when it is regular (a fixed draw bound holds for
-// every node); it reports false without touching anything otherwise,
-// and callers fall back to RandomSteps. Regular graphs with isolated
-// nodes do not exist (degree 0 everywhere means no edges, degree > 0
-// somewhere breaks regularity), so the isolated-node no-draw rule of
-// RandomStep cannot diverge here.
+// RandomStepsInto is RandomSteps with a fixed draw bound, possible for
+// the CSR graph only when it is regular (one bound holds for every
+// node), in one draw-and-step pass like (*Torus).RandomStepsInto; it
+// reports false without touching anything otherwise, and callers fall
+// back to RandomSteps. Regular graphs with isolated nodes do not exist
+// (degree 0 everywhere means no edges, degree > 0 somewhere breaks
+// regularity), so the isolated-node no-draw rule of RandomStep cannot
+// diverge here.
 func (g *Adj) RandomStepsInto(pos []int64, streams []rng.Stream, draws []uint64) bool {
 	if g.regular <= 0 {
 		return false
 	}
-	rng.Uint64nEach(streams, uint64(g.regular), draws)
+	n := uint64(g.regular)
+	thresh := -n % n
+	streams, draws = streams[:len(pos)], draws[:len(pos)]
 	offsets, neighbors := g.offsets, g.neighbors
-	for k, d := range draws {
-		pos[k] = neighbors[offsets[pos[k]]+int64(d)]
+	for k, v := range pos {
+		x, s := streams[k].Next()
+		d, lo := bits.Mul64(x, n)
+		if lo < thresh {
+			d, s = redraw(s, n, thresh)
+		}
+		streams[k], draws[k] = s, d
+		pos[k] = neighbors[offsets[v]+int64(d)]
 	}
 	return true
+}
+
+// redraw finishes a bounded draw in [0, n) whose first value fell in
+// Lemire's rejected fringe (low product half below thresh = 2^64 mod n):
+// it redraws from s until a value is accepted, exactly as
+// rng.Uint64nEach's rejection loop does, and returns the draw and the
+// advanced stream. A rejection has probability below n/2^64, so the
+// loop stays out of the kernels' hot bodies.
+func redraw(s rng.Stream, n, thresh uint64) (uint64, rng.Stream) {
+	for {
+		x, next := s.Next()
+		s = next
+		if hi, lo := bits.Mul64(x, n); lo >= thresh {
+			return hi, s
+		}
+	}
 }
 
 // Stepper returns a uniform-random-step function for g with the

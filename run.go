@@ -139,11 +139,12 @@ type Output struct {
 // Output / Result. A Run executes exactly once; it is not reusable.
 type Run struct {
 	spec      *Spec
-	world     *World // nil for netsize
 	numAgents int
-	tam       *adversary.Tamperer // nil without a Spec adversary
-	audit     *adversary.Detector // audits tam's reports; nil when tam is
-	exec      func(ctx context.Context) (Output, *results.Result, error)
+	// The engine's state, nil once the run is terminal (release).
+	world *World              // nil for netsize
+	tam   *adversary.Tamperer // nil without a Spec adversary
+	audit *adversary.Detector // audits tam's reports; nil when tam is
+	exec  func(ctx context.Context) (Output, *results.Result, error)
 
 	state   atomic.Int32
 	snap    atomic.Pointer[publication]
@@ -248,6 +249,7 @@ func (r *Run) loop(ctx context.Context) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.output, r.result, r.err = out, res, err
+	r.release()
 	switch {
 	case err == nil:
 		r.state.Store(int32(StateDone))
@@ -262,6 +264,15 @@ func (r *Run) loop(ctx context.Context) {
 		r.cancelFn() // release the context's resources
 	}
 	close(r.done)
+}
+
+// release drops what only the engine reads — the world, the compiled
+// engine with its observers, and the adversary — once the engine has
+// returned or can no longer run, so a finished run a Manager retains
+// keeps its outcome and terminal publication, not its world. Called
+// under r.mu.
+func (r *Run) release() {
+	r.world, r.exec, r.tam, r.audit = nil, nil, nil, nil
 }
 
 // safeExec runs the engine, converting a panic (reachable only
@@ -295,6 +306,7 @@ func (r *Run) Cancel() {
 	// Never started: finish as cancelled right here.
 	r.started = true
 	r.err = context.Canceled
+	r.release()
 	r.state.Store(int32(StateCanceled))
 	r.snap.Store(r.snap.Load().terminal(StateCanceled, r.err))
 	r.wake()

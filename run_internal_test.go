@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
+	"weak"
 
 	"antdensity/internal/core"
 	"antdensity/internal/quorum"
@@ -255,4 +257,55 @@ func TestPublicationsMatchEagerViews(t *testing.T) {
 		}
 		checkView(t, "early stop", final, eagerView(t, s, final.Round))
 	})
+}
+
+// TestTerminalRunReleasesWorld pins that a terminal Run keeps its
+// outcome but not its world: once the engine returns, or a run is
+// cancelled before Start, the world (positions, streams, occupancy
+// index) is garbage even while the Run itself stays reachable, as
+// every finished run a Manager retains does.
+func TestTerminalRunReleasesWorld(t *testing.T) {
+	opts := func(extra ...SpecOption) []SpecOption {
+		return append([]SpecOption{WithTorus2D(16), WithAgents(40), WithSeed(3), WithRounds(20)}, extra...)
+	}
+	for _, tc := range []struct {
+		name   string
+		spec   *Spec
+		cancel bool // cancel before Start instead of running
+	}{
+		{name: "density", spec: DensitySpec(opts()...)},
+		{name: "density with adversary", spec: DensitySpec(opts(WithAdversary("stall", 0.2, 0, 0))...)},
+		{name: "independent", spec: IndependentSpec(opts()...)},
+		{name: "property", spec: PropertySpec(opts(WithTaggedCount(8))...)},
+		{name: "quorum", spec: QuorumSpec(0.05, opts()...)},
+		{name: "adaptive quorum", spec: AdaptiveQuorumSpec(0.05, opts()...)},
+		{name: "cancelled before start", spec: DensitySpec(opts()...), cancel: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := tc.spec.NewRun()
+			if err != nil {
+				t.Fatal(err)
+			}
+			world := weak.Make(r.world)
+			if tc.cancel {
+				r.Cancel()
+			} else {
+				if err := r.Start(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				if err := r.Wait(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.GC()
+			runtime.GC()
+			if world.Value() != nil {
+				t.Errorf("a %s run keeps its world reachable", r.State())
+			}
+			if _, err := r.Result(); !tc.cancel && err != nil {
+				t.Errorf("result after release: %v", err)
+			}
+			runtime.KeepAlive(r)
+		})
+	}
 }
