@@ -194,7 +194,10 @@ func TestServeErrors(t *testing.T) {
 	// Unknown kind, unknown graph kind, invalid specs, malformed JSON.
 	// ER(2, 0.5) at seed 0 draws no edge, so its connected component is
 	// one isolated node: a netsize seed vertex of degree 0, and a graph
-	// without edges for a stationary start.
+	// without edges for a stationary start. A netsize seed start on the
+	// bipartite 64² torus would report about half its size, and auto
+	// burn-in on the 1023³ torus would need a spectral gap over more
+	// nodes than SpectralGap takes.
 	for _, body := range []string{
 		`{"kind": "density", "graph": {"kind": "torus2d", "side": 20}, "agents": 5, "rounds": 10, "shards": 65}`,
 		`{"kind": "nope", "graph": {"kind": "torus2d", "side": 20}, "agents": 5, "rounds": 10}`,
@@ -202,6 +205,8 @@ func TestServeErrors(t *testing.T) {
 		`{"kind": "density", "graph": {"kind": "torus2d", "side": 20}, "agents": 0, "rounds": 10}`,
 		`{"kind": "netsize", "graph": {"kind": "er", "nodes": 2, "degree": 1, "seed": 0}, "walkers": 10, "rounds": 50}`,
 		`{"kind": "netsize", "graph": {"kind": "er", "nodes": 2, "degree": 1, "seed": 0}, "walkers": 10, "rounds": 50, "stationary": true}`,
+		`{"kind": "netsize", "graph": {"kind": "torus", "dims": 2, "side": 64}, "walkers": 1000, "rounds": 2000, "seed": 5}`,
+		`{"kind": "netsize", "graph": {"kind": "torus", "dims": 3, "side": 1023}, "walkers": 100, "rounds": 50}`,
 		`{"kind": "density", "bogus_field": 1}`,
 		`{not json`,
 	} {

@@ -188,11 +188,10 @@ func equalInt64(a, b []int64) bool {
 // SpectralGap's interface mat-vec) instead of the CSR ones.
 type plainGraph struct{ topology.Graph }
 
-func TestCSRKernelsBitIdenticalToInterface(t *testing.T) {
-	// Property: on every CSR graph, the full pipeline with auto
-	// burn-in, the Katzir comparator and the cross-round estimator
-	// return the same Result bits whether the walkers read degrees
-	// from the CSR offsets or through Graph.Degree.
+// csrGraphs returns the CSR graphs the netsize kernels are checked on:
+// BA(2000, 4), the connected part of an ER draw and a WS graph.
+func csrGraphs(t *testing.T) []namedAdj {
+	t.Helper()
 	ba, err := socialnet.BarabasiAlbert(2000, 4, rng.New(11))
 	if err != nil {
 		t.Fatal(err)
@@ -205,52 +204,108 @@ func TestCSRKernelsBitIdenticalToInterface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	same := func(a, b *Result) bool {
-		return math.Float64bits(a.Size) == math.Float64bits(b.Size) &&
-			math.Float64bits(a.C) == math.Float64bits(b.C) &&
-			math.Float64bits(a.InvAvgDegree) == math.Float64bits(b.InvAvgDegree) &&
-			a.Queries == b.Queries
+	return []namedAdj{{"ba", ba}, {"er-connected", socialnet.Connected(er)}, {"ws", ws}}
+}
+
+type namedAdj struct {
+	name string
+	g    *topology.Adj
+}
+
+// netsizeEstimators are the three estimators the pins cover: the full
+// pipeline with auto burn-in from a seed vertex, and the Katzir and
+// cross-round estimators on 150 walkers burned in for 20 steps.
+var netsizeEstimators = []struct {
+	name string
+	run  func(t *testing.T, g topology.Graph) (*Result, error)
+}{
+	{"Estimate", func(_ *testing.T, g topology.Graph) (*Result, error) {
+		return Estimate(g, Config{Walkers: 200, Steps: 100, BurnIn: -1, Seed: 15})
+	}},
+	{"KatzirEstimate", func(t *testing.T, g topology.Graph) (*Result, error) {
+		return burnedWalkers(t, g).KatzirEstimate(0), nil
+	}},
+	{"CrossRoundEstimate", func(t *testing.T, g topology.Graph) (*Result, error) {
+		return burnedWalkers(t, g).CrossRoundEstimate(30, 0)
+	}},
+}
+
+func burnedWalkers(t *testing.T, g topology.Graph) *Walkers {
+	t.Helper()
+	w, err := NewWalkersAtSeed(g, 150, 0, rng.New(14))
+	if err != nil {
+		t.Fatal(err)
 	}
-	walkers := func(g topology.Graph) *Walkers {
-		w, err := NewWalkersAtSeed(g, 150, 0, rng.New(14))
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.BurnIn(20)
-		return w
-	}
-	for _, tc := range []struct {
-		name string
-		g    *topology.Adj
-	}{{"ba", ba}, {"er-connected", socialnet.Connected(er)}, {"ws", ws}} {
-		for _, est := range []struct {
-			name string
-			run  func(g topology.Graph) (*Result, error)
-		}{
-			{"Estimate", func(g topology.Graph) (*Result, error) {
-				return Estimate(g, Config{Walkers: 200, Steps: 100, BurnIn: -1, Seed: 15})
-			}},
-			{"KatzirEstimate", func(g topology.Graph) (*Result, error) {
-				return walkers(g).KatzirEstimate(0), nil
-			}},
-			{"CrossRoundEstimate", func(g topology.Graph) (*Result, error) {
-				return walkers(g).CrossRoundEstimate(30, 0)
-			}},
-		} {
-			csr, err := est.run(tc.g)
+	w.BurnIn(20)
+	return w
+}
+
+func sameResult(a, b *Result) bool {
+	return math.Float64bits(a.Size) == math.Float64bits(b.Size) &&
+		math.Float64bits(a.C) == math.Float64bits(b.C) &&
+		math.Float64bits(a.InvAvgDegree) == math.Float64bits(b.InvAvgDegree) &&
+		a.Queries == b.Queries
+}
+
+func TestCSRKernelsBitIdenticalToInterface(t *testing.T) {
+	// Property: on every CSR graph, the full pipeline with auto
+	// burn-in, the Katzir comparator and the cross-round estimator
+	// return the same Result bits whether the walkers read degrees
+	// from the CSR offsets or through Graph.Degree.
+	for _, tc := range csrGraphs(t) {
+		for _, est := range netsizeEstimators {
+			csr, err := est.run(t, tc.g)
 			if err != nil {
 				t.Fatalf("%s %s: %v", tc.name, est.name, err)
 			}
-			generic, err := est.run(plainGraph{tc.g})
+			generic, err := est.run(t, plainGraph{tc.g})
 			if err != nil {
 				t.Fatalf("%s %s on plainGraph: %v", tc.name, est.name, err)
 			}
-			if !same(csr, generic) {
+			if !sameResult(csr, generic) {
 				t.Errorf("%s %s: CSR %+v, interface %+v", tc.name, est.name, *csr, *generic)
 			}
 			if csr.C <= 0 {
 				t.Errorf("%s %s: no collisions (C = %v), so the fold was not exercised", tc.name, est.name, csr.C)
 			}
 		}
+	}
+}
+
+func TestNetsizeResultBitsPinned(t *testing.T) {
+	// TestCSRKernelsBitIdenticalToInterface compares two paths that
+	// share the degree-weighted fold, so an edit that moves both alike
+	// (a reciprocal multiply, a reordered sum) passes it. These literal
+	// Result bits were recorded before the CSR walk drew inline and the
+	// fold dropped its zero-count branch; no kernel change may move them.
+	pins := map[string]Result{
+		"ba/Estimate":           {Size: math.Float64frombits(0x40a035190632f7c7), C: math.Float64frombits(0x3f3f9729dce58d2a), InvAvgDegree: math.Float64frombits(0x3fc076b32c99ee9f), Queries: 26400},
+		"ba/KatzirEstimate":     {Size: math.Float64frombits(0x4098636a4f5f82c4), C: math.Float64frombits(0x3f44fe5f0efad8ec), InvAvgDegree: math.Float64frombits(0x3fbde5d8e70682bd), Queries: 3000},
+		"ba/CrossRoundEstimate": {Size: math.Float64frombits(0x409dd640004bac11), C: math.Float64frombits(0x3f4128f295b1d73d), InvAvgDegree: math.Float64frombits(0x3fbde5d8e70682bd), Queries: 7500},
+		"er-connected/Estimate": {Size: math.Float64frombits(0x408332aa7473d28c), C: math.Float64frombits(0x3f5aab689c6f0eb3), InvAvgDegree: math.Float64frombits(0x3fb59274c898172e), Queries: 24800},
+		"ws/Estimate":           {Size: math.Float64frombits(0x40891091f827a5ee), C: math.Float64frombits(0x3f546d573b8d1f30), InvAvgDegree: math.Float64frombits(0x3fb528dbdcde62dc), Queries: 54000},
+	}
+	checked := 0
+	for _, tc := range csrGraphs(t) {
+		for _, est := range netsizeEstimators {
+			key := tc.name + "/" + est.name
+			want, ok := pins[key]
+			if !ok {
+				continue
+			}
+			checked++
+			got, err := est.run(t, tc.g)
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			if !sameResult(got, &want) {
+				t.Errorf("%s: got {Size:%#x C:%#x Inv:%#x Queries:%d}, want {Size:%#x C:%#x Inv:%#x Queries:%d}", key,
+					math.Float64bits(got.Size), math.Float64bits(got.C), math.Float64bits(got.InvAvgDegree), got.Queries,
+					math.Float64bits(want.Size), math.Float64bits(want.C), math.Float64bits(want.InvAvgDegree), want.Queries)
+			}
+		}
+	}
+	if checked != len(pins) {
+		t.Errorf("checked %d of %d pins", checked, len(pins))
 	}
 }

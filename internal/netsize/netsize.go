@@ -35,10 +35,10 @@ import (
 // stream), so estimates are unchanged for any fixed seed.
 type Walkers struct {
 	world *sim.World
-	// degree reads the degree of a vertex walkers stand on, picked
-	// once: (*Adj).DegreeUnchecked on a CSR graph (walker positions
-	// are valid nodes), Graph.Degree on any other.
-	degree  func(v int64) int
+	// adj is the graph when it is CSR and nil otherwise: degreeAt and
+	// weightCounts then read walker degrees from its offsets instead
+	// of calling Graph.Degree.
+	adj     *topology.Adj
 	queries int64
 	counts  []int // scratch for bulk count snapshots
 }
@@ -55,11 +55,18 @@ func newWalkers(g topology.Graph, pos []int64, streams []rng.Stream) (*Walkers, 
 	if err != nil {
 		return nil, err
 	}
-	degree := g.Degree
-	if adj, ok := g.(*topology.Adj); ok {
-		degree = adj.DegreeUnchecked
+	adj, _ := g.(*topology.Adj)
+	return &Walkers{world: world, adj: adj}, nil
+}
+
+// degreeAt returns the degree of v, a vertex walkers stand on:
+// (*Adj).DegreeUnchecked on a CSR graph (walker positions are valid
+// nodes), Graph.Degree on any other.
+func (w *Walkers) degreeAt(v int64) int {
+	if w.adj != nil {
+		return w.adj.DegreeUnchecked(v)
 	}
-	return &Walkers{world: world, degree: degree}, nil
+	return w.world.Graph().Degree(v)
 }
 
 // NewWalkersAtSeed starts n walkers at the given seed vertex — the
@@ -174,16 +181,28 @@ func (w *Walkers) weightedCollisions() float64 {
 
 // weightCounts folds a bulk count snapshot into the degree-weighted
 // collision total. Accumulation runs in walker-index order so the
-// float sum is bit-identical across runs, and degrees are queried only
-// for colliding walkers.
+// float sum is bit-identical across runs. Every walker is summed, with
+// no branch on its count: counts are >= 0 and every vertex a walker
+// stands on has degree >= 1 (no walker starts on an isolated vertex,
+// and an undirected Graph's walk never reaches one), so a zero count
+// adds +0 to a sum that starts at +0 and never decreases, which leaves
+// its bits as they were. The graph's kind is checked once per call,
+// not per walker: on a CSR graph the loop reads degrees from the
+// offsets with no call (degreeAt, whose Graph.Degree fallback puts it
+// over the inliner's budget, would be a call per walker).
 //
 //antlint:noalloc
 func (w *Walkers) weightCounts(counts []int) float64 {
 	var sum float64
-	for i, c := range counts {
-		if c > 0 {
-			sum += float64(c) / float64(w.degree(w.world.Pos(i)))
+	if adj := w.adj; adj != nil {
+		for i, c := range counts {
+			sum += float64(c) / float64(adj.DegreeUnchecked(w.world.Pos(i)))
 		}
+		return sum
+	}
+	g := w.world.Graph()
+	for i, c := range counts {
+		sum += float64(c) / float64(g.Degree(w.world.Pos(i)))
 	}
 	return sum
 }
@@ -197,7 +216,7 @@ func (w *Walkers) EstimateAvgDegree() float64 {
 	n := w.world.NumAgents()
 	var sum float64
 	for i := 0; i < n; i++ {
-		sum += 1 / float64(w.degree(w.world.Pos(i)))
+		sum += 1 / float64(w.degreeAt(w.world.Pos(i)))
 	}
 	return sum / float64(n)
 }
@@ -329,6 +348,17 @@ func EstimateContext(ctx context.Context, g topology.Graph, cfg Config) (*Result
 	if edges < 1 {
 		return nil, fmt.Errorf("netsize: graph has no edges")
 	}
+	if !cfg.Stationary {
+		if cfg.BurnIn < 0 && g.NumNodes() > topology.MaxSpectralGapNodes {
+			return nil, fmt.Errorf("netsize: a negative BurnIn derives the burn-in from the spectral gap, which takes at most %d nodes, not %d", topology.MaxSpectralGapNodes, g.NumNodes())
+		}
+		// Every walker keeps the seed vertex's side of a bipartite
+		// graph, so the walkers meet on half the nodes at most and the
+		// estimate is about half the size, whatever the burn-in.
+		if topology.IsBipartite(g) {
+			return nil, fmt.Errorf("netsize: graph is bipartite, so walkers started at one seed vertex never mix; start them stationary")
+		}
+	}
 	root := rng.New(cfg.Seed)
 	var w *Walkers
 	var err error
@@ -346,9 +376,10 @@ func EstimateContext(ctx context.Context, g topology.Graph, cfg Config) (*Result
 		if burn < 0 {
 			lambda := topology.SpectralGap(g, 300, root.Split(1<<32))
 			// The Section 5.1 analysis requires a connected,
-			// non-bipartite network; lambda ~ 1 signals a (near-)
-			// bipartite or disconnected graph on which no burn-in
-			// length mixes the walk.
+			// non-bipartite network. Bipartite graphs are refused
+			// above; lambda ~ 1 signals a disconnected or
+			// near-bipartite one, on which no burn-in length mixes
+			// the walk.
 			if lambda > 0.9999 {
 				return nil, fmt.Errorf("netsize: measured spectral value %.6f ~ 1; graph is (near-)bipartite or disconnected, burn-in cannot converge", lambda)
 			}

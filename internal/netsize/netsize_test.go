@@ -2,6 +2,7 @@ package netsize
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"antdensity/internal/rng"
@@ -171,7 +172,8 @@ func TestSeedStartWithBurnInMatchesStationary(t *testing.T) {
 	// Section 5.1.4: after enough burn-in, seed-started walks give
 	// estimates consistent with stationary-started ones. The side
 	// must be odd: an even-side torus is bipartite and the walk never
-	// mixes (Estimate rejects it; see the test below).
+	// mixes (Estimate rejects a seed start on it; see
+	// TestEstimateRejectsBipartiteSeedStart).
 	g := topology.MustTorus(3, 7)
 	var burned, stationary []float64
 	for trial := 0; trial < 10; trial++ {
@@ -308,6 +310,9 @@ func TestEstimateConfigErrors(t *testing.T) {
 		{"self-loop", loop, Config{Walkers: 10, Steps: 50, BurnIn: -1}},
 		{"self-loop, stationary", loop, Config{Walkers: 10, Steps: 50, Stationary: true}},
 		{"seed vertex of degree 0", triangle, Config{Walkers: 10, Steps: 50, BurnIn: -1, SeedVertex: 3}},
+		// Auto burn-in on a graph SpectralGap cannot hold: an error, not
+		// its panic. The odd side keeps the graph non-bipartite.
+		{"auto burn-in above the spectral gap's node limit", topology.MustTorus(3, 1023), Config{Walkers: 10, Steps: 50, BurnIn: -1}},
 	} {
 		if res, err := Estimate(tc.g, tc.cfg); err == nil {
 			t.Errorf("%s: Estimate succeeded with %+v, want an error", tc.name, *res)
@@ -323,5 +328,42 @@ func TestEstimateRejectsBipartiteAutoBurnIn(t *testing.T) {
 	_, err := Estimate(g, Config{Walkers: 10, Steps: 10, BurnIn: -1, SeedVertex: 0, Seed: 1})
 	if err == nil {
 		t.Fatal("bipartite graph accepted for auto burn-in")
+	}
+}
+
+func TestEstimateRejectsBipartiteSeedStart(t *testing.T) {
+	// Walkers from one vertex of a bipartite graph keep its side, so
+	// they meet on half the nodes at most and the estimate is about
+	// half the size. The 64² torus's other eigenvalues decay too
+	// slowly for the spectral value guard to catch it, and an explicit
+	// burn-in skips that guard, so the refusal must come first.
+	ring, err := topology.NewRing(200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		g    topology.Graph
+	}{{"torus 64²", topology.MustTorus(2, 64)}, {"ring 200", ring}} {
+		for _, burn := range []int{-1, 500} {
+			_, err := Estimate(tc.g, Config{Walkers: 20, Steps: 20, BurnIn: burn, Seed: 5})
+			if err == nil || !strings.Contains(err.Error(), "bipartite") {
+				t.Errorf("%s, burn-in %d: error %v, want a bipartite refusal", tc.name, burn, err)
+			}
+		}
+	}
+	// An odd side is not bipartite, and a stationary start is unbiased
+	// on a bipartite graph: both still run.
+	for _, tc := range []struct {
+		name string
+		g    topology.Graph
+		cfg  Config
+	}{
+		{"torus 63², seed start", topology.MustTorus(2, 63), Config{Walkers: 20, Steps: 20, BurnIn: -1, Seed: 5}},
+		{"torus 64², stationary", topology.MustTorus(2, 64), Config{Walkers: 20, Steps: 20, Stationary: true, Seed: 5}},
+	} {
+		if _, err := Estimate(tc.g, tc.cfg); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
 	}
 }

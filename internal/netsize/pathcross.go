@@ -92,7 +92,7 @@ func (w *Walkers) CrossRoundEstimate(t int, invAvgDegree float64) (*Result, erro
 			sq += fm * fm
 			start = end
 		}
-		x += (tot*tot - sq) / float64(w.degree(v))
+		x += (tot*tot - sq) / float64(w.degreeAt(v))
 	}
 	nn := float64(n)
 	tt := float64(t + 1)

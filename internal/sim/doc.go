@@ -50,8 +50,10 @@
 // with 0 < StayProb < 1 on those same graphs; and Biased on the
 // arithmetic topologies. On a CSR graph with no fixed draw bound the
 // random walk needs no scratch: (*topology.Adj).RandomSteps bounds
-// each agent's draw by its own node's degree in one pass. Every other
-// world — per-agent overrides, Drift, Stationary, Lazy with
+// each agent's draw by its own node's degree, and makes the draw
+// inline too, so its pass makes no call unless a draw's low product
+// half falls below the degree (probability below degree/2^64). Every
+// other world — per-agent overrides, Drift, Stationary, Lazy with
 // StayProb >= 1, generic graphs — runs the scalar loop of Policy.Step
 // calls, which is also the reference every batched kernel is tested
 // against.

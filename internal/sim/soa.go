@@ -148,7 +148,7 @@ func (h *hotState) stepBatched(g topology.Graph, p Policy) bool {
 // with arithmetic (RandomStepsInto). A CSR graph with no fixed draw
 // bound gets no draws scratch; it steps in one pass of
 // (*Adj).RandomSteps, which bounds each agent's draw by its own node's
-// degree.
+// degree and makes it inline.
 func (h *hotState) randomWalkBatched(g topology.Graph) bool {
 	pos, streams := h.pos, h.streams
 	if h.draws == nil {

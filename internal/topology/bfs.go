@@ -46,8 +46,21 @@ func IsConnected(g Graph) bool {
 // IsBipartite reports whether g is bipartite. The paper notes the
 // torus with even side is bipartite (agents at odd distance never
 // meet), while the burn-in analysis of Section 5.1.4 requires a
-// non-bipartite network.
+// non-bipartite network. The arithmetic topologies answer in closed
+// form, so an implicit graph is never given a color per node: a torus
+// (the ring included) is bipartite iff its side is even, a hypercube
+// always is, and a complete graph iff it has at most 2 nodes. Any
+// other graph is 2-colored by BFS, which returns at the first odd
+// cycle it meets.
 func IsBipartite(g Graph) bool {
+	switch t := g.(type) {
+	case *Torus:
+		return t.side%2 == 0
+	case *Hypercube:
+		return true
+	case *Complete:
+		return t.nodes <= 2
+	}
 	n := g.NumNodes()
 	color := make([]int8, n) // 0 unvisited, 1 or 2 otherwise
 	var queue []int64

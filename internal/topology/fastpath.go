@@ -59,16 +59,20 @@ func (g *Adj) DegreeUnchecked(v int64) int {
 }
 
 // RandomStepFrom is RandomStep specialized to the CSR layout, without
-// node validation: one offsets load selects v's neighbor slice, one
-// uniform draw indexes it. Isolated nodes return v and consume no
-// randomness, exactly like RandomStep.
+// node validation: one offsets load selects v's neighbor slice, and a
+// bounded draw made inline on *s (drawBelow, as in RandomSteps)
+// indexes it. Isolated nodes return v and consume no randomness,
+// exactly like RandomStep.
+//
+//antlint:noalloc
 func (g *Adj) RandomStepFrom(v int64, s *rng.Stream) int64 {
 	lo, hi := g.offsets[v], g.offsets[v+1]
-	d := int(hi - lo)
-	if d == 0 {
+	if lo == hi {
 		return v
 	}
-	return g.neighbors[lo+int64(s.Intn(d))]
+	x, next := s.Next()
+	*s = next
+	return g.neighbors[lo+int64(drawBelow(x, uint64(hi-lo), s))]
 }
 
 // RandomSteps advances pos[k] by one uniformly random step drawing
@@ -76,15 +80,25 @@ func (g *Adj) RandomStepFrom(v int64, s *rng.Stream) int64 {
 // CSR layout: per-node degrees come from one subtraction, with no
 // interface dispatch or validation in the loop. Each draw is bounded
 // by its own node's degree, so it needs no fixed draw bound and serves
-// irregular graphs; isolated nodes stay put and consume no randomness,
+// irregular graphs, and it is made inline on the stream value
+// (drawBelow): the loop calls nothing unless a draw's low product half
+// falls below the degree, which has probability below degree/2^64.
+// Each stream advances exactly as (*rng.Stream).Intn(degree) would
+// advance it, and isolated nodes stay put and consume no randomness,
 // exactly like RandomStep.
+//
+//antlint:noalloc
 func (g *Adj) RandomSteps(pos []int64, streams []rng.Stream) {
 	offsets, neighbors := g.offsets, g.neighbors
-	for k := range pos {
-		lo, hi := offsets[pos[k]], offsets[pos[k]+1]
-		if d := int(hi - lo); d > 0 {
-			pos[k] = neighbors[lo+int64(streams[k].Intn(d))]
+	streams = streams[:len(pos)]
+	for k, v := range pos {
+		lo, hi := offsets[v], offsets[v+1]
+		if lo == hi {
+			continue
 		}
+		x, s := streams[k].Next()
+		streams[k] = s
+		pos[k] = neighbors[lo+int64(drawBelow(x, uint64(hi-lo), &streams[k]))]
 	}
 }
 
@@ -209,6 +223,35 @@ func (g *Adj) RandomStepsInto(pos []int64, streams []rng.Stream, draws []uint64)
 		pos[k] = neighbors[offsets[v]+int64(d)]
 	}
 	return true
+}
+
+// drawBelow finishes a bounded draw in [0, n), n > 0, from x, the
+// value *s has just produced (*s already advanced past it): it returns
+// what (*rng.Stream).Uint64n(n) would and leaves *s as Uint64n would.
+// Like Uint64n it compares the low product half with n first; only a
+// half below n (probability below n/2^64) reaches the out-of-line
+// fringe, which computes Lemire's threshold. It must stay within the
+// inliner's budget (go1.24 prices it at exactly 80 of 80; `go build
+// -gcflags=-m` reports "can inline drawBelow"), so that the CSR
+// kernels, whose bound changes with every walker's node, draw with no
+// call.
+func drawBelow(x, n uint64, s *rng.Stream) uint64 {
+	if d, lo := bits.Mul64(x, n); lo >= n {
+		return d
+	}
+	return fringe(x, n, s)
+}
+
+// fringe finishes a draw of drawBelow whose low product half fell
+// below n, as (*rng.Stream).Uint64n does: the draw stands unless the
+// low half is also below thresh = 2^64 mod n, and then redraw repeats
+// it from *s.
+func fringe(x, n uint64, s *rng.Stream) uint64 {
+	d, lo := bits.Mul64(x, n)
+	if thresh := -n % n; lo < thresh {
+		d, *s = redraw(*s, n, thresh)
+	}
+	return d
 }
 
 // redraw finishes a bounded draw in [0, n) whose first value fell in

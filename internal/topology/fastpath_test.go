@@ -69,35 +69,75 @@ func TestAdjNeighborUncheckedMatchesNeighbor(t *testing.T) {
 }
 
 func TestAdjRandomStepsMatchesRandomStep(t *testing.T) {
+	// RandomSteps (the bulk kernel) and RandomStepFrom (one walker)
+	// both draw inline; each must track the scalar RandomStep draw for
+	// draw.
 	g := testAdj(t)
 	const agents = 48
 	root := rng.New(53)
 	bulkStreams := make([]rng.Stream, agents)
+	fromStreams := make([]rng.Stream, agents)
 	scalarStreams := make([]*rng.Stream, agents)
 	pos := make([]int64, agents)
+	from := make([]int64, agents)
 	ref := make([]int64, agents)
 	for i := range pos {
 		bulkStreams[i] = root.SplitValue(uint64(i))
+		fromStreams[i] = root.SplitValue(uint64(i))
 		scalarStreams[i] = root.Split(uint64(i))
 		// Every node is a start, including the isolated one, which must
 		// stay put without consuming a draw.
 		pos[i] = int64(i) % g.NumNodes()
+		from[i] = pos[i]
 		ref[i] = pos[i]
 	}
 	for round := 0; round < 40; round++ {
 		g.RandomSteps(pos, bulkStreams)
+		for i := range from {
+			from[i] = g.RandomStepFrom(from[i], &fromStreams[i])
+		}
 		for i := range ref {
 			ref[i] = RandomStep(g, ref[i], scalarStreams[i])
 		}
 		for i := range ref {
-			if pos[i] != ref[i] {
-				t.Fatalf("round %d agent %d: bulk %d, scalar %d", round, i, pos[i], ref[i])
+			if pos[i] != ref[i] || from[i] != ref[i] {
+				t.Fatalf("round %d agent %d: RandomSteps %d, RandomStepFrom %d, scalar %d", round, i, pos[i], from[i], ref[i])
+			}
+			if bulkStreams[i] != *scalarStreams[i] || fromStreams[i] != *scalarStreams[i] {
+				t.Fatalf("round %d agent %d: stream states diverged from the scalar step's", round, i)
 			}
 		}
 	}
 	for i := range pos {
-		if int64(i)%g.NumNodes() == 5 && pos[i] != 5 {
-			t.Fatalf("agent %d left the isolated node: %d", i, pos[i])
+		if int64(i)%g.NumNodes() == 5 && (pos[i] != 5 || from[i] != 5) {
+			t.Fatalf("agent %d left the isolated node: RandomSteps %d, RandomStepFrom %d", i, pos[i], from[i])
+		}
+	}
+}
+
+func TestDrawBelowMatchesUint64n(t *testing.T) {
+	// No CSR graph has a degree that makes drawBelow's fringe likely,
+	// so the draw is checked here against Uint64n directly: on small
+	// bounds, and on 3·2^61 (a low half below n in 3 draws of 8, and
+	// below the threshold in 1 of 4, so the fringe both keeps and
+	// rejects first draws) and 2^63+1 (about half the first draws
+	// rejected).
+	var bounds []uint64
+	for n := uint64(1); n <= 64; n++ {
+		bounds = append(bounds, n)
+	}
+	bounds = append(bounds, 3<<61, 1<<63+1)
+	root := rng.New(97)
+	for _, n := range bounds {
+		for k := uint64(0); k < 200; k++ {
+			s := root.SplitValue(k)
+			want := s
+			x, next := s.Next()
+			s = next
+			got := drawBelow(x, n, &s)
+			if w := want.Uint64n(n); got != w || s != want {
+				t.Fatalf("bound %d, stream %d: drawBelow %d, Uint64n %d (streams equal: %v)", n, k, got, w, s == want)
+			}
 		}
 	}
 }

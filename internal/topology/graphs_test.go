@@ -339,6 +339,29 @@ func TestIsBipartite(t *testing.T) {
 	}
 }
 
+func TestIsBipartiteClosedFormsMatchBFS(t *testing.T) {
+	// The torus, hypercube and complete graph answer in closed form;
+	// hidden behind a wrapper, the same graph takes the BFS coloring.
+	type hidden struct{ Graph }
+	var graphs []Graph
+	for dims := 1; dims <= 3; dims++ {
+		for side := int64(2); side <= 7; side++ {
+			graphs = append(graphs, MustTorus(dims, side))
+		}
+	}
+	for bits := 1; bits <= 6; bits++ {
+		graphs = append(graphs, MustHypercube(bits))
+	}
+	for n := int64(2); n <= 6; n++ {
+		graphs = append(graphs, MustComplete(n))
+	}
+	for _, g := range graphs {
+		if got, want := IsBipartite(g), IsBipartite(hidden{g}); got != want {
+			t.Errorf("%T with %d nodes: closed form %v, BFS %v", g, g.NumNodes(), got, want)
+		}
+	}
+}
+
 func TestBFSDistances(t *testing.T) {
 	// Path 0-1-2-3 plus isolated node 4.
 	g := MustAdj(5, []Edge{{0, 1}, {1, 2}, {2, 3}})

@@ -7,6 +7,11 @@ import (
 	"antdensity/internal/rng"
 )
 
+// MaxSpectralGapNodes is the most nodes SpectralGap accepts: its three
+// float64 vectors take 3 GiB at this size. Callers that derive a
+// burn-in from the gap check a graph against it before they start.
+const MaxSpectralGapNodes = 1 << 27
+
 // SpectralGap estimates lambda = max(|lambda_2|, |lambda_A|) of the
 // random-walk matrix W of g, the quantity the paper uses for expander
 // re-collision bounds (Lemma 23) and burn-in lengths (Section 5.1.4).
@@ -27,10 +32,10 @@ import (
 //
 // SpectralGap materializes three vectors of length A (the stationary
 // weights and two iterates), so it is intended for graphs up to a few
-// tens of millions of nodes.
+// tens of millions of nodes, and it panics above MaxSpectralGapNodes.
 func SpectralGap(g Graph, iters int, s *rng.Stream) float64 {
 	a := g.NumNodes()
-	if a > 1<<27 {
+	if a > MaxSpectralGapNodes {
 		panic(fmt.Sprintf("topology: SpectralGap needs dense vectors; %d nodes is too large", a))
 	}
 	n := int(a)

@@ -517,6 +517,14 @@ func (s *Spec) validateNetsize() error {
 	if s.Threshold != 0 {
 		return fmt.Errorf("antdensity: Spec.Threshold is only valid for quorum kinds, not %q", s.Kind)
 	}
+	if !s.Stationary {
+		if n := s.Graph.NumNodes(); s.BurnIn < 0 && n > topology.MaxSpectralGapNodes {
+			return fmt.Errorf("antdensity: Spec.BurnIn < 0 derives the burn-in from the spectral gap, which takes at most %d nodes, not %d; set Spec.BurnIn >= 0 or Spec.Stationary", topology.MaxSpectralGapNodes, n)
+		}
+		if topology.IsBipartite(s.Graph) {
+			return fmt.Errorf("antdensity: Spec.Graph is bipartite, so walkers started at Spec.SeedVertex keep its side and meet on half the nodes at most; set Spec.Stationary")
+		}
+	}
 	return nil
 }
 

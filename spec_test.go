@@ -231,6 +231,17 @@ func TestSpecValidationErrors(t *testing.T) {
 			}(),
 			want: "Spec.Threshold is only valid for quorum kinds",
 		},
+		{
+			name: "netsize seed start on a bipartite graph",
+			spec: antdensity.NetworkSizeSpec(antdensity.WithGraph(g), antdensity.WithWalkers(4), antdensity.WithRounds(10)),
+			want: "Spec.Graph is bipartite",
+		},
+		{
+			name: "netsize auto burn-in above the spectral gap's node limit",
+			spec: antdensity.NetworkSizeSpec(antdensity.WithGraph(topology.MustTorus(3, 1023)), antdensity.WithWalkers(4),
+				antdensity.WithRounds(10)),
+			want: "Spec.BurnIn < 0 derives the burn-in from the spectral gap, which takes at most 134217728 nodes",
+		},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
