@@ -585,13 +585,56 @@ func TestServeJournalReplay(t *testing.T) {
 
 	// Restart over the same data dir.
 	srv2, s2 := newTestServerCfg(t, serveConfig{workers: 2, dataDir: dir})
-	_ = s2
+
+	// The archive keeps the done result as compact as the journal holds
+	// it, before and after it is served: each GET indents it.
+	ar, ok := s2.store.get(done.ID)
+	if !ok {
+		t.Fatalf("%s is not archived after the restart", done.ID)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, resultBefore); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ar.result, compact.Bytes()) {
+		t.Fatalf("replay did not keep the journal's compact bytes: holds %d bytes, the compact form is %d", len(ar.result), compact.Len())
+	}
 
 	// The completed result is served byte-identically, without
-	// recomputation.
-	resultAfter := getBytes(t, srv2.URL+"/v1/runs/"+done.ID+"/result", http.StatusOK)
-	if !bytes.Equal(resultBefore, resultAfter) {
-		t.Fatalf("replayed result differs:\nbefore: %s\nafter:  %s", resultBefore, resultAfter)
+	// recomputation, on every GET: two concurrent GETs indent the same
+	// archived bytes, and a third follows them.
+	resultURL := srv2.URL + "/v1/runs/" + done.ID + "/result"
+	after := make([][]byte, 3)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := http.Get(resultURL)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer resp.Body.Close()
+			after[i], errs[i] = io.ReadAll(resp.Body)
+			if errs[i] == nil && resp.StatusCode != http.StatusOK {
+				errs[i] = fmt.Errorf("status %d: %s", resp.StatusCode, after[i])
+			}
+		}(i)
+	}
+	wg.Wait()
+	after[2] = getBytes(t, resultURL, http.StatusOK)
+	for i, resultAfter := range after {
+		if i < len(errs) && errs[i] != nil {
+			t.Fatalf("GET %d of the replayed result: %v", i, errs[i])
+		}
+		if !bytes.Equal(resultBefore, resultAfter) {
+			t.Fatalf("GET %d of the replayed result differs:\nbefore: %s\nafter:  %s", i, resultBefore, resultAfter)
+		}
+	}
+	if !bytes.Equal(ar.result, compact.Bytes()) {
+		t.Fatal("serving the result changed the archived compact bytes")
 	}
 
 	// Its snapshot and SSE stream survive too.
@@ -639,6 +682,42 @@ func TestServeJournalReplay(t *testing.T) {
 	getJSON(t, srv2.URL+"/v1/runs", http.StatusOK, &list)
 	if len(list) < 5 {
 		t.Fatalf("list after replay = %d entries: %+v", len(list), list)
+	}
+}
+
+// TestServeJournalReplayFallbackSnapshot replays terminal records
+// without a readable snapshot: each archived run's snapshot is rebuilt
+// from the terminal record, with its kind read from the submit spec.
+func TestServeJournalReplayFallbackSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	jr, _, _, err := journal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []journal.Record{
+		{Type: journal.TypeSubmit, ID: "r000001", Seq: 1, Spec: json.RawMessage(`{"kind":"quorum","graph":{"kind":"torus2d","side":20},"agents":21,"rounds":100,"threshold":0.05}`)},
+		{Type: journal.TypeTerminal, ID: "r000001", Seq: 1, State: "failed", Error: "boom"},
+		{Type: journal.TypeSubmit, ID: "r000002", Seq: 2, Spec: json.RawMessage(`{"kind":"netsize","graph":{"kind":"torus2d","side":21},"walkers":10,"rounds":50}`)},
+		{Type: journal.TypeTerminal, ID: "r000002", Seq: 2, State: "canceled", Snap: json.RawMessage(`"not a snapshot"`)},
+	} {
+		if err := jr.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, _ := newTestServerCfg(t, serveConfig{workers: 2, dataDir: dir})
+	for _, want := range []runSnapshot{
+		{ID: "r000001", Kind: "quorum", State: "failed", Error: "boom"},
+		{ID: "r000002", Kind: "netsize", State: "canceled"},
+	} {
+		var snap runSnapshot
+		getJSON(t, srv.URL+"/v1/runs/"+want.ID, http.StatusOK, &snap)
+		if snap != want {
+			t.Errorf("replayed snapshot = %+v, want %+v", snap, want)
+		}
 	}
 }
 

@@ -10,7 +10,9 @@ package main
 //   - runs with a terminal record become archivedRuns, served from
 //     the journal without recomputation (GET snapshot/result/events
 //     all keep working after a restart); a completed one also answers
-//     identical submissions under its journaled fingerprint;
+//     identical submissions under its journaled fingerprint. Its
+//     result stays as compact as the journal holds it; each GET of it
+//     indents it into the bytes the live path serves;
 //   - runs without one were interrupted by the previous process's
 //     death; they are re-submitted under their original ids, so a
 //     client holding an id from before the restart sees its run
@@ -39,7 +41,7 @@ import (
 type archivedRun struct {
 	id     string
 	state  string          // done | canceled | failed
-	result json.RawMessage // structured result (done only)
+	result json.RawMessage // structured result, compact as journaled (done only)
 	snap   runSnapshot
 	fp     string // journaled Spec fingerprint (done runs; "" when unknown)
 }
@@ -80,9 +82,9 @@ func openRunStore(dir string, s *server) error {
 	s.store = st
 	resumed := 0
 	for _, e := range entries {
-		var req runRequest
-		specErr := json.Unmarshal(e.Submit.Spec, &req)
 		if e.Interrupted() {
+			var req runRequest
+			specErr := json.Unmarshal(e.Submit.Spec, &req)
 			if err := st.resume(s, e, req, specErr); err != nil {
 				st.add(&archivedRun{
 					id:    e.Submit.ID,
@@ -98,7 +100,7 @@ func openRunStore(dir string, s *server) error {
 			resumed++
 			continue
 		}
-		st.add(st.archivedFromEntry(e, req))
+		st.add(archivedFromEntry(e))
 	}
 	if len(entries) > 0 {
 		fmt.Fprintf(os.Stderr, "antdensity: journal: replayed %d run(s), resumed %d interrupted\n",
@@ -125,21 +127,14 @@ func (st *runStore) resume(s *server, e *journal.Entry, req runRequest, specErr 
 }
 
 // archivedFromEntry rebuilds an archivedRun from a journaled terminal
-// record.
-func (st *runStore) archivedFromEntry(e *journal.Entry, req runRequest) *archivedRun {
+// record. The submit record's spec is decoded only when the terminal
+// record has no readable snapshot, for the fallback's kind.
+func archivedFromEntry(e *journal.Entry) *archivedRun {
 	term := e.Terminal
 	ar := &archivedRun{id: e.Submit.ID, state: term.State, result: term.Result}
-	// Journal marshaling compacts the embedded result; restore the
-	// results.WriteJSON rendering so archived serving is byte-identical
-	// to the live path.
-	if len(term.Result) > 0 {
-		var buf bytes.Buffer
-		if json.Indent(&buf, term.Result, "", "  ") == nil {
-			buf.WriteByte('\n')
-			ar.result = buf.Bytes()
-		}
-	}
 	if len(term.Snap) == 0 || json.Unmarshal(term.Snap, &ar.snap) != nil {
+		var req runRequest
+		_ = json.Unmarshal(e.Submit.Spec, &req) // an unreadable spec leaves the kind empty
 		ar.snap = runSnapshot{ID: e.Submit.ID, Kind: req.Kind, State: term.State, Error: term.Error}
 	}
 	// Only completed runs serve cache hits, and only under the
@@ -280,12 +275,22 @@ func (s *server) watch(mr *antdensity.ManagedRun) {
 }
 
 // archivedResult is GET /v1/runs/{id}/result for journal-replayed
-// runs: completed results are served verbatim from the journal.
+// runs: completed results are served from the journal. Journal
+// marshaling compacts the embedded result; indenting it on each GET
+// restores the results.WriteJSON rendering, so archived serving is
+// byte-identical to the live path while the archive keeps only the
+// compact bytes. A result that does not indent is served as journaled.
 func (s *server) archivedResult(w http.ResponseWriter, ar *archivedRun) {
 	if ar.state == antdensity.StateDone.String() && len(ar.result) > 0 {
+		res := []byte(ar.result)
+		var buf bytes.Buffer
+		if json.Indent(&buf, ar.result, "", "  ") == nil {
+			buf.WriteByte('\n')
+			res = buf.Bytes()
+		}
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(ar.result)
+		_, _ = w.Write(res)
 		return
 	}
 	writeJSON(w, http.StatusGone, ar.snap)

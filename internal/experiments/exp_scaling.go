@@ -44,22 +44,24 @@ func init() {
 // needs n_K = Theta(sqrt(|V|)) walkers; with B(t) = O(1) on the 3-D
 // torus, Theorem 27 lets the multi-round estimator shrink to
 // n = Theta(sqrt(|V|/t)) with t = Theta(M). Constants chosen so both
-// achieve comparable error at the smallest size.
-func e25Budget(p Params, side int) (g *topology.Torus, m, nK, nOurs int) {
+// achieve comparable error at the smallest size. An even side makes
+// the torus bipartite: walkers started at one seed vertex never mix
+// there (λ = 1, so no burn-in suffices), and the side is refused.
+func e25Budget(p Params, side int) (g *topology.Torus, m, nK, nOurs int, err error) {
 	s := rng.New(p.Seed)
 	g = topology.MustTorus(3, int64(side))
+	if topology.IsBipartite(g) {
+		return nil, 0, 0, 0, fmt.Errorf("E25: the side-%d torus is bipartite, so walkers started at one seed vertex never mix; use an odd side", side)
+	}
 	vcount := g.NumNodes()
 	lambda := topology.SpectralGap(g, 400, s.Split(uint64(side)))
-	if lambda >= 1 {
-		lambda = 1 - 1e-9
-	}
 	m = topology.MixingTime(topology.NumEdges(g), lambda, 0.1)
 	nK = int(math.Ceil(4 * math.Sqrt(float64(vcount))))
 	nOurs = int(math.Ceil(6 * math.Sqrt(float64(vcount)/float64(m))))
 	if nOurs < 6 {
 		nOurs = 6
 	}
-	return g, m, nK, nOurs
+	return g, m, nK, nOurs, nil
 }
 
 // e25Measure runs one (side, strategy) cell and returns the mean query
@@ -67,7 +69,10 @@ func e25Budget(p Params, side int) (g *topology.Torus, m, nK, nOurs int) {
 // budget.
 func e25Measure(p Params, side int, strategy string) (queries, relErr float64, walkers, steps, trials int, err error) {
 	trials = pick(p, 8, 4)
-	g, m, nK, nOurs := e25Budget(p, side)
+	g, m, nK, nOurs, err := e25Budget(p, side)
+	if err != nil {
+		return 0, 0, 0, 0, 0, err
+	}
 	truth := 1 / float64(g.NumNodes())
 	var seedBase uint64
 	switch strategy {

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"antdensity/internal/results"
 )
@@ -66,6 +67,25 @@ func TestSweepErrors(t *testing.T) {
 	}
 	if err := e01.SweepSpecs(p, []string{"steps"}, emit); err == nil {
 		t.Error("spec without '=' accepted")
+	}
+}
+
+// TestSweepE25RefusesBipartiteSide pins that E25 refuses an even
+// torus side, whose bipartite torus seed-started walkers never mix,
+// at once rather than burning them in for ~1e10 steps.
+func TestSweepE25RefusesBipartiteSide(t *testing.T) {
+	e, _ := ByID("E25")
+	errc := make(chan error, 1)
+	go func() {
+		errc <- e.SweepSpecs(Params{Seed: 1, Quick: true}, []string{"side=8"}, func(SweepRow) error { return nil })
+	}()
+	select {
+	case err := <-errc:
+		if err == nil || !strings.Contains(err.Error(), "bipartite") {
+			t.Errorf("sweep E25 side=8 error = %v, want the bipartite torus named", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("sweep E25 side=8 still running after 30s")
 	}
 }
 

@@ -1,10 +1,12 @@
 package journal
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -20,12 +22,49 @@ func sameJSON(a, b json.RawMessage) bool {
 	return bytes.Equal(ca.Bytes(), cb.Bytes())
 }
 
+// serialReplay decodes a journal's bytes one line at a time on the
+// calling goroutine, as Open did before it decoded on several: the
+// oracle Open's records and skipped count must equal.
+func serialReplay(data []byte) (recs []Record, skipped int) {
+	rd := bufio.NewReader(bytes.NewReader(data))
+	for {
+		line, err := rd.ReadBytes('\n')
+		if len(bytes.TrimSpace(line)) > 0 {
+			var rec Record
+			if json.Unmarshal(line, &rec) != nil {
+				skipped++
+			} else {
+				recs = append(recs, rec)
+			}
+		}
+		if err != nil { // io.EOF: the reader is over memory
+			return recs, skipped
+		}
+	}
+}
+
+// sameReplay reports whether two replays hold the same records in the
+// same order.
+func sameReplay(a, b []Record) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !reflect.DeepEqual(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // FuzzOpenReduce throws arbitrary bytes at the replay path — the code
 // that must survive kill -9 damage, hand edits, and glued lines — and
 // checks the recovery invariants Open and Reduce document:
 //
 //   - Open never fails on content (only on I/O), never panics, and
 //     always leaves the file append-ready (newline-terminated).
+//   - Open's records and skipped count equal a serial line-by-line
+//     json.Unmarshal of the same bytes (serialReplay).
 //   - Every replayed record re-Appends and replays back identically
 //     (minus the wall-clock stamp), so recovery is idempotent.
 //   - Reduce's entries have unique IDs, all of type submit, and
@@ -53,6 +92,10 @@ func FuzzOpenReduce(f *testing.F) {
 		j.Close()
 		if skipped < 0 {
 			t.Fatalf("negative skipped count %d", skipped)
+		}
+		if want, wantSkipped := serialReplay(data); !sameReplay(recs, want) || skipped != wantSkipped {
+			t.Fatalf("Open replayed %d records (%d skipped), the serial decode %d (%d skipped)",
+				len(recs), skipped, len(want), wantSkipped)
 		}
 
 		entries, maxSeq, corrupt := Reduce(recs)

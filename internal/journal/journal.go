@@ -9,7 +9,9 @@
 // per line — so the file is greppable, ingestible by log tooling, and
 // recoverable by hand. Appends are synced to disk before returning;
 // a torn final line from a mid-write crash is skipped (and reported)
-// on replay rather than poisoning the log.
+// on replay rather than poisoning the log. Replay reads the lines in
+// one pass and decodes them on up to GOMAXPROCS workers, each over a
+// contiguous run of lines, so records come back in file order.
 package journal
 
 import (
@@ -20,6 +22,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"time"
 )
@@ -73,6 +76,8 @@ const FileName = "runs.jsonl"
 // reports how many. A bad interior line never aborts the replay: the
 // healthy suffix after it is still recovered. (Records that parse but
 // are semantically broken are Reduce's Corrupt counter instead.)
+// The lines are decoded on up to GOMAXPROCS goroutines; records keep
+// file order whatever their number.
 func Open(dir string) (j *Journal, recs []Record, skipped int, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, 0, fmt.Errorf("journal: %w", err)
@@ -88,15 +93,11 @@ func Open(dir string) (j *Journal, recs []Record, skipped int, err error) {
 	// line-length ceiling, so an oversized wreck is just one more
 	// skipped line.
 	rd := bufio.NewReaderSize(f, 64*1024)
+	var lines [][]byte
 	for {
 		line, rerr := rd.ReadBytes('\n')
 		if len(bytes.TrimSpace(line)) > 0 {
-			var rec Record
-			if err := json.Unmarshal(line, &rec); err != nil {
-				skipped++
-			} else {
-				recs = append(recs, rec)
-			}
+			lines = append(lines, line)
 		}
 		if rerr == io.EOF {
 			break
@@ -106,6 +107,7 @@ func Open(dir string) (j *Journal, recs []Record, skipped int, err error) {
 			return nil, nil, 0, fmt.Errorf("journal: reading %s: %w", path, rerr)
 		}
 	}
+	recs, skipped = decode(lines)
 	// Position at the end for appends (the reader may have over-read).
 	end, err := f.Seek(0, 2)
 	if err != nil {
@@ -128,6 +130,38 @@ func Open(dir string) (j *Journal, recs []Record, skipped int, err error) {
 		}
 	}
 	return &Journal{f: f}, recs, skipped, nil
+}
+
+// decode unmarshals each line into a Record, in line order, and counts
+// the lines that are not a JSON record. Up to GOMAXPROCS workers take
+// contiguous chunks; each writes only its own slots of rec and ok, and
+// drops each line once decoded so the GC can free it.
+func decode(lines [][]byte) (recs []Record, skipped int) {
+	rec := make([]Record, len(lines))
+	ok := make([]bool, len(lines))
+	workers := max(1, min(runtime.GOMAXPROCS(0), len(lines)))
+	chunk := (len(lines) + workers - 1) / workers
+	var wg sync.WaitGroup
+	for lo := 0; lo < len(lines); lo += chunk {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			for i := lo; i < hi; i++ {
+				ok[i] = json.Unmarshal(lines[i], &rec[i]) == nil
+				lines[i] = nil
+			}
+		}(lo, min(lo+chunk, len(lines)))
+	}
+	wg.Wait()
+	recs = rec[:0]
+	for i := range rec {
+		if !ok[i] {
+			skipped++
+			continue
+		}
+		recs = append(recs, rec[i])
+	}
+	return recs, skipped
 }
 
 // Append writes one record and syncs it to disk. An empty Time is

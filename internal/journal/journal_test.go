@@ -3,8 +3,10 @@ package journal
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -201,5 +203,59 @@ func TestReduceOrphanAndDuplicateRecords(t *testing.T) {
 	}
 	if entries[0].Submit.Seq != 3 || entries[0].Terminal == nil || entries[0].Terminal.State != "done" {
 		t.Fatalf("entry = %+v, terminal %+v", entries[0].Submit, entries[0].Terminal)
+	}
+}
+
+// TestOpenDecodeWorkerCounts replays one damaged journal long enough
+// to be decoded on several workers at GOMAXPROCS 1, 2 and 4: every
+// count must give the serial decode's records, in file order, and its
+// skipped count. The damage lands on both sides of the chunk
+// boundaries: non-JSON lines, blank and whitespace lines, a record
+// that parses but Reduce counts as corrupt, a 1 MiB wreck, and a torn
+// final line.
+func TestOpenDecodeWorkerCounts(t *testing.T) {
+	var data bytes.Buffer
+	for i := 0; i < 3200; i++ {
+		switch {
+		case i == 1601:
+			data.Write(bytes.Repeat([]byte{'z'}, 1<<20))
+			data.WriteByte('\n')
+		case i%97 == 0:
+			fmt.Fprintf(&data, "x#!garbage %d\n", i)
+		case i%89 == 0:
+			data.WriteString("\n   \n")
+		case i%83 == 0:
+			fmt.Fprintf(&data, "{\"type\":\"haywire\",\"id\":\"c%d\"}\n", i)
+		}
+		rec := Record{Type: TypeSubmit, ID: fmt.Sprintf("r%06d", i), Seq: i, Spec: json.RawMessage(`{"kind":"density"}`)}
+		if i%2 == 1 {
+			rec = Record{Type: TypeTerminal, ID: fmt.Sprintf("r%06d", i-1), Seq: i - 1, State: "done",
+				Result: json.RawMessage(fmt.Sprintf(`{"id":"r%06d","metrics":{"n":%d}}`, i-1, i))}
+		}
+		line, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data.Write(append(line, '\n'))
+	}
+	data.WriteString(`{"type":"submit","id":"torn","se`)
+	want, wantSkipped := serialReplay(data.Bytes())
+	if len(want) < 3000 || wantSkipped < 30 {
+		t.Fatalf("the journal replays %d records with %d skipped, want >= 3000 and >= 30", len(want), wantSkipped)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, FileName), data.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, recs, skipped := mustOpen(t, dir)
+		j.Close()
+		if !sameReplay(recs, want) || skipped != wantSkipped {
+			t.Errorf("GOMAXPROCS %d: Open replayed %d records (%d skipped), want %d (%d skipped)",
+				procs, len(recs), skipped, len(want), wantSkipped)
+		}
 	}
 }

@@ -107,14 +107,18 @@ func identityGraphs(t *testing.T) map[string]topology.Graph {
 		"star":      star(33),                 // irregular CSR, per-node-bound kernel
 		"barabasi":  ba,                       // irregular CSR, per-node-bound kernel
 		"hypercube": topology.MustHypercube(8),
+		"complete":  topology.MustComplete(40),
 	}
 }
 
 func TestWalkersBitIdenticalToScalarReference(t *testing.T) {
 	// Property: for every graph family, start mode, seed, and walker
 	// count, the rebuilt Walkers reproduces the retired scalar loop's
+	// start positions, the caller stream's state after the start,
 	// positions, queries, and every EstimateSize output field exactly
-	// — not approximately.
+	// — not approximately. The reference's stationary start searches
+	// the cumulative-degree table on every graph, so it is the oracle
+	// for the regular graphs' table-free start too.
 	for name, g := range identityGraphs(t) {
 		for _, n := range []int{2, 9, 40} {
 			for seed := uint64(0); seed < 5; seed++ {
@@ -122,15 +126,20 @@ func TestWalkersBitIdenticalToScalarReference(t *testing.T) {
 					var w *Walkers
 					var ref *refWalkers
 					var err error
+					root, refRoot := rng.New(seed), rng.New(seed)
 					if stationary {
-						w, err = NewWalkersStationary(g, n, rng.New(seed))
-						ref = refStationary(g, n, rng.New(seed))
+						w, err = NewWalkersStationary(g, n, root)
+						ref = refStationary(g, n, refRoot)
 					} else {
-						w, err = NewWalkersAtSeed(g, n, 0, rng.New(seed))
-						ref = refAtSeed(g, n, 0, rng.New(seed))
+						w, err = NewWalkersAtSeed(g, n, 0, root)
+						ref = refAtSeed(g, n, 0, refRoot)
 					}
 					if err != nil {
 						t.Fatalf("%s n=%d seed=%d: %v", name, n, seed, err)
+					}
+					if got, want := w.Positions(), ref.pos; !equalInt64(got, want) || root.Uint64() != refRoot.Uint64() {
+						t.Fatalf("%s n=%d seed=%d stationary=%v: start diverged\n got %v\nwant %v",
+							name, n, seed, stationary, got, want)
 					}
 					w.BurnIn(3)
 					for i := 0; i < 3; i++ {

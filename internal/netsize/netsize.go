@@ -95,28 +95,43 @@ func NewWalkersAtSeed(g topology.Graph, n int, seed int64, s *rng.Stream) (*Walk
 // NewWalkersStationary starts n walkers at independent samples from
 // the network's stable distribution (probability proportional to
 // degree) — the idealized model analyzed first in Section 5.1.2.
-// It materializes a cumulative-degree table of length A.
+// Each walker draws r uniformly below the degree sum and stands on the
+// node whose share of that sum holds r. On a topology.Regular graph
+// (torus, hypercube, complete) every share is the common degree k, so
+// the node is r / k and no table is built; any other graph
+// materializes a cumulative-degree table of length A, no larger than
+// the adjacency it already holds.
 func NewWalkersStationary(g topology.Graph, n int, s *rng.Stream) (*Walkers, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("netsize: need >= 2 walkers, got %d", n)
 	}
 	a := g.NumNodes()
-	cum := make([]int64, a+1)
-	for v := int64(0); v < a; v++ {
-		cum[v+1] = cum[v] + int64(g.Degree(v))
+	var total int64
+	var node func(r int64) int64
+	if rg, ok := g.(topology.Regular); ok {
+		k := int64(rg.CommonDegree())
+		total = a * k
+		node = func(r int64) int64 { return r / k }
+	} else {
+		cum := make([]int64, a+1)
+		for v := int64(0); v < a; v++ {
+			cum[v+1] = cum[v] + int64(g.Degree(v))
+		}
+		total = cum[a]
+		// Find v with cum[v] <= r < cum[v+1].
+		node = func(r int64) int64 {
+			return int64(sort.Search(int(a), func(x int) bool { return cum[x+1] > r }))
+		}
 	}
-	total := cum[a]
 	if total == 0 {
 		return nil, fmt.Errorf("netsize: graph has no edges")
 	}
 	pos := make([]int64, n)
 	streams := make([]rng.Stream, n)
 	for i := range pos {
-		r := int64(s.Uint64n(uint64(total)))
-		// Find v with cum[v] <= r < cum[v+1]. The stream split must
-		// happen after this walker's placement draw, reproducing the
-		// historical derivation order exactly.
-		pos[i] = int64(sort.Search(int(a), func(x int) bool { return cum[x+1] > r }))
+		// The stream split must happen after this walker's placement
+		// draw, reproducing the historical derivation order exactly.
+		pos[i] = node(int64(s.Uint64n(uint64(total))))
 		streams[i] = s.SplitValue(uint64(i))
 	}
 	return newWalkers(g, pos, streams)

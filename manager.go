@@ -123,26 +123,29 @@ func (m *Manager) SetRetention(n int) {
 }
 
 // evict drops the oldest terminal runs beyond the retention bound.
-// Callers hold m.mu.
+// A registered run that is neither queued nor on a worker has ended, so
+// the excess is known without a scan, and the walk from the oldest run
+// stops once it has evicted that many. The walk still checks each
+// run's state: while Close cancels its queue the count runs ahead, and
+// a live run is never evicted. Callers hold m.mu.
 func (m *Manager) evict() {
 	if m.retain < 0 {
 		return
 	}
-	terminal := 0
-	for _, id := range m.order {
-		if m.runs[id].Run.State().Terminal() {
-			terminal++
-		}
-	}
-	if terminal <= m.retain {
+	excess := len(m.order) - len(m.queue) - m.active - m.retain
+	if excess <= 0 {
 		return
 	}
 	kept := m.order[:0]
-	for _, id := range m.order {
-		if mr := m.runs[id]; terminal > m.retain && mr.Run.State().Terminal() {
+	for i, id := range m.order {
+		if excess == 0 {
+			kept = append(kept, m.order[i:]...)
+			break
+		}
+		if mr := m.runs[id]; mr.Run.State().Terminal() {
 			m.uncache(mr)
 			delete(m.runs, id)
-			terminal--
+			excess--
 			continue
 		}
 		kept = append(kept, id)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -273,6 +274,113 @@ func TestManagerRetention(t *testing.T) {
 	}
 	long.Run.Cancel()
 	<-long.Run.Done()
+}
+
+// waitRegistered polls until the Manager registers exactly want, in
+// submission order: eviction runs on the worker goroutines after each
+// run's Done closes.
+func waitRegistered(t *testing.T, m *antdensity.Manager, want ...*antdensity.ManagedRun) {
+	t.Helper()
+	ids := func(runs []*antdensity.ManagedRun) []string {
+		out := make([]string, len(runs))
+		for i, mr := range runs {
+			out[i] = mr.ID
+		}
+		return out
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		got := ids(m.Runs())
+		if slices.Equal(got, ids(want)) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("registered runs = %v, want %v", got, ids(want))
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestManagerRetentionKeepsRunningRun pins that retention counts only
+// ended runs: an early run that outlives later finished ones stays
+// registered while it runs, and once it ends it is the oldest terminal
+// run, so it is evicted first.
+func TestManagerRetentionKeepsRunningRun(t *testing.T) {
+	m := antdensity.NewManager(2)
+	defer m.Close()
+	m.SetRetention(2)
+	long, err := m.Submit(longSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitForState(t, long.Run, antdensity.StateRunning)
+	var quick []*antdensity.ManagedRun
+	for i := 0; i < 4; i++ {
+		mr, err := m.Submit(quickSpec(uint64(10 + i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mr.Run.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		quick = append(quick, mr)
+	}
+	waitRegistered(t, m, long, quick[2], quick[3])
+	m.Cancel(long.ID)
+	waitRegistered(t, m, quick[2], quick[3])
+}
+
+// TestManagerRetentionCountsCancelAndRemove pins the terminal count
+// behind retention through the two ways a run ends or leaves without a
+// worker: a run canceled while queued counts as ended, and a Removed
+// run stops counting, so the bound holds exactly after more runs.
+func TestManagerRetentionCountsCancelAndRemove(t *testing.T) {
+	m := antdensity.NewManager(1)
+	defer m.Close()
+	m.SetRetention(2)
+	long, err := m.Submit(longSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitForState(t, long.Run, antdensity.StateRunning)
+	queued, err := m.Submit(quickSpec(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Cancel(queued.ID)
+	if st := queued.Run.State(); st != antdensity.StateCanceled {
+		t.Fatalf("queued run canceled to %v", st)
+	}
+	m.Cancel(long.ID)
+	submitWait := func(spec *antdensity.Spec) *antdensity.ManagedRun {
+		t.Helper()
+		mr, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mr.Run.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		return mr
+	}
+	a := submitWait(quickSpec(3))
+	submitWait(quickSpec(4))
+	if !m.Remove(a.ID) {
+		t.Fatal("Remove(done run) = false")
+	}
+	c := submitWait(quickSpec(5))
+	d := submitWait(quickSpec(6))
+	// The one worker admits tail only after d's worker has released
+	// its slot and evicted, so once tail runs the registry is final:
+	// long, queued and the run after a evicted oldest first, a
+	// removed.
+	tail, err := m.Submit(longSpec(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitForState(t, tail.Run, antdensity.StateRunning)
+	waitRegistered(t, m, c, d, tail)
+	m.Cancel(tail.ID)
 }
 
 // TestManagerClose cancels everything and refuses new submissions.
