@@ -197,7 +197,9 @@ func TestServeErrors(t *testing.T) {
 	// without edges for a stationary start. A netsize seed start on the
 	// bipartite 64² torus would report about half its size, and auto
 	// burn-in on the 1023³ torus would need a spectral gap over more
-	// nodes than SpectralGap takes.
+	// nodes than SpectralGap takes. A stationary start on the complete
+	// graph of 4.5e9 nodes draws below its degree sum, about 2.0e19,
+	// which no int64 holds.
 	for _, body := range []string{
 		`{"kind": "density", "graph": {"kind": "torus2d", "side": 20}, "agents": 5, "rounds": 10, "shards": 65}`,
 		`{"kind": "nope", "graph": {"kind": "torus2d", "side": 20}, "agents": 5, "rounds": 10}`,
@@ -207,6 +209,7 @@ func TestServeErrors(t *testing.T) {
 		`{"kind": "netsize", "graph": {"kind": "er", "nodes": 2, "degree": 1, "seed": 0}, "walkers": 10, "rounds": 50, "stationary": true}`,
 		`{"kind": "netsize", "graph": {"kind": "torus", "dims": 2, "side": 64}, "walkers": 1000, "rounds": 2000, "seed": 5}`,
 		`{"kind": "netsize", "graph": {"kind": "torus", "dims": 3, "side": 1023}, "walkers": 100, "rounds": 50}`,
+		`{"kind": "netsize", "graph": {"kind": "complete", "nodes": 4500000000}, "walkers": 8, "rounds": 3, "stationary": true}`,
 		`{"kind": "density", "bogus_field": 1}`,
 		`{not json`,
 	} {
@@ -225,6 +228,9 @@ func TestServeErrors(t *testing.T) {
 		// A world picks its own shape, so a request has no layout field.
 		if strings.Contains(body, `"shards"`) && !strings.Contains(e.Error, `unknown field "shards"`) {
 			t.Errorf("POST %s: error %q does not name the unknown field shards", body, e.Error)
+		}
+		if strings.Contains(body, "4500000000") && !strings.Contains(e.Error, "more than the limit of 9223372036854775807") {
+			t.Errorf("POST %s: error %q does not name the int64 limit", body, e.Error)
 		}
 	}
 }

@@ -50,11 +50,13 @@
 //     Its hot path is allocation-free in steady state and laid out as
 //     a strict structure of arrays: positions, previous positions, and
 //     per-agent RNG streams are parallel flat slices. The random
-//     walk's batched kernels (internal/topology's RandomStepsInto)
-//     make each agent's bounded draw inline and take its step in the
-//     same pass with branch-free arithmetic, draw for draw as
-//     internal/rng's Uint64nEach would (it stays for bulk callers such
-//     as perfbench's replay); the Lazy and Biased kernels bulk-fill
+//     walk's batched kernels make each agent's bounded draw inline and
+//     take its step in the same pass: on the arithmetic topologies
+//     (internal/topology's RandomStepsInto) with branch-free
+//     arithmetic, draw for draw as internal/rng's Uint64nEach would
+//     (it stays for bulk callers such as perfbench's replay), and on
+//     every CSR graph, regular or not, through (*Adj).RandomSteps,
+//     which needs no scratch; the Lazy and Biased kernels bulk-fill
 //     floats with rng.FloatEach before a move pass. Worlds without a
 //     batched kernel for their policy take the scalar Policy.Step
 //     loop, the only other step path. An incrementally maintained

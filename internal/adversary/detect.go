@@ -135,13 +135,6 @@ func (d *Detector) scoreCell(cell []int, reports []int) {
 	}
 }
 
-// Opportunities returns how many co-location audits agent i has had.
-func (d *Detector) Opportunities(i int) int { return d.obs[i] }
-
-// Strikes returns how many of agent i's audits contradicted the
-// co-located consensus.
-func (d *Detector) Strikes(i int) int { return d.strikes[i] }
-
 // Flagged returns the per-agent verdicts: flagged[i] reports whether
 // agent i contradicted its co-located peers in more than FlagRate of
 // at least MinObs opportunities.

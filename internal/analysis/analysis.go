@@ -22,6 +22,13 @@
 //	//antlint:globalok <reason>  — this package-level mutable var is deliberate
 //	//antlint:noalloc            — this function must not allocate (opt-in check)
 //	//antlint:allocok <reason>   — this line inside a noalloc function may allocate
+//	//antlint:testonly <reason>  — this exported internal API is only called by tests, on purpose
+//
+// The last is read by TestRepoNoTestOnlyExports, a test rather than an
+// analyzer because it asks about every package at once: an exported
+// declaration under internal/ that no non-test code of the module or
+// of perfbench references fails it unless its doc comment carries the
+// marker with a reason.
 package analysis
 
 import (

@@ -67,14 +67,14 @@ func (p *Pass) annotatedAt(pos token.Pos, name string) (annotation, bool) {
 	return annotation{}, false
 }
 
-// funcAnnotated reports whether fn's doc comment carries the
-// directive (the convention for function-scoped directives such as
-// //antlint:noalloc).
-func funcAnnotated(fn *ast.FuncDecl, name string) (annotation, bool) {
-	if fn.Doc == nil {
+// docAnnotated reports whether a declaration's doc comment carries
+// the directive (the convention for declaration-scoped directives such
+// as //antlint:noalloc).
+func docAnnotated(doc *ast.CommentGroup, name string) (annotation, bool) {
+	if doc == nil {
 		return annotation{}, false
 	}
-	for _, c := range fn.Doc.List {
+	for _, c := range doc.List {
 		if a, ok := parseAnnotation(c.Text); ok && a.Name == name {
 			return a, true
 		}

@@ -141,6 +141,8 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 // dir, under the given import path. Used for analysistest fixtures
 // (testdata directories are invisible to go list) and for synthesized
 // package copies in regression tests.
+//
+//antlint:testonly loads the analyzer tests' testdata fixture packages, which go list cannot see
 func (l *Loader) LoadDir(importPath, dir string) (*Package, error) {
 	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {

@@ -41,7 +41,7 @@ func runNoAlloc(p *Pass) error {
 			if !ok || fn.Body == nil {
 				continue
 			}
-			if _, ok := funcAnnotated(fn, "noalloc"); !ok {
+			if _, ok := docAnnotated(fn.Doc, "noalloc"); !ok {
 				continue
 			}
 			p.checkNoAlloc(fn)

@@ -30,7 +30,6 @@ func SetupAlgorithm4(w *sim.World, seed uint64) {
 // off relative to an explicit horizon (Estimates).
 type IndependentObserver struct {
 	counts []int64
-	rounds int
 }
 
 // NewIndependentObserver returns an IndependentObserver for n agents.
@@ -43,12 +42,8 @@ func (o *IndependentObserver) Observe(r *sim.Round) sim.Signal {
 	for i, c := range r.Counts() {
 		o.counts[i] += int64(c)
 	}
-	o.rounds++
 	return sim.Continue
 }
-
-// Rounds returns the number of observed rounds.
-func (o *IndependentObserver) Rounds() int { return o.rounds }
 
 // Estimates applies the Appendix A reduction at horizon t: each
 // agent's count is reduced modulo t — exactly cancelling the t
@@ -92,6 +87,8 @@ func IndependentEstimates(counts []int64, t int) []float64 {
 // Algorithm4 overrides every agent's movement policy in w; seed
 // drives the walking/stationary coin flips. It returns per-agent
 // estimates.
+//
+//antlint:testonly reference implementation: TestShimEquivalenceIndependent checks the Spec path against it
 func Algorithm4(w *sim.World, t int, seed uint64) ([]float64, error) {
 	if t < 1 {
 		return nil, fmt.Errorf("core: round count must be >= 1, got %d", t)

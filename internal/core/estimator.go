@@ -187,9 +187,6 @@ func (co *CollisionObserver) Observe(r *sim.Round) sim.Signal {
 	return sim.Continue
 }
 
-// Rounds returns the number of observed rounds.
-func (co *CollisionObserver) Rounds() int { return co.rounds }
-
 // Counts returns each agent's accumulated collision total. The slice
 // is live; it keeps accumulating if observation continues.
 func (co *CollisionObserver) Counts() []int64 { return co.counts }
@@ -244,6 +241,8 @@ func perturb(c int, o options, noise *rng.Stream) int {
 // estimate c/t. The world's agents should use the sim.RandomWalk
 // policy (the default) for the Theorem 1 guarantees to apply; other
 // policies realize the Section 6.1 perturbation ablations.
+//
+//antlint:testonly reference implementation: TestShimEquivalenceDensity, DensityNoisy and Quorum check the Spec path against it
 func Algorithm1(w *sim.World, t int, opts ...Option) ([]float64, error) {
 	counts, err := CollisionCounts(w, t, opts...)
 	if err != nil {
@@ -329,9 +328,6 @@ func (po *PropertyObserver) Observe(r *sim.Round) sim.Signal {
 	return sim.Continue
 }
 
-// Rounds returns the number of observed rounds.
-func (po *PropertyObserver) Rounds() int { return po.rounds }
-
 // Result converts the accumulated counts into per-agent density,
 // property-density, and frequency estimates at the current horizon.
 func (po *PropertyObserver) Result() *PropertyResult {
@@ -349,6 +345,8 @@ func (po *PropertyObserver) Result() *PropertyResult {
 
 // Frequencies returns Result's Frequency alone: each agent's f_P
 // estimate at the current horizon, in one allocation.
+//
+//antlint:testonly reference: the eager snapshot the root package's snapshot tests compare property views against
 func (po *PropertyObserver) Frequencies() []float64 {
 	return PropertyFrequencies(po.total, po.tagged, po.rounds)
 }
@@ -381,6 +379,8 @@ func propertyEstimates(total, tagged int64, t int) (d, dP, f float64) {
 // tagged agents over t rounds, estimating the overall density d, the
 // property density d_P, and the relative frequency f_P = d_P/d.
 // Tag agents with w.SetTagged before calling.
+//
+//antlint:testonly reference implementation: TestShimEquivalenceProperty checks the Spec path against it
 func PropertyFrequency(w *sim.World, t int, opts ...Option) (*PropertyResult, error) {
 	if t < 1 {
 		return nil, fmt.Errorf("core: round count must be >= 1, got %d", t)

@@ -50,6 +50,8 @@ func Lemma19Epsilon(t int, d, delta, bt float64) float64 {
 
 // Theorem21Epsilon returns the ring accuracy bound of Theorem 21:
 // eps = O(sqrt(1/(t^(1/2) * d * delta))).
+//
+//antlint:testonly ROADMAP O17 shapes the density band on the ring with it
 func Theorem21Epsilon(t int, d, delta float64) float64 {
 	validateRounds(t)
 	validateProb("delta", delta)
@@ -64,15 +66,6 @@ func Theorem32Epsilon(t int, d, delta float64) float64 {
 	validateProb("delta", delta)
 	validateDensity(d)
 	return math.Sqrt(math.Log(1/delta) / (float64(t) * d))
-}
-
-// Theorem32Rounds returns the independent-sampling round count of
-// Theorem 32: t = Theta(log(1/delta)/(d*eps^2)).
-func Theorem32Rounds(eps, delta, d float64) int {
-	validateProb("eps", eps)
-	validateProb("delta", delta)
-	validateDensity(d)
-	return int(math.Ceil(math.Log(1/delta) / (d * eps * eps)))
 }
 
 // The B(t) functions below evaluate the summed re-collision
@@ -117,6 +110,8 @@ func BTorusK(t, k int) float64 {
 // BExpander returns B(t) for a regular expander with random-walk
 // second eigenvalue lambda: beta(m) = lambda^m + 1/A (Lemma 23), so
 // B(t) <= 1/(1-lambda) + t/A.
+//
+//antlint:testonly ROADMAP O17 shapes the density band on sampled graphs with it
 func BExpander(t int, lambda float64, numNodes int64) float64 {
 	validateRounds(t)
 	if lambda < 0 || lambda >= 1 {
@@ -144,6 +139,8 @@ func BHypercube(t int, numNodes int64) float64 {
 // Theta(1/(m+1)) quantity of Corollary 10 with its exact constant
 // 2/(pi m) + O(1/m^2), and is used to validate measured equalization
 // curves.
+//
+//antlint:testonly reference: the walk package's equalization-curve test compares its Monte Carlo estimate against this closed form
 func ExactEqualizationProbability(m int) float64 {
 	if m < 0 {
 		panic(fmt.Sprintf("core: m must be >= 0, got %d", m))

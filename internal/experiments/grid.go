@@ -177,14 +177,11 @@ func (pt Point) lookup(name string) int {
 // String returns the named axis's value.
 func (pt Point) String(name string) string { return pt.vals[pt.lookup(name)] }
 
-// ActiveValues returns the named axis's full active value list — the
-// registered defaults or a sweep's override. Cells use it to size
-// sweep-shared measurements (e.g. a Monte Carlo curve covering the
-// largest horizon of the whole sweep) instead of re-measuring per
-// cell. Callers must not mutate the returned slice.
-func (pt Point) ActiveValues(name string) []string { return pt.act[pt.lookup(name)] }
-
-// activeMaxInt returns the largest active value of the named int axis.
+// activeMaxInt returns the largest active value of the named int axis
+// (the registered defaults or a sweep's override). Cells use it to
+// size sweep-shared measurements (e.g. a Monte Carlo curve covering
+// the largest horizon of the whole sweep) instead of re-measuring per
+// cell.
 func activeMaxInt(pt Point, name string) int {
 	i := pt.lookup(name)
 	max := pt.Int(name)

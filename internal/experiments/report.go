@@ -19,11 +19,6 @@ func (r *Report) Table(headers ...string) *results.Series {
 	return r.res.AddSeries("", results.Cols(headers...)...)
 }
 
-// Series appends a new named series with fully specified columns.
-func (r *Report) Series(name string, columns ...results.Column) *results.Series {
-	return r.res.AddSeries(name, columns...)
-}
-
 // SetMetric records a named scalar outcome.
 func (r *Report) SetMetric(name string, v float64) { r.res.SetMetric(name, v) }
 
@@ -32,6 +27,3 @@ func (r *Report) Metric(name string) (float64, bool) { return r.res.Metric(name)
 
 // Notef appends a formatted note line.
 func (r *Report) Notef(format string, args ...any) { r.res.Notef(format, args...) }
-
-// Result exposes the accumulated structured result.
-func (r *Report) Result() *results.Result { return r.res }

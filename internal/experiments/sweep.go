@@ -27,7 +27,7 @@ var sweepMemo sync.Map
 // — e.g. a Monte Carlo curve whose prefix serves all smaller horizons
 // — keyed by (experiment, seed, mode), the inputs that change its
 // value. The first cell computes it (sized to the whole active axis
-// via Point.ActiveValues); later cells reuse it. covers reports
+// via activeMaxInt); later cells reuse it. covers reports
 // whether a cached value satisfies the current cell; a rejected or
 // missing entry is recomputed. Cached values are deterministic
 // functions of the key, so concurrent recomputation and

@@ -1,7 +1,7 @@
 // Package expfmt renders the experiment harness's output tables. Every
 // experiment emits rows through a Table so that paper-vs-measured
-// series print in a consistent fixed-width format and can also be
-// exported as CSV.
+// series print in a consistent fixed-width format. CSV output is
+// internal/results' WriteCSV.
 package expfmt
 
 import (
@@ -101,35 +101,3 @@ func (t *Table) Render(w io.Writer) error {
 	_, err := io.WriteString(w, b.String())
 	return err
 }
-
-// RenderCSV writes the table as comma-separated values. Cells
-// containing commas or quotes are quoted.
-func (t *Table) RenderCSV(w io.Writer) error {
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(csvEscape(cell))
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.headers)
-	for _, row := range t.rows {
-		writeRow(row)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// csvEscape quotes a cell when needed.
-func csvEscape(cell string) string {
-	if !strings.ContainsAny(cell, ",\"\n") {
-		return cell
-	}
-	return `"` + strings.ReplaceAll(cell, `"`, `""`) + `"`
-}
-
-// NumRows returns the number of data rows added so far.
-func (t *Table) NumRows() int { return len(t.rows) }

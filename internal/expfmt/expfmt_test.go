@@ -50,29 +50,3 @@ func TestFormatFloat(t *testing.T) {
 		}
 	}
 }
-
-func TestRenderCSV(t *testing.T) {
-	tb := NewTable("a", "b")
-	tb.AddRow("x,y", `he said "hi"`)
-	tb.AddRow(1, 2)
-	var sb strings.Builder
-	if err := tb.RenderCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	want := "a,b\n\"x,y\",\"he said \"\"hi\"\"\"\n1,2\n"
-	if sb.String() != want {
-		t.Errorf("CSV = %q, want %q", sb.String(), want)
-	}
-}
-
-func TestNumRows(t *testing.T) {
-	tb := NewTable("a")
-	if tb.NumRows() != 0 {
-		t.Error("fresh table has rows")
-	}
-	tb.AddRow(1)
-	tb.AddRow(2)
-	if tb.NumRows() != 2 {
-		t.Errorf("NumRows = %d, want 2", tb.NumRows())
-	}
-}

@@ -105,26 +105,27 @@ func NewWalkersStationary(g topology.Graph, n int, s *rng.Stream) (*Walkers, err
 	if n < 2 {
 		return nil, fmt.Errorf("netsize: need >= 2 walkers, got %d", n)
 	}
+	total, err := topology.Endpoints(g)
+	if err != nil {
+		return nil, fmt.Errorf("netsize: %w", err)
+	}
+	if total == 0 {
+		return nil, fmt.Errorf("netsize: graph has no edges")
+	}
 	a := g.NumNodes()
-	var total int64
 	var node func(r int64) int64
 	if rg, ok := g.(topology.Regular); ok {
 		k := int64(rg.CommonDegree())
-		total = a * k
 		node = func(r int64) int64 { return r / k }
 	} else {
 		cum := make([]int64, a+1)
 		for v := int64(0); v < a; v++ {
 			cum[v+1] = cum[v] + int64(g.Degree(v))
 		}
-		total = cum[a]
 		// Find v with cum[v] <= r < cum[v+1].
 		node = func(r int64) int64 {
 			return int64(sort.Search(int(a), func(x int) bool { return cum[x+1] > r }))
 		}
-	}
-	if total == 0 {
-		return nil, fmt.Errorf("netsize: graph has no edges")
 	}
 	pos := make([]int64, n)
 	streams := make([]rng.Stream, n)
@@ -136,9 +137,6 @@ func NewWalkersStationary(g topology.Graph, n int, s *rng.Stream) (*Walkers, err
 	}
 	return newWalkers(g, pos, streams)
 }
-
-// NumWalkers returns the number of walkers.
-func (w *Walkers) NumWalkers() int { return w.world.NumAgents() }
 
 // Positions returns a copy of the walker positions.
 func (w *Walkers) Positions() []int64 { return w.world.Positions() }
@@ -359,7 +357,11 @@ func EstimateContext(ctx context.Context, g topology.Graph, cfg Config) (*Result
 	if cfg.Delta == 0 {
 		cfg.Delta = 0.1
 	}
-	edges := topology.NumEdges(g)
+	endpoints, err := topology.Endpoints(g)
+	if err != nil {
+		return nil, fmt.Errorf("netsize: %w", err)
+	}
+	edges := endpoints / 2
 	if edges < 1 {
 		return nil, fmt.Errorf("netsize: graph has no edges")
 	}
@@ -376,7 +378,6 @@ func EstimateContext(ctx context.Context, g topology.Graph, cfg Config) (*Result
 	}
 	root := rng.New(cfg.Seed)
 	var w *Walkers
-	var err error
 	if cfg.Stationary {
 		w, err = NewWalkersStationary(g, cfg.Walkers, root)
 	} else {
@@ -447,19 +448,4 @@ func MedianOfMeansSize(g topology.Graph, cfg Config, reps int) (size float64, qu
 		return math.Inf(1), queries, nil
 	}
 	return 1 / medianC, queries, nil
-}
-
-// TheoryWalkerCount returns the Theorem 27 walker requirement: for a
-// (1 +- eps) size estimate with probability 1-delta using t steps,
-// n^2 t = Theta((B(t)*degAvg + 1)/(eps^2 delta) * |V|); this solves
-// for n with constant 1.
-func TheoryWalkerCount(numNodes int64, bt, degAvg, eps, delta float64, t int) int {
-	if t < 1 {
-		panic(fmt.Sprintf("netsize: t must be >= 1, got %d", t))
-	}
-	if eps <= 0 || delta <= 0 {
-		panic("netsize: eps and delta must be positive")
-	}
-	n2t := (bt*degAvg + 1) / (eps * eps * delta) * float64(numNodes)
-	return int(math.Ceil(math.Sqrt(n2t / float64(t))))
 }

@@ -64,6 +64,34 @@ func TestStationarySamplingIsDegreeProportional(t *testing.T) {
 	}
 }
 
+// TestStationaryStartRefusesEndpointOverflow pins that a stationary
+// start refuses a graph whose degree sum A·k exceeds the int64 range,
+// where the draw below it wrapped: negative on hypercube(58), whose
+// walkers started at negative nodes, and positive on complete(4.5e9),
+// whose walkers all started in its first 9% of nodes. Just below the
+// limit the start still runs.
+func TestStationaryStartRefusesEndpointOverflow(t *testing.T) {
+	for _, g := range []topology.Graph{topology.MustHypercube(58), topology.MustComplete(4e9), topology.MustComplete(4.5e9)} {
+		_, err := NewWalkersStationary(g, 8, rng.New(1))
+		if err == nil || !strings.Contains(err.Error(), "more than the limit of 9223372036854775807") {
+			t.Errorf("%T with %d nodes: err %v, want the int64 limit named", g, g.NumNodes(), err)
+		}
+		if _, err := Estimate(g, Config{Walkers: 8, Steps: 3, Stationary: true}); err == nil {
+			t.Errorf("%T with %d nodes: Estimate accepted it", g, g.NumNodes())
+		}
+	}
+	g := topology.MustHypercube(57) // 57·2^57 endpoints, below 2^63
+	w, err := NewWalkersStationary(g, 8, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range w.Positions() {
+		if p < 0 || p >= g.NumNodes() {
+			t.Fatalf("walker at %d, outside [0, %d)", p, g.NumNodes())
+		}
+	}
+}
+
 func TestQueryAccounting(t *testing.T) {
 	g := topology.MustTorus(3, 4)
 	s := rng.New(3)
@@ -264,28 +292,6 @@ func TestEstimateSizeValidation(t *testing.T) {
 	if _, err := w.EstimateSize(0, 0); err == nil {
 		t.Error("t=0 accepted")
 	}
-}
-
-func TestTheoryWalkerCount(t *testing.T) {
-	// Increasing t decreases the required walker count like 1/sqrt(t)
-	// — the paper's key tradeoff (Section 5.1.5).
-	n1 := TheoryWalkerCount(1000000, 1, 6, 0.1, 0.1, 1)
-	n100 := TheoryWalkerCount(1000000, 1, 6, 0.1, 0.1, 100)
-	if n100 >= n1 {
-		t.Errorf("walker count did not fall with t: t=1 -> %d, t=100 -> %d", n1, n100)
-	}
-	ratio := float64(n1) / float64(n100)
-	if math.Abs(ratio-10) > 1 {
-		t.Errorf("walker ratio = %v, want ~sqrt(100) = 10", ratio)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("t=0 did not panic")
-			}
-		}()
-		TheoryWalkerCount(100, 1, 2, 0.1, 0.1, 0)
-	}()
 }
 
 func TestEstimateConfigErrors(t *testing.T) {

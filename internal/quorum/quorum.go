@@ -177,29 +177,8 @@ func (d *Detector) Estimate() float64 {
 	return float64(d.collisions) / float64(d.rounds)
 }
 
-// Rounds returns the number of observed rounds.
-func (d *Detector) Rounds() int { return d.rounds }
-
 // InQuorum returns the current hysteresis state.
 func (d *Detector) InQuorum() bool { return d.inQuorum }
-
-// Reset clears the detector's counters and state.
-func (d *Detector) Reset() {
-	d.rounds = 0
-	d.collisions = 0
-	d.inQuorum = false
-}
-
-// AsObserver adapts the detector to the sim pipeline: each observed
-// round it feeds the detector the given agent's collision count from
-// the shared snapshot. The detector monitors continuously and never
-// stops the run.
-func (d *Detector) AsObserver(agent int) sim.Observer {
-	return sim.ObserverFunc(func(r *sim.Round) sim.Signal {
-		d.Observe(r.Counts()[agent])
-		return sim.Continue
-	})
-}
 
 // AnytimeDetector is the Section 6.2 adaptive threshold observer:
 // every agent keeps Algorithm 1's running estimate with its anytime
@@ -295,11 +274,9 @@ func (a *AnytimeDetector) Observe(r *sim.Round) sim.Signal {
 
 // Decision returns agent i's verdict: +1 (density above threshold),
 // -1 (below), or 0 (undecided so far).
+//
+//antlint:testonly reference: the eager snapshot the root package's snapshot tests compare adaptive-quorum views against
 func (a *AnytimeDetector) Decision(i int) int { return a.decision[i] }
-
-// StopRound returns the round at which agent i decided, or 0 if it is
-// still undecided.
-func (a *AnytimeDetector) StopRound(i int) int { return a.stopRound[i] }
 
 // NumDecided returns the number of agents that have decided so far.
 func (a *AnytimeDetector) NumDecided() int { return a.decided }
@@ -308,6 +285,8 @@ func (a *AnytimeDetector) NumDecided() int { return a.decided }
 // confidence half-width at the detector's 1-delta level (see
 // core.StreamingEstimator.Interval). A decided agent keeps the
 // interval of its stop round.
+//
+//antlint:testonly reference: the detector tests compare each agent's interval against core.StreamingEstimator's
 func (a *AnytimeDetector) Interval(i int) (estimate, half float64) {
 	return a.est[i], a.half[i]
 }

@@ -497,6 +497,8 @@ func WriteJSON(w io.Writer, r *Result) error {
 func unknownKind(k Kind) error { return fmt.Errorf("results: cell has unknown kind %d", k) }
 
 // ReadJSON decodes one Result from r's JSON form.
+//
+//antlint:testonly reference decoder for the WriteJSON round-trip tests
 func ReadJSON(r io.Reader) (*Result, error) {
 	dec := json.NewDecoder(r)
 	var out Result

@@ -140,12 +140,6 @@ func (s *Stream) Uint64n(n uint64) uint64 {
 	return hi
 }
 
-// mul64 returns the 128-bit product of x and y as (hi, lo). It is the
-// single-instruction bits.Mul64 intrinsic; the hand-rolled 32-bit
-// decomposition it replaced computed the identical value at several
-// times the cost, which dominated every bounded draw on the hot path.
-func mul64(x, y uint64) (hi, lo uint64) { return bits.Mul64(x, y) }
-
 // Float64 returns a uniformly random float64 in [0, 1) with 53 bits of
 // precision.
 func (s *Stream) Float64() float64 {

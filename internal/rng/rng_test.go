@@ -219,25 +219,6 @@ func TestUint64nProperty(t *testing.T) {
 	}
 }
 
-func TestMul64(t *testing.T) {
-	tests := []struct {
-		x, y   uint64
-		hi, lo uint64
-	}{
-		{0, 0, 0, 0},
-		{1, 1, 0, 1},
-		{math.MaxUint64, 2, 1, math.MaxUint64 - 1},
-		{math.MaxUint64, math.MaxUint64, math.MaxUint64 - 1, 1},
-		{1 << 32, 1 << 32, 1, 0},
-	}
-	for _, tt := range tests {
-		hi, lo := mul64(tt.x, tt.y)
-		if hi != tt.hi || lo != tt.lo {
-			t.Errorf("mul64(%d, %d) = (%d, %d), want (%d, %d)", tt.x, tt.y, hi, lo, tt.hi, tt.lo)
-		}
-	}
-}
-
 func BenchmarkUint64(b *testing.B) {
 	s := New(1)
 	var sink uint64

@@ -35,28 +35,6 @@ func BernoulliField(p float64, seed uint64) Field {
 	}
 }
 
-// UniformField returns a Field with values uniform in [lo, hi),
-// deterministic per (node, seed).
-func UniformField(lo, hi float64, seed uint64) Field {
-	return func(node int64) float64 {
-		return lo + (hi-lo)*hashUnit(node, seed)
-	}
-}
-
-// GaussianField returns a Field with approximately standard normal
-// values scaled to mean mu and standard deviation sigma,
-// deterministic per (node, seed). It uses a 12-sum approximation,
-// which is plenty for aggregate-mean experiments.
-func GaussianField(mu, sigma float64, seed uint64) Field {
-	return func(node int64) float64 {
-		var sum float64
-		for i := uint64(0); i < 12; i++ {
-			sum += hashUnit(node, seed+i*0x9e3779b97f4a7c15)
-		}
-		return mu + sigma*(sum-6)
-	}
-}
-
 // hashUnit maps (node, seed) to [0, 1) deterministically via
 // splitmix64-style mixing.
 func hashUnit(node int64, seed uint64) float64 {

@@ -77,10 +77,6 @@ func (p *Partition) K() int { return p.k }
 // NumNodes returns the size of the partitioned node space.
 func (p *Partition) NumNodes() int64 { return p.nodes }
 
-// Unit returns the range-alignment unit (the row length on tori with
-// >= 2 dimensions, 1 elsewhere).
-func (p *Partition) Unit() int64 { return p.unit }
-
 // Find returns the shard owning node v. It is O(1) arithmetic and
 // valid for any v in [0, NumNodes).
 func (p *Partition) Find(v int64) int {

@@ -10,13 +10,14 @@ func TestPartitionCoversAndFinds(t *testing.T) {
 	graphs := []struct {
 		name string
 		g    topology.Graph
+		unit int64 // the row length side^(dims-1) on tori with dims >= 2, else 1
 	}{
-		{"torus2d-8", topology.MustTorus(2, 8)},
-		{"torus2d-9", topology.MustTorus(2, 9)},
-		{"torus3d-5", topology.MustTorus(3, 5)},
-		{"ring-50", topology.MustTorus(1, 50)},
-		{"hypercube-6", topology.MustHypercube(6)},
-		{"complete-40", topology.MustComplete(40)},
+		{"torus2d-8", topology.MustTorus(2, 8), 8},
+		{"torus2d-9", topology.MustTorus(2, 9), 9},
+		{"torus3d-5", topology.MustTorus(3, 5), 25},
+		{"ring-50", topology.MustTorus(1, 50), 1},
+		{"hypercube-6", topology.MustHypercube(6), 1},
+		{"complete-40", topology.MustComplete(40), 1},
 	}
 	for _, tc := range graphs {
 		for _, k := range []int{1, 2, 3, 4, 7, 13} {
@@ -38,8 +39,8 @@ func TestPartitionCoversAndFinds(t *testing.T) {
 				if hi <= lo {
 					t.Fatalf("%s k=%d shard %d: empty range [%d,%d)", tc.name, k, s, lo, hi)
 				}
-				if lo%p.Unit() != 0 || hi%p.Unit() != 0 {
-					t.Fatalf("%s k=%d shard %d: range [%d,%d) not aligned to unit %d", tc.name, k, s, lo, hi, p.Unit())
+				if lo%tc.unit != 0 || hi%tc.unit != 0 {
+					t.Fatalf("%s k=%d shard %d: range [%d,%d) not aligned to unit %d", tc.name, k, s, lo, hi, tc.unit)
 				}
 				prev = hi
 			}
@@ -60,21 +61,22 @@ func TestPartitionCoversAndFinds(t *testing.T) {
 }
 
 func TestPartitionTorusRowAlignment(t *testing.T) {
-	g := topology.MustTorus(2, 16) // 256 nodes, rows of 16
-	p, err := New(g, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Unit() != 16 {
-		t.Fatalf("unit = %d, want 16 (side^(dims-1))", p.Unit())
-	}
-	g3 := topology.MustTorus(3, 4) // 64 nodes, unit 16
-	p3, err := New(g3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p3.Unit() != 16 {
-		t.Fatalf("3d unit = %d, want 16", p3.Unit())
+	// Three shards cannot split either torus evenly by node, so every
+	// bound falling on a multiple of 16 shows the ranges are bands of
+	// whole side^(dims-1) blocks.
+	for _, g := range []*topology.Torus{
+		topology.MustTorus(2, 16), // 256 nodes, rows of 16
+		topology.MustTorus(3, 4),  // 64 nodes, blocks of 16
+	} {
+		p, err := New(g, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < p.K(); s++ {
+			if lo, hi := p.Bounds(s); lo%16 != 0 || hi%16 != 0 {
+				t.Fatalf("%d-d torus shard %d: range [%d,%d) splits a block of 16", g.Dims(), s, lo, hi)
+			}
+		}
 	}
 }
 

@@ -20,12 +20,13 @@ type benchTopo struct {
 	make func() topology.Graph
 }
 
-// benchTopos covers all four regular families. torus2d-4096 (16.8M
-// nodes) exceeds the dense occupancy budget and exercises the sparse
-// hash index; torus2d-2048 (4.2M nodes, 16 MiB of dense totals) is the
-// largest OccAuto dense world, where the index update's scattered ±1
-// pass misses cache on nearly every touch; the rest fit well inside
-// the budget.
+// benchTopos covers all four regular families, and a random 8-regular
+// CSR graph, which steps through the kernel irregular CSR graphs use
+// ((*Adj).RandomSteps). torus2d-4096 (16.8M nodes) exceeds the dense
+// occupancy budget and exercises the sparse hash index; torus2d-2048
+// (4.2M nodes, 16 MiB of dense totals) is the largest OccAuto dense
+// world, where the index update's scattered ±1 pass misses cache on
+// nearly every touch; the rest fit well inside the budget.
 func benchTopos() []benchTopo {
 	return []benchTopo{
 		{"torus2d-512", func() topology.Graph { return topology.MustTorus(2, 512) }},
@@ -40,6 +41,13 @@ func benchTopos() []benchTopo {
 		}},
 		{"hypercube-18", func() topology.Graph { return topology.MustHypercube(18) }},
 		{"complete-65536", func() topology.Graph { return topology.MustComplete(65536) }},
+		{"regular8-20000", func() topology.Graph {
+			g, err := topology.NewRandomRegular(20000, 8, rng.New(1))
+			if err != nil {
+				panic(err)
+			}
+			return g
+		}},
 	}
 }
 

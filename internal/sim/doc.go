@@ -22,16 +22,19 @@
 // positions, previous positions, and per-agent RNG streams are
 // parallel flat slices indexed by agent id (World embeds hotState),
 // so stepping kernels stream through contiguous memory with no
-// per-agent pointer chasing. The random walk's batched kernels (the
-// topology fast paths' RandomStepsInto) make one pass over that
-// layout: for each agent they advance its stream, make its bounded
-// draw inline (Lemire's method, as rng.Uint64nEach makes it), store
-// the draw in a scratch buffer reused for the world's lifetime, and
-// take the step with arithmetic only — no interface dispatch, no
-// data-dependent branches on the torus — while the stream and the
-// position are in registers. The Lazy and Biased kernels split a
-// round into two passes: rng.FloatEach bulk-fills one float per
-// agent stream, then a move pass applies them. Every kernel obeys a
+// per-agent pointer chasing. The random walk's batched kernels make
+// one pass over that layout. On the torus, ring, hypercube and
+// complete graph (RandomStepsInto) they advance each agent's stream,
+// make its bounded draw inline (Lemire's method, as rng.Uint64nEach
+// makes it), store the draw in a scratch buffer reused for the
+// world's lifetime, and take the step with arithmetic only — no
+// interface dispatch, no data-dependent branches on the torus — while
+// the stream and the position are in registers. Every CSR world,
+// regular or not, steps through (*topology.Adj).RandomSteps, which
+// bounds each draw by the agent's own node's degree and needs no
+// scratch. The Lazy and Biased kernels split a round into two passes:
+// rng.FloatEach bulk-fills one float per agent stream, then a move
+// pass applies them. Every kernel obeys a
 // strict bit-identity contract: it advances each agent's stream
 // exactly as the equivalent scalar draws would, including
 // bounded-rejection behavior, so per-agent draw sequences — and
@@ -48,7 +51,7 @@
 // the random walk, and Lazy with StayProb <= 0 (a plain random walk),
 // on the torus, ring, hypercube, complete graph, and CSR graphs; Lazy
 // with 0 < StayProb < 1 on those same graphs; and Biased on the
-// arithmetic topologies. On a CSR graph with no fixed draw bound the
+// arithmetic topologies. On every CSR graph, regular or not, the
 // random walk needs no scratch: (*topology.Adj).RandomSteps bounds
 // each agent's draw by its own node's degree, and makes the draw
 // inline too, so its pass makes no call unless a draw's low product

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"antdensity/internal/rng"
 	"antdensity/internal/topology"
 )
 
@@ -101,4 +102,33 @@ func TestDenseOccupancyBytes(t *testing.T) {
 		ws.Step()
 		ws.CountsAllInto(buf)
 	})
+}
+
+// TestRegularCSRFirstStepZeroAllocs pins that a regular CSR world
+// steps through (*Adj).RandomSteps with no draws scratch: the flat
+// world's first Step allocates nothing where it allocated 8 B per
+// agent, and no slab of a 2-shard world, whose first Step also sizes
+// its migration buffers, holds draws. The byte bound allows for the
+// runtime's background allocations.
+func TestRegularCSRFirstStepZeroAllocs(t *testing.T) {
+	g, err := topology.NewRandomRegular(5000, 8, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const agents = 20000
+	w := MustWorld(Config{Graph: g, NumAgents: agents, Seed: 7})
+	if bytes := allocatedBytes(w.Step); bytes >= agents {
+		t.Errorf("first Step of a flat %d-agent world on an 8-regular CSR graph allocated %d B, want none", agents, bytes)
+	}
+	if w.draws != nil {
+		t.Error("the flat world holds draws scratch")
+	}
+	ws := MustWorld(Config{Graph: g, NumAgents: agents, Seed: 7, Shards: 2})
+	defer ws.Close()
+	ws.Step()
+	for s := range ws.sh.slabs {
+		if ws.sh.slabs[s].draws != nil {
+			t.Errorf("slab %d of the 2-shard world holds draws scratch", s)
+		}
+	}
 }

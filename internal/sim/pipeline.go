@@ -181,9 +181,6 @@ func NewRunner(w *World, obs ...Observer) *Runner {
 	}
 }
 
-// Rounds returns the number of observed rounds completed so far.
-func (rn *Runner) Rounds() int { return rn.r.index }
-
 // Stopped reports whether the run has terminated early: every observer
 // returned Stop, or every agent was deactivated.
 func (rn *Runner) Stopped() bool {

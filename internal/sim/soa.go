@@ -32,8 +32,8 @@ type hotState struct {
 // scratchNeeds reports which batched-RNG scratch buffers the given
 // uniform policy needs on g: draws for bounded-integer batching,
 // floats for coin/weight batching. Policy/topology pairs that need
-// neither either batch without scratch (the random walk on an
-// irregular CSR graph) or take the scalar path.
+// neither either batch without scratch (the random walk on a CSR
+// graph) or take the scalar path.
 func scratchNeeds(p Policy, g topology.Graph) (needDraws, needFloats bool) {
 	switch pl := p.(type) {
 	case RandomWalk:
@@ -80,16 +80,13 @@ func (w *World) ensureScratch() {
 	}
 }
 
-// fixedDrawBound reports whether g supports batched uniform steps: a
-// single draw bound valid at every node (the arithmetic regular
-// topologies, and CSR graphs that are regular with positive degree).
+// fixedDrawBound reports whether g's batched uniform steps draw into
+// the draws scratch: a single draw bound valid at every node, which
+// the arithmetic regular topologies have.
 func fixedDrawBound(g topology.Graph) bool {
-	switch t := g.(type) {
+	switch g.(type) {
 	case *topology.Torus, *topology.Hypercube, *topology.Complete:
 		return true
-	case *topology.Adj:
-		d, ok := t.IsRegular()
-		return ok && d > 0
 	}
 	return false
 }
@@ -144,19 +141,19 @@ func (h *hotState) stepBatched(g topology.Graph, p Policy) bool {
 }
 
 // randomWalkBatched is stepBatched's uniform-random-walk kernel: one
-// pass that draws each agent's step from its stream and applies it
-// with arithmetic (RandomStepsInto). A CSR graph with no fixed draw
-// bound gets no draws scratch; it steps in one pass of
+// pass that draws each agent's step from its stream and applies it.
+// The arithmetic topologies step with arithmetic (RandomStepsInto). A
+// CSR graph, regular or not, gets no draws scratch: it steps through
 // (*Adj).RandomSteps, which bounds each agent's draw by its own node's
 // degree and makes it inline.
 func (h *hotState) randomWalkBatched(g topology.Graph) bool {
 	pos, streams := h.pos, h.streams
+	if t, ok := g.(*topology.Adj); ok {
+		t.RandomSteps(pos, streams)
+		return true
+	}
 	if h.draws == nil {
-		t, ok := g.(*topology.Adj)
-		if ok {
-			t.RandomSteps(pos, streams)
-		}
-		return ok
+		return false
 	}
 	draws := h.draws[:len(pos)]
 	switch t := g.(type) {
@@ -166,8 +163,6 @@ func (h *hotState) randomWalkBatched(g topology.Graph) bool {
 		t.RandomStepsInto(pos, streams, draws)
 	case *topology.Complete:
 		t.RandomStepsInto(pos, streams, draws)
-	case *topology.Adj:
-		return t.RandomStepsInto(pos, streams, draws)
 	default:
 		return false
 	}

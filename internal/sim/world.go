@@ -54,6 +54,8 @@ func ClusteredPlacement(frac float64) Placement {
 }
 
 // FixedPlacement places every agent at the given node.
+//
+//antlint:testonly fixture shared by the tests of sim and core
 func FixedPlacement(node int64) Placement {
 	return func(_ int, _ topology.Graph, _ *rng.Stream) int64 { return node }
 }
@@ -211,6 +213,8 @@ func NewWorld(cfg Config) (*World, error) {
 
 // MustWorld is like NewWorld but panics on error; for tests and
 // examples with constant configs.
+//
+//antlint:testonly fixture shared by the tests of sim, core, quorum and tasks
 func MustWorld(cfg Config) *World {
 	w, err := NewWorld(cfg)
 	if err != nil {

@@ -4,9 +4,8 @@
 // (Facebook-scale crawls in the cited work), which this reproduction
 // replaces with standard generative models exercising the same code
 // path — preferential attachment (heavy-tailed degrees, fast mixing),
-// Erdos-Renyi (homogeneous degrees), Watts-Strogatz (tunable mixing
-// speed via the rewiring probability), and a power-law configuration
-// model (extreme degree skew).
+// Erdos-Renyi (homogeneous degrees), and Watts-Strogatz (tunable
+// mixing speed via the rewiring probability).
 package socialnet
 
 import (
@@ -136,57 +135,6 @@ func WattsStrogatz(n int64, k int, beta float64, s *rng.Stream) (*topology.Adj, 
 			}
 			edges = append(edges, topology.Edge{U: v, V: u})
 		}
-	}
-	return topology.NewAdj(n, edges)
-}
-
-// PowerLawConfiguration generates a configuration-model graph whose
-// degree sequence follows a truncated discrete power law
-// P[deg = d] ~ d^(-gamma) for d in [minDeg, maxDeg]. Stubs are paired
-// uniformly at random; self-loops and multi-edges may occur (they are
-// rare for gamma > 2) and are kept, since the Adj walk semantics
-// handle them. It returns an error for invalid parameters.
-func PowerLawConfiguration(n int64, gamma float64, minDeg, maxDeg int, s *rng.Stream) (*topology.Adj, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("socialnet: PowerLawConfiguration needs n >= 2, got %d", n)
-	}
-	if gamma <= 1 {
-		return nil, fmt.Errorf("socialnet: power-law exponent must exceed 1, got %v", gamma)
-	}
-	if minDeg < 1 || maxDeg < minDeg {
-		return nil, fmt.Errorf("socialnet: degree range [%d, %d] invalid", minDeg, maxDeg)
-	}
-	// Build the truncated power-law CDF.
-	weights := make([]float64, maxDeg-minDeg+1)
-	var total float64
-	for i := range weights {
-		total += math.Pow(float64(minDeg+i), -gamma)
-		weights[i] = total
-	}
-	degrees := make([]int, n)
-	var stubs []int64
-	for v := int64(0); v < n; v++ {
-		x := s.Float64() * total
-		d := maxDeg
-		for i, w := range weights {
-			if x < w {
-				d = minDeg + i
-				break
-			}
-		}
-		degrees[v] = d
-		for j := 0; j < d; j++ {
-			stubs = append(stubs, v)
-		}
-	}
-	// The stub count must be even; bump one node if needed.
-	if len(stubs)%2 == 1 {
-		stubs = append(stubs, 0)
-	}
-	s.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-	edges := make([]topology.Edge, 0, len(stubs)/2)
-	for i := 0; i+1 < len(stubs); i += 2 {
-		edges = append(edges, topology.Edge{U: stubs[i], V: stubs[i+1]})
 	}
 	return topology.NewAdj(n, edges)
 }

@@ -169,46 +169,6 @@ func TestWattsStrogatzValidation(t *testing.T) {
 	}
 }
 
-func TestPowerLawConfigurationDegrees(t *testing.T) {
-	s := rng.New(10)
-	g, err := PowerLawConfiguration(2000, 2.5, 2, 100, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := Degrees(g)
-	// Configuration model can add at most one bump degree; min stays
-	// near minDeg, and the heavy tail shows in the max.
-	if st.Min < 2 {
-		t.Errorf("min degree %d below requested 2", st.Min)
-	}
-	if st.Max < 10 {
-		t.Errorf("max degree %d suspiciously small for gamma=2.5", st.Max)
-	}
-	// Degree distribution mass should be dominated by small degrees.
-	small := 0
-	for v := int64(0); v < g.NumNodes(); v++ {
-		if g.Degree(v) <= 4 {
-			small++
-		}
-	}
-	if frac := float64(small) / 2000; frac < 0.6 {
-		t.Errorf("fraction of low-degree nodes = %v, want > 0.6", frac)
-	}
-}
-
-func TestPowerLawConfigurationValidation(t *testing.T) {
-	s := rng.New(11)
-	if _, err := PowerLawConfiguration(1, 2.5, 1, 10, s); err == nil {
-		t.Error("n=1 accepted")
-	}
-	if _, err := PowerLawConfiguration(10, 0.5, 1, 10, s); err == nil {
-		t.Error("gamma <= 1 accepted")
-	}
-	if _, err := PowerLawConfiguration(10, 2.5, 5, 2, s); err == nil {
-		t.Error("maxDeg < minDeg accepted")
-	}
-}
-
 func TestConnectedExtractsComponent(t *testing.T) {
 	// Handcrafted disconnected graph.
 	g := topology.MustAdj(6, []topology.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, {U: 3, V: 4}})

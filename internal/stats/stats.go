@@ -53,32 +53,6 @@ func SampleVariance(xs []float64) float64 {
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// CentralMoment returns the k-th empirical central moment
-// E[(X - mean)^k] of xs.
-func CentralMoment(xs []float64, k int) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var sum float64
-	for _, x := range xs {
-		sum += math.Pow(x-m, float64(k))
-	}
-	return sum / float64(len(xs))
-}
-
-// RawMoment returns the k-th empirical raw moment E[X^k] of xs.
-func RawMoment(xs []float64, k int) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += math.Pow(x, float64(k))
-	}
-	return sum / float64(len(xs))
-}
-
 // Quantile returns the q-quantile of xs (0 <= q <= 1) using linear
 // interpolation between order statistics. It panics on an empty slice
 // or q outside [0, 1].
@@ -276,17 +250,6 @@ func (a Aggregator) String() string {
 	return fmt.Sprintf("Aggregator(%d)", int(a))
 }
 
-// ParseAggregator resolves a wire name ("mean", "median", "trimmed",
-// "mom") to its Aggregator.
-func ParseAggregator(s string) (Aggregator, error) {
-	for i, n := range aggregatorNames {
-		if n == s {
-			return Aggregator(i), nil
-		}
-	}
-	return 0, fmt.Errorf("stats: unknown aggregator %q (valid: mean, median, trimmed, mom)", s)
-}
-
 // Aggregators lists every Aggregator, mean first — the iteration
 // order experiment tables and CLI output use.
 func Aggregators() []Aggregator {
@@ -383,34 +346,11 @@ func FitPowerLaw(xs, ys []float64) (alpha, c, r2 float64) {
 	return fit.Slope, math.Exp(fit.Intercept), fit.R2
 }
 
-// Histogram counts xs into equally sized bins spanning [lo, hi).
-// Values outside the range are clamped into the first or last bin.
-// It panics if bins < 1 or hi <= lo.
-func Histogram(xs []float64, lo, hi float64, bins int) []int {
-	if bins < 1 {
-		panic(fmt.Sprintf("stats: Histogram bins must be >= 1, got %d", bins))
-	}
-	if hi <= lo {
-		panic(fmt.Sprintf("stats: Histogram range [%v, %v) is empty", lo, hi))
-	}
-	counts := make([]int, bins)
-	width := (hi - lo) / float64(bins)
-	for _, x := range xs {
-		b := int((x - lo) / width)
-		if b < 0 {
-			b = 0
-		}
-		if b >= bins {
-			b = bins - 1
-		}
-		counts[b]++
-	}
-	return counts
-}
-
 // BinomialCI returns a 95% normal-approximation confidence interval
 // half-width for a proportion estimated from n trials with the given
 // empirical rate.
+//
+//antlint:testonly ROADMAP O12's conformance harness scores band coverage with it
 func BinomialCI(rate float64, n int) float64 {
 	if n <= 0 {
 		return math.Inf(1)

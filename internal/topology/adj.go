@@ -78,6 +78,8 @@ func NewAdj(n int64, edges []Edge) (*Adj, error) {
 }
 
 // MustAdj is like NewAdj but panics on error.
+//
+//antlint:testonly fixture shared by the tests of the root package, topology, sim, netsize and socialnet
 func MustAdj(n int64, edges []Edge) *Adj {
 	g, err := NewAdj(n, edges)
 	if err != nil {

@@ -38,6 +38,8 @@ func Components(g Graph) (labels []int, count int) {
 }
 
 // IsConnected reports whether g has exactly one connected component.
+//
+//antlint:testonly ROADMAP O21 refuses a disconnected graph with it
 func IsConnected(g Graph) bool {
 	_, count := Components(g)
 	return count == 1
@@ -92,6 +94,8 @@ func IsBipartite(g Graph) bool {
 
 // BFSDistances returns the hop distance from src to every node, with
 // -1 for unreachable nodes.
+//
+//antlint:testonly reference: TestHypercubeDistanceQuick checks the hypercube's neighbours against its hop counts
 func BFSDistances(g Graph, src int64) []int64 {
 	validateNode(g, src)
 	n := g.NumNodes()
@@ -113,17 +117,6 @@ func BFSDistances(g Graph, src int64) []int64 {
 		}
 	}
 	return dist
-}
-
-// Eccentricity returns the maximum finite BFS distance from src.
-func Eccentricity(g Graph, src int64) int64 {
-	var max int64
-	for _, d := range BFSDistances(g, src) {
-		if d > max {
-			max = d
-		}
-	}
-	return max
 }
 
 // LargestComponent returns an Adj containing only the largest

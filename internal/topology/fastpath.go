@@ -10,11 +10,14 @@ import (
 // topologies and the CSR adjacency graph. The generic Graph interface
 // costs two or three indirect calls plus node validation per
 // random-walk step; the kernels below let hot loops (internal/sim's
-// batched stepping, Walk/WalkPath, and internal/walk's Monte Carlo
-// estimators) run arithmetic-only inner loops on concrete
-// torus/ring/hypercube/complete types, and offsets/neighbors array
-// loads on *Adj — so the social-network and expander experiments also
-// leave the virtual Degree/Neighbor path.
+// batched stepping and internal/walk's Monte Carlo estimators) run
+// arithmetic-only inner loops on concrete torus/ring/hypercube/complete
+// types, and offsets/neighbors array loads on *Adj — so the
+// social-network and expander experiments also leave the virtual
+// Degree/Neighbor path. The random walk has one CSR kernel,
+// RandomSteps, for regular and irregular graphs alike: it bounds each
+// walker's draw by its own node's degree and needs no draws scratch,
+// where the arithmetic topologies' RandomStepsInto store each draw.
 //
 // Every kernel is bit-compatible with the generic path: it consumes
 // exactly the same draws from the same streams, in the same order, as
@@ -195,34 +198,6 @@ func (c *Complete) RandomStepsInto(pos []int64, streams []rng.Stream, draws []ui
 		}
 		pos[k] = j
 	}
-}
-
-// RandomStepsInto is RandomSteps with a fixed draw bound, possible for
-// the CSR graph only when it is regular (one bound holds for every
-// node), in one draw-and-step pass like (*Torus).RandomStepsInto; it
-// reports false without touching anything otherwise, and callers fall
-// back to RandomSteps. Regular graphs with isolated nodes do not exist
-// (degree 0 everywhere means no edges, degree > 0 somewhere breaks
-// regularity), so the isolated-node no-draw rule of RandomStep cannot
-// diverge here.
-func (g *Adj) RandomStepsInto(pos []int64, streams []rng.Stream, draws []uint64) bool {
-	if g.regular <= 0 {
-		return false
-	}
-	n := uint64(g.regular)
-	thresh := -n % n
-	streams, draws = streams[:len(pos)], draws[:len(pos)]
-	offsets, neighbors := g.offsets, g.neighbors
-	for k, v := range pos {
-		x, s := streams[k].Next()
-		d, lo := bits.Mul64(x, n)
-		if lo < thresh {
-			d, s = redraw(s, n, thresh)
-		}
-		streams[k], draws[k] = s, d
-		pos[k] = neighbors[offsets[v]+int64(d)]
-	}
-	return true
 }
 
 // drawBelow finishes a bounded draw in [0, n), n > 0, from x, the

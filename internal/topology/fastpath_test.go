@@ -71,46 +71,69 @@ func TestAdjNeighborUncheckedMatchesNeighbor(t *testing.T) {
 func TestAdjRandomStepsMatchesRandomStep(t *testing.T) {
 	// RandomSteps (the bulk kernel) and RandomStepFrom (one walker)
 	// both draw inline; each must track the scalar RandomStep draw for
-	// draw.
-	g := testAdj(t)
-	const agents = 48
-	root := rng.New(53)
-	bulkStreams := make([]rng.Stream, agents)
-	fromStreams := make([]rng.Stream, agents)
-	scalarStreams := make([]*rng.Stream, agents)
-	pos := make([]int64, agents)
-	from := make([]int64, agents)
-	ref := make([]int64, agents)
-	for i := range pos {
-		bulkStreams[i] = root.SplitValue(uint64(i))
-		fromStreams[i] = root.SplitValue(uint64(i))
-		scalarStreams[i] = root.Split(uint64(i))
-		// Every node is a start, including the isolated one, which must
-		// stay put without consuming a draw.
-		pos[i] = int64(i) % g.NumNodes()
-		from[i] = pos[i]
-		ref[i] = pos[i]
+	// draw, on irregular and regular graphs alike. multigraph is a
+	// 12-cycle with every edge doubled plus a self-loop per node
+	// (degree 5 everywhere); circulant joins each of 40 nodes to the
+	// nodes 1 and 7 on (degree 4).
+	var multi, circulant []Edge
+	for v := int64(0); v < 12; v++ {
+		multi = append(multi, Edge{v, (v + 1) % 12}, Edge{v, (v + 1) % 12}, Edge{v, v})
 	}
-	for round := 0; round < 40; round++ {
-		g.RandomSteps(pos, bulkStreams)
-		for i := range from {
-			from[i] = g.RandomStepFrom(from[i], &fromStreams[i])
-		}
-		for i := range ref {
-			ref[i] = RandomStep(g, ref[i], scalarStreams[i])
-		}
-		for i := range ref {
-			if pos[i] != ref[i] || from[i] != ref[i] {
-				t.Fatalf("round %d agent %d: RandomSteps %d, RandomStepFrom %d, scalar %d", round, i, pos[i], from[i], ref[i])
-			}
-			if bulkStreams[i] != *scalarStreams[i] || fromStreams[i] != *scalarStreams[i] {
-				t.Fatalf("round %d agent %d: stream states diverged from the scalar step's", round, i)
-			}
-		}
+	for v := int64(0); v < 40; v++ {
+		circulant = append(circulant, Edge{v, (v + 1) % 40}, Edge{v, (v + 7) % 40})
 	}
-	for i := range pos {
-		if int64(i)%g.NumNodes() == 5 && (pos[i] != 5 || from[i] != 5) {
-			t.Fatalf("agent %d left the isolated node: RandomSteps %d, RandomStepFrom %d", i, pos[i], from[i])
+	for _, tc := range []struct {
+		name    string
+		g       *Adj
+		regular int // the common degree, or 0 for an irregular graph
+	}{
+		{"irregular", testAdj(t), 0},
+		{"multigraph", MustAdj(12, multi), 5},
+		{"circulant", MustAdj(40, circulant), 4},
+	} {
+		g := tc.g
+		if d, ok := g.IsRegular(); d != tc.regular || ok != (tc.regular > 0) {
+			t.Fatalf("%s: IsRegular() = %d, %v; want %d", tc.name, d, ok, tc.regular)
+		}
+		const agents = 48
+		root := rng.New(53)
+		bulkStreams := make([]rng.Stream, agents)
+		fromStreams := make([]rng.Stream, agents)
+		scalarStreams := make([]*rng.Stream, agents)
+		pos := make([]int64, agents)
+		from := make([]int64, agents)
+		ref := make([]int64, agents)
+		for i := range pos {
+			bulkStreams[i] = root.SplitValue(uint64(i))
+			fromStreams[i] = root.SplitValue(uint64(i))
+			scalarStreams[i] = root.Split(uint64(i))
+			// Every node is a start, including an isolated one, which
+			// must stay put without consuming a draw.
+			pos[i] = int64(i) % g.NumNodes()
+			from[i] = pos[i]
+			ref[i] = pos[i]
+		}
+		for round := 0; round < 40; round++ {
+			g.RandomSteps(pos, bulkStreams)
+			for i := range from {
+				from[i] = g.RandomStepFrom(from[i], &fromStreams[i])
+			}
+			for i := range ref {
+				ref[i] = RandomStep(g, ref[i], scalarStreams[i])
+			}
+			for i := range ref {
+				if pos[i] != ref[i] || from[i] != ref[i] {
+					t.Fatalf("%s round %d agent %d: RandomSteps %d, RandomStepFrom %d, scalar %d", tc.name, round, i, pos[i], from[i], ref[i])
+				}
+				if bulkStreams[i] != *scalarStreams[i] || fromStreams[i] != *scalarStreams[i] {
+					t.Fatalf("%s round %d agent %d: stream states diverged from the scalar step's", tc.name, round, i)
+				}
+			}
+		}
+		for i := range pos {
+			if start := int64(i) % g.NumNodes(); g.Degree(start) == 0 && (pos[i] != start || from[i] != start) {
+				t.Fatalf("%s agent %d left the isolated node %d: RandomSteps %d, RandomStepFrom %d", tc.name, i, start, pos[i], from[i])
+			}
 		}
 	}
 }
@@ -138,21 +161,6 @@ func TestDrawBelowMatchesUint64n(t *testing.T) {
 			if w := want.Uint64n(n); got != w || s != want {
 				t.Fatalf("bound %d, stream %d: drawBelow %d, Uint64n %d (streams equal: %v)", n, k, got, w, s == want)
 			}
-		}
-	}
-}
-
-func TestAdjWalkMatchesScalarReference(t *testing.T) {
-	g := testAdj(t)
-	for start := int64(0); start < g.NumNodes(); start++ {
-		s1, s2 := rng.New(7+uint64(start)), rng.New(7+uint64(start))
-		got := Walk(g, start, 64, s1)
-		want := start
-		for i := 0; i < 64; i++ {
-			want = RandomStep(g, want, s2)
-		}
-		if got != want {
-			t.Fatalf("start %d: Walk = %d, scalar reference = %d", start, got, want)
 		}
 	}
 }
@@ -185,8 +193,7 @@ func TestStepperMatchesRandomStep(t *testing.T) {
 func TestWalkValidatesStartNode(t *testing.T) {
 	g := MustTorus(1, 10)
 	for name, f := range map[string]func(){
-		"Walk":         func() { Walk(g, 15, 3, rng.New(1)) },
-		"WalkPath":     func() { WalkPath(g, -1, 3, rng.New(1)) },
+		"RandomStep":   func() { RandomStep(g, 15, rng.New(1)) },
 		"ValidateNode": func() { ValidateNode(g, 10) },
 	} {
 		func() {

@@ -14,6 +14,8 @@ package topology
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"antdensity/internal/rng"
 )
@@ -54,72 +56,41 @@ func RandomNode(g Graph, s *rng.Stream) int64 {
 	return int64(s.Uint64n(uint64(g.NumNodes())))
 }
 
-// Walk performs an m-step random walk from v and returns the endpoint.
-// The start node is validated once and the per-step dispatch is
-// devirtualized for the regular topologies, so the walk runs an
-// arithmetic-only, allocation-free inner loop; results are
-// bit-identical to m RandomStep calls.
-func Walk(g Graph, v int64, m int, s *rng.Stream) int64 {
-	validateNode(g, v)
-	switch t := g.(type) {
-	case *Torus:
-		deg := 2 * t.dims
-		for i := 0; i < m; i++ {
-			v = t.NeighborUnchecked(v, s.Intn(deg))
-		}
-	case *Hypercube:
-		bits := t.bits
-		for i := 0; i < m; i++ {
-			v = t.NeighborUnchecked(v, s.Intn(bits))
-		}
-	case *Complete:
-		deg := int(t.nodes - 1)
-		for i := 0; i < m; i++ {
-			v = t.NeighborUnchecked(v, s.Intn(deg))
-		}
-	case *Adj:
-		for i := 0; i < m; i++ {
-			v = t.RandomStepFrom(v, s)
-		}
-	default:
-		for i := 0; i < m; i++ {
-			v = RandomStep(g, v, s)
-		}
-	}
-	return v
-}
-
-// WalkPath performs an m-step random walk from v and returns the full
-// path of m+1 positions, beginning with v.
-func WalkPath(g Graph, v int64, m int, s *rng.Stream) []int64 {
-	validateNode(g, v)
-	step := Stepper(g)
-	path := make([]int64, m+1)
-	path[0] = v
-	for i := 1; i <= m; i++ {
-		v = step(v, s)
-		path[i] = v
-	}
-	return path
-}
-
-// NumEdges returns the number of undirected edges of g (multi-edges
-// counted with multiplicity, self-loops counted once each), computed
-// as half the degree sum. It takes O(1) time for Regular
-// implementations and *Adj (whose neighbor array length is the degree
-// sum) and O(A) for other graphs.
-func NumEdges(g Graph) int64 {
+// Endpoints returns the degree sum of g, its number of edge
+// endpoints. It takes O(1) time for Regular implementations and *Adj
+// (whose neighbor array length is the degree sum) and O(A) for other
+// graphs. A Regular graph's A·k can exceed the int64 range (a
+// hypercube of 58 or more bits, a complete graph of about 3.04e9 or
+// more nodes); Endpoints then returns an error that names the limit.
+func Endpoints(g Graph) (int64, error) {
 	switch g := g.(type) {
 	case Regular:
-		return g.NumNodes() * int64(g.CommonDegree()) / 2
+		a, k := g.NumNodes(), g.CommonDegree()
+		if hi, lo := bits.Mul64(uint64(a), uint64(k)); hi != 0 || lo > math.MaxInt64 {
+			return 0, fmt.Errorf("topology: %d nodes of degree %d have %.4g edge endpoints, more than the limit of %d", a, k, float64(a)*float64(k), int64(math.MaxInt64))
+		}
+		return a * int64(k), nil
 	case *Adj:
-		return g.TotalEndpoints() / 2
+		return g.TotalEndpoints(), nil
 	}
 	var sum int64
 	for v := int64(0); v < g.NumNodes(); v++ {
 		sum += int64(g.Degree(v))
 	}
-	return sum / 2
+	return sum, nil
+}
+
+// NumEdges returns the number of undirected edges of g (multi-edges
+// counted with multiplicity, self-loops counted once each), computed
+// as half the degree sum (Endpoints). It panics on a graph whose
+// degree sum Endpoints refuses; code handed a graph from outside the
+// program calls Endpoints instead.
+func NumEdges(g Graph) int64 {
+	n, err := Endpoints(g)
+	if err != nil {
+		panic(err)
+	}
+	return n / 2
 }
 
 // ValidateNode panics if v is outside g's node range. Callers feeding

@@ -58,7 +58,6 @@ func csrGraphs(t *testing.T) []struct {
 		{"er-connected", socialnet.Connected(er)},
 		{"ws", must(socialnet.WattsStrogatz(1000, 6, 0.1, rng.New(3)))},
 		{"random-regular", must(topology.NewRandomRegular(1001, 6, rng.New(4)))},
-		{"power-law", must(socialnet.PowerLawConfiguration(1500, 2.5, 2, 60, rng.New(5)))},
 		{"hand-built", topology.MustAdj(6, []topology.Edge{
 			{U: 0, V: 1}, {U: 0, V: 1}, // multi-edge
 			{U: 1, V: 2}, {U: 2, V: 2}, // self-loop

@@ -229,24 +229,3 @@ func TestRingMatchesTorus1D(t *testing.T) {
 		t.Errorf("ring(12): dims=%d nodes=%d degree=%d", r.Dims(), r.NumNodes(), r.CommonDegree())
 	}
 }
-
-func TestWalkPath(t *testing.T) {
-	g := MustTorus(2, 9)
-	s := rng.New(3)
-	path := WalkPath(g, g.Node(4, 4), 20, s)
-	if len(path) != 21 {
-		t.Fatalf("path length = %d, want 21", len(path))
-	}
-	for i := 1; i < len(path); i++ {
-		adj := false
-		for j := 0; j < g.Degree(path[i-1]); j++ {
-			if g.Neighbor(path[i-1], j) == path[i] {
-				adj = true
-				break
-			}
-		}
-		if !adj {
-			t.Fatalf("path step %d: %d -> %d not adjacent", i, path[i-1], path[i])
-		}
-	}
-}

@@ -2,9 +2,9 @@
 // the paper's analysis: re-collision probabilities between two walks
 // (Lemma 4 on the 2-D torus, Lemma 20 on the ring, Lemma 22 on
 // k-dimensional tori, Lemma 23 on expanders, Lemma 25 on hypercubes),
-// equalization (return-to-origin) probabilities (Corollary 10), visit
-// and collision count moments (Lemma 11, Corollaries 15 and 16), and
-// endpoint distributions (Lemma 9). All estimates are Monte Carlo
+// equalization (return-to-origin) probabilities (Corollary 10), and
+// equalization and collision count moments (Lemma 11, Corollaries 15
+// and 16). All estimates are Monte Carlo
 // over explicit trials with deterministic seeds. Every walking loop
 // hoists its per-step dispatch through topology.Stepper — and, where
 // the graph has a fixed draw bound, batches its randomness in chunks
@@ -146,84 +146,6 @@ func PairCollisionCounts(g topology.Graph, t, trials int, s *rng.Stream) []float
 		out[trial] = float64(count)
 	}
 	return out
-}
-
-// VisitCounts returns, for each of trials independent t-step walks
-// from uniformly random starts, the number of rounds the walk spends
-// at the fixed node target — the visit count of Corollary 15.
-func VisitCounts(g topology.Graph, target int64, t, trials int, s *rng.Stream) []float64 {
-	validate(t, trials)
-	wk := newWalker(g)
-	out := make([]float64, trials)
-	count := 0
-	visit := func(_ int, p int64) {
-		if p == target {
-			count++
-		}
-	}
-	for trial := 0; trial < trials; trial++ {
-		str := s.Split(uint64(trial))
-		p := topology.RandomNode(g, str)
-		count = 0
-		wk.run(p, t, str, visit)
-		out[trial] = float64(count)
-	}
-	return out
-}
-
-// EndpointDistribution estimates the distribution of the endpoint of
-// an m-step walk from start, as a map from node to empirical
-// probability. Lemma 9 bounds its maximum by O(1/(m+1) + 1/A) on the
-// 2-D torus.
-func EndpointDistribution(g topology.Graph, start int64, m, trials int, s *rng.Stream) map[int64]float64 {
-	validate(m, trials)
-	counts := make(map[int64]int)
-	for trial := 0; trial < trials; trial++ {
-		str := s.Split(uint64(trial))
-		counts[topology.Walk(g, start, m, str)]++
-	}
-	dist := make(map[int64]float64, len(counts))
-	for node, c := range counts {
-		dist[node] = float64(c) / float64(trials)
-	}
-	return dist
-}
-
-// MaxEndpointProbability returns the largest endpoint probability of
-// an m-step walk from start — the left side of Lemma 9's bound. Note
-// the estimate is biased upward when trials is small relative to the
-// support size.
-func MaxEndpointProbability(g topology.Graph, start int64, m, trials int, s *rng.Stream) float64 {
-	dist := EndpointDistribution(g, start, m, trials, s)
-	var max float64
-	for _, p := range dist {
-		if p > max {
-			max = p
-		}
-	}
-	return max
-}
-
-// FirstCollisionRound returns the first round in [1, t] at which two
-// uniformly placed walks are co-located, or 0 if they never collide
-// within t rounds. Lemma 12 bounds P[collide at least once] by t/A.
-func FirstCollisionRound(g topology.Graph, t int, s *rng.Stream) int {
-	if t < 1 {
-		panic(fmt.Sprintf("walk: t must be >= 1, got %d", t))
-	}
-	step := topology.Stepper(g)
-	s1 := s.Split(0)
-	s2 := s.Split(1)
-	p1 := topology.RandomNode(g, s1)
-	p2 := topology.RandomNode(g, s2)
-	for m := 1; m <= t; m++ {
-		p1 = step(p1, s1)
-		p2 = step(p2, s2)
-		if p1 == p2 {
-			return m
-		}
-	}
-	return 0
 }
 
 func validate(steps, trials int) {

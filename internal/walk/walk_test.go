@@ -206,19 +206,6 @@ func TestPairCollisionThirdMomentWithinBound(t *testing.T) {
 	}
 }
 
-func TestVisitCountsMeanIsTOverA(t *testing.T) {
-	// Corollary 15 base: E[visits to fixed node] = t/A.
-	g := topology.MustTorus(2, 16) // A = 256
-	s := rng.New(9)
-	const tRounds, trials = 200, 30000
-	counts := VisitCounts(g, g.Node(3, 5), tRounds, trials, s)
-	got := stats.Mean(counts)
-	want := float64(tRounds) / float64(g.NumNodes())
-	if math.Abs(got-want)/want > 0.15 {
-		t.Errorf("mean visit count = %v, want ~%v", got, want)
-	}
-}
-
 func TestSumCurve(t *testing.T) {
 	got := SumCurve([]float64{1, 0, 0.5, 0.25})
 	want := []float64{1, 1, 1.5, 1.75}
@@ -226,59 +213,6 @@ func TestSumCurve(t *testing.T) {
 		if math.Abs(got[i]-want[i]) > 1e-12 {
 			t.Fatalf("SumCurve[%d] = %v, want %v", i, got[i], want[i])
 		}
-	}
-}
-
-func TestEndpointDistributionSumsToOne(t *testing.T) {
-	g := topology.MustTorus(2, 32)
-	s := rng.New(10)
-	dist := EndpointDistribution(g, 0, 9, 5000, s)
-	var sum float64
-	for _, p := range dist {
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("endpoint distribution sums to %v", sum)
-	}
-}
-
-func TestMaxEndpointProbabilityDecays(t *testing.T) {
-	// Lemma 9: max endpoint probability O(1/m + 1/A).
-	g := topology.MustTorus(2, 128)
-	s := rng.New(11)
-	p8 := MaxEndpointProbability(g, 0, 8, 60000, s)
-	p64 := MaxEndpointProbability(g, 0, 64, 60000, s.Split(1))
-	if p64 >= p8 {
-		t.Errorf("max endpoint probability did not decay: m=8 -> %v, m=64 -> %v", p8, p64)
-	}
-	// Sanity: at m=8 the max should be on the order of 1/8.
-	if p8 > 0.5 || p8 < 0.01 {
-		t.Errorf("max endpoint probability at m=8 = %v, out of sane range", p8)
-	}
-}
-
-func TestFirstCollisionRoundBounds(t *testing.T) {
-	// Lemma 12: P[any collision within t] <= t/A. Measure on a small
-	// torus and compare.
-	g := topology.MustTorus(2, 16) // A = 256
-	const tRounds, trials = 64, 20000
-	s := rng.New(12)
-	collided := 0
-	for trial := 0; trial < trials; trial++ {
-		if r := FirstCollisionRound(g, tRounds, s.Split(uint64(trial))); r != 0 {
-			collided++
-			if r < 1 || r > tRounds {
-				t.Fatalf("first collision round %d out of range", r)
-			}
-		}
-	}
-	rate := float64(collided) / trials
-	bound := float64(tRounds) / float64(g.NumNodes())
-	if rate > bound {
-		t.Errorf("first-collision rate %v exceeds Lemma 12 bound t/A = %v", rate, bound)
-	}
-	if rate == 0 {
-		t.Error("no pair ever collided; test parameters too sparse")
 	}
 }
 
@@ -332,7 +266,6 @@ func TestValidatePanics(t *testing.T) {
 	}{
 		{"negative steps", func() { RecollisionCurve(g, 0, -1, 10, s) }},
 		{"zero trials", func() { EqualizationCurve(g, 0, 10, 0, s) }},
-		{"first collision zero t", func() { FirstCollisionRound(g, 0, s) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {

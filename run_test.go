@@ -3,6 +3,7 @@ package antdensity_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math"
@@ -522,6 +523,43 @@ func TestRunShardInvariance(t *testing.T) {
 			} else if !bytes.Equal(buf.Bytes(), flat) {
 				t.Errorf("%s: the %d-shard world's result differs from the flat world's", kc.name, k)
 			}
+		}
+	}
+}
+
+// TestRegularCSRResultPinned pins the result bytes of Specs on a
+// random regular graph, a CSR world with one degree at every node.
+// These digests were recorded while such a world stepped through a
+// fixed-bound kernel of its own; no step kernel may move them.
+func TestRegularCSRResultPinned(t *testing.T) {
+	g, err := antdensity.NewRandomRegular(2000, 8, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := []antdensity.SpecOption{antdensity.WithGraph(g), antdensity.WithAgents(300),
+		antdensity.WithRounds(200), antdensity.WithSeed(11)}
+	for _, tc := range []struct {
+		name string
+		spec *antdensity.Spec
+		want string
+	}{
+		{"density", antdensity.DensitySpec(opts...), "9e71ba606275db58045802b1ac6fa5adeab671e015fb074b15fc13a3af307db1"},
+		{"quorum", antdensity.QuorumSpec(0.1, opts...), "23ffce92693c1db92fffd8d18ce41feda42541dac3beea78b4ec28b357a254f7"},
+	} {
+		r, err := tc.spec.Start(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := r.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := results.WriteJSON(&buf, res); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != tc.want {
+			t.Errorf("%s: result sha256 %s, want %s", tc.name, got, tc.want)
 		}
 	}
 }

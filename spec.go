@@ -482,7 +482,11 @@ func (s *Spec) validateNetsize() error {
 	if s.Graph == nil {
 		return fmt.Errorf("antdensity: Spec.Graph is required for kind %q", s.Kind)
 	}
-	if topology.NumEdges(s.Graph) < 1 {
+	endpoints, err := topology.Endpoints(s.Graph)
+	if err != nil {
+		return fmt.Errorf("antdensity: Spec.Graph is too large for kind %q: %v", s.Kind, err)
+	}
+	if endpoints/2 < 1 {
 		return fmt.Errorf("antdensity: Spec.Graph has no edges, so kind %q has no walk to run", s.Kind)
 	}
 	if s.Walkers < 2 {

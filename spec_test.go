@@ -211,6 +211,32 @@ func TestSpecValidationErrors(t *testing.T) {
 			want: "Spec.Graph has no edges",
 		},
 		{
+			name: "netsize stationary on a 58-bit hypercube",
+			spec: antdensity.NetworkSizeSpec(antdensity.WithHypercube(58), antdensity.WithWalkers(8),
+				antdensity.WithRounds(3), antdensity.WithStationary()),
+			want: "Spec.Graph is too large for kind \"netsize\": topology: 288230376151711744 nodes of degree 58 have 1.672e+19 edge endpoints, more than the limit of 9223372036854775807",
+		},
+		{
+			name: "netsize stationary on a 62-bit hypercube",
+			spec: antdensity.NetworkSizeSpec(antdensity.WithHypercube(62), antdensity.WithWalkers(8),
+				antdensity.WithRounds(3), antdensity.WithStationary()),
+			want: "more than the limit of 9223372036854775807",
+		},
+		{
+			// A(A-1) falls in [2^63, 2^64): an int64 product wraps negative.
+			name: "netsize stationary on the complete graph of 4e9 nodes",
+			spec: antdensity.NetworkSizeSpec(antdensity.WithComplete(4e9), antdensity.WithWalkers(8),
+				antdensity.WithRounds(3), antdensity.WithStationary()),
+			want: "more than the limit of 9223372036854775807",
+		},
+		{
+			// A(A-1) is above 2^64: an int64 product wraps positive.
+			name: "netsize stationary on the complete graph of 4.5e9 nodes",
+			spec: antdensity.NetworkSizeSpec(antdensity.WithComplete(4.5e9), antdensity.WithWalkers(8),
+				antdensity.WithRounds(3), antdensity.WithStationary()),
+			want: "more than the limit of 9223372036854775807",
+		},
+		{
 			name: "netsize agents instead of walkers",
 			spec: antdensity.NetworkSizeSpec(antdensity.WithGraph(g), antdensity.WithWalkers(4),
 				antdensity.WithRounds(10), antdensity.WithAgents(7)),
