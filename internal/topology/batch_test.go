@@ -112,6 +112,51 @@ func TestRandomStepsIntoMatchesScalar(t *testing.T) {
 	}
 }
 
+func TestAdjRandomStepsInto(t *testing.T) {
+	// On a regular CSR graph, RandomSteps must make the fixed-bound
+	// draw-and-step pass of the arithmetic topologies' RandomStepsInto:
+	// one rng.Uint64nEach draw below the common degree per walker, then
+	// the neighbour that draw indexes. The graph is a regular
+	// multigraph, a 12-cycle with every edge doubled plus a self-loop
+	// per node (degree 5 everywhere), for multi-edges and loops.
+	const n = 12
+	var edges []Edge
+	for v := int64(0); v < n; v++ {
+		edges = append(edges, Edge{v, (v + 1) % n}, Edge{v, (v + 1) % n}, Edge{v, v})
+	}
+	g := MustAdj(n, edges)
+	d, ok := g.IsRegular()
+	if !ok || d != 5 {
+		t.Fatalf("test graph: IsRegular() = %d, %v; want 5, true", d, ok)
+	}
+
+	root := rng.New(3)
+	const agents = 64
+	bulk := make([]rng.Stream, agents)
+	fixed := make([]rng.Stream, agents)
+	posB := make([]int64, agents)
+	posF := make([]int64, agents)
+	for i := range bulk {
+		bulk[i] = root.SplitValue(uint64(i))
+		fixed[i] = bulk[i]
+		p := int64(root.Uint64n(n))
+		posB[i], posF[i] = p, p
+	}
+	draws := make([]uint64, agents)
+	for round := 0; round < 50; round++ {
+		g.RandomSteps(posB, bulk)
+		rng.Uint64nEach(fixed, uint64(d), draws)
+		for i, v := range posF {
+			posF[i] = g.Neighbor(v, int(draws[i]))
+		}
+		for i := range posB {
+			if posB[i] != posF[i] || bulk[i] != fixed[i] {
+				t.Fatalf("round %d agent %d: RandomSteps (%d) and the fixed-bound pass (%d) diverged", round, i, posB[i], posF[i])
+			}
+		}
+	}
+}
+
 func TestStepperBulkMatchesStepper(t *testing.T) {
 	var cycle []Edge
 	for v := int64(0); v < 40; v++ {
