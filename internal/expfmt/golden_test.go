@@ -93,3 +93,25 @@ func TestExperimentJSONGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestExperimentMetricsGolden pins every experiment's metrics and
+// notes exactly: one golden holds, for each registered experiment in
+// ID order, a result carrying only its ID, seed, mode, metrics and
+// notes, written through the results JSON encoding — which keeps
+// every float's exact bits and encodes NaN and ±Inf. The text
+// goldens round the notes' numbers; this one does not.
+func TestExperimentMetricsGolden(t *testing.T) {
+	var buf bytes.Buffer
+	for _, e := range experiments.All() {
+		p := experiments.Params{Seed: 12345, Quick: true}
+		res, err := e.RunResult(p)
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		pinned := &results.Result{ID: res.ID, Seed: res.Seed, Quick: res.Quick, Metrics: res.Metrics, Notes: res.Notes}
+		if err := results.WriteJSON(&buf, pinned); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkGolden(t, filepath.Join("testdata", "metrics_quick.json"), buf.Bytes())
+}
