@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -206,7 +207,7 @@ func TestCmdRunCSV(t *testing.T) {
 	if len(lines) != 5 { // header + 4 density rows
 		t.Fatalf("CSV has %d lines, want 5:\n%s", len(lines), out)
 	}
-	if !strings.HasPrefix(lines[0], "density d,agents,rounds t,") {
+	if !strings.HasPrefix(lines[0], "d,steps,density,agents,mean_dtilde,mean_dtilde ci95,mean_dtilde n,") {
 		t.Errorf("CSV header unexpected: %q", lines[0])
 	}
 }
@@ -224,6 +225,46 @@ func TestCmdSweepText(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[0], "d ") {
 		t.Errorf("sweep header unexpected: %q", lines[0])
+	}
+}
+
+// TestCmdSweepTextAligned pins that every row of a text sweep starts
+// each column at the header's column offset, also where an axis value
+// is wider than the 12-character minimum width ("spurious_0.05").
+func TestCmdSweepTextAligned(t *testing.T) {
+	out, err := captureStdout(t, func() error {
+		return run([]string{"sweep", "E18", "-quick", "-axis", "variant=baseline,spurious_0.05"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if len(lines) != 3 { // header + 2 variants
+		t.Fatalf("sweep produced %d lines, want 3:\n%s", len(lines), out)
+	}
+	// Header names may hold a space ("mean_dtilde ci95"); locate each
+	// in turn. No E18 cell holds one, so a row's columns start after
+	// each run of spaces.
+	var want []int
+	at := 0
+	for _, name := range []string{"variant", "mean_dtilde", "mean_dtilde ci95", "mean_dtilde n", "predicted", "ratio"} {
+		i := strings.Index(lines[0][at:], name)
+		if i < 0 {
+			t.Fatalf("header %q lacks column %q after offset %d", lines[0], name, at)
+		}
+		want = append(want, at+i)
+		at += i + len(name)
+	}
+	for _, line := range lines[1:] {
+		var got []int
+		for i := range line {
+			if line[i] != ' ' && (i == 0 || line[i-1] == ' ') {
+				got = append(got, i)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("row %q starts its columns at %v, header at %v\n%s", line, got, want, out)
+		}
 	}
 }
 
@@ -295,7 +336,7 @@ func TestCmdRunQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "E01") || !strings.Contains(out, "bias ratio") {
+	if !strings.Contains(out, "E01") || !strings.Contains(out, "bias_ratio") {
 		t.Errorf("run E01 output unexpected:\n%s", out)
 	}
 }

@@ -128,20 +128,25 @@ func newSweepWriter(out io.Writer, format string, e experiments.Experiment) (*sw
 	return &sweepWriter{out: out, format: format, exp: e, columns: e.SweepColumns()}, nil
 }
 
-// header emits the format's stream prefix once.
-func (w *sweepWriter) header() error {
+// header emits the format's stream prefix once, before first, the
+// sweep's first row. Text columns are at least 12 wide and as wide as
+// their name; an axis column is also as wide as the longest of its
+// active values, which first's Point holds, so rows keep streaming.
+func (w *sweepWriter) header(first experiments.SweepRow) error {
 	switch w.format {
 	case "text":
-		var header []string
-		for _, name := range w.headerNames() {
-			width := len(name)
-			if width < 12 {
-				width = 12
+		names := w.headerNames()
+		for i, name := range names {
+			width := max(len(name), 12)
+			if i < first.Point.Len() {
+				a := first.Point.Axis(i)
+				for _, v := range first.Point.Active(i) {
+					width = max(width, len(expfmt.CellText(a.Cell(v))))
+				}
 			}
 			w.widths = append(w.widths, width)
-			header = append(header, name)
 		}
-		return w.writeTextRow(header)
+		return w.writeTextRow(names)
 	case "csv":
 		w.csv = csv.NewWriter(w.out)
 		if err := w.csv.Write(w.headerNames()); err != nil {
@@ -188,7 +193,7 @@ func (w *sweepWriter) flatCells(row experiments.SweepRow, render func(results.Ce
 // row streams one completed grid cell, emitting the header first.
 func (w *sweepWriter) row(r experiments.SweepRow) error {
 	if w.rows == 0 {
-		if err := w.header(); err != nil {
+		if err := w.header(r); err != nil {
 			return err
 		}
 	}

@@ -100,20 +100,16 @@ func init() {
 	})
 }
 
-// e27Measure runs Algorithm 1 with an f-fraction of count-inflating
+// cellE27 runs Algorithm 1 with an f-fraction of count-inflating
 // adversaries and measures each aggregator's relative error.
-func e27Measure(p Params, f float64, fi int) (*ExperimentResult, error) {
-	return advTrials(p, "E27", fi, pick(p, 2000, 400), antdensity.DensitySpec, "inflate", f, advBoost,
+func cellE27(p Params, pt Point) ([]results.Cell, error) {
+	res, err := advTrials(p, "E27", pt.Index("f"), pick(p, 2000, 400), antdensity.DensitySpec, "inflate", pt.Float("f"), advBoost,
 		func(m results.Metrics, r *TrialResult) {
 			d := m["true_density"]
 			for _, agg := range stats.Aggregators() {
 				r.Set("relerr_"+agg.String(), math.Abs(m["estimate_"+agg.String()]-d)/d)
 			}
 		})
-}
-
-func cellE27(p Params, pt Point) ([]results.Cell, error) {
-	res, err := e27Measure(p, pt.Float("f"), pt.Index("f"))
 	if err != nil {
 		return nil, err
 	}
@@ -127,23 +123,12 @@ func cellE27(p Params, pt Point) ([]results.Cell, error) {
 }
 
 func runE27(p Params, rep *Report) error {
-	tb := rep.Table("adversary fraction f", "mean rel err", "median rel err", "trimmed rel err", "med-of-means rel err")
-	if err := Grid(p, e27Axes, func(pt Point) error {
-		f := pt.Float("f")
-		res, err := e27Measure(p, f, pt.Index("f"))
-		if err != nil {
-			return err
+	fs := rep.Labels("f")
+	for _, agg := range stats.Aggregators() {
+		name := "relerr_" + agg.String()
+		for i, relerr := range rep.Floats(name) {
+			rep.SetMetric(name+"_"+fs[i], relerr)
 		}
-		row := []any{f}
-		for _, agg := range stats.Aggregators() {
-			relerr := res.MeanValue("relerr_" + agg.String())
-			row = append(row, relerr)
-			rep.SetMetric(fmtRatioMetric("relerr_"+agg.String(), f), relerr)
-		}
-		tb.AddRow(row...)
-		return nil
-	}); err != nil {
-		return err
 	}
 	rep.Notef("an f-fraction of +%d inflators drags the mean by ~f*%d/d; at f = 0.2 median-of-means sits orders of magnitude closer to d, and past f = 0.25 the trimmed mean and MoM cross their breakdown point while the median (breakdown 1/2) still holds", advBoost, advBoost)
 	return nil
@@ -158,24 +143,20 @@ var e28Axes = []Axis{StringAxis("strategy",
 // argue no.
 const e28Threshold = 0.06
 
-// e28Measure runs a fixed-horizon quorum vote at e28Threshold under
-// one fault strategy at f = 0.2; a timed strategy triggers at the
-// Spec's default, half the horizon.
-func e28Measure(p Params, strategy string, si int) (*ExperimentResult, error) {
+// cellE28 runs a fixed-horizon quorum vote at e28Threshold under one
+// fault strategy at f = 0.2; a timed strategy triggers at the Spec's
+// default, half the horizon.
+func cellE28(p Params, pt Point) ([]results.Cell, error) {
 	quorumSpec := func(opts ...antdensity.SpecOption) *antdensity.Spec {
 		return antdensity.QuorumSpec(e28Threshold, opts...)
 	}
-	return advTrials(p, "E28", si, pick(p, 1500, 300), quorumSpec, strategy, 0.2, 0,
+	res, err := advTrials(p, "E28", pt.Index("strategy"), pick(p, 1500, 300), quorumSpec, pt.String("strategy"), 0.2, 0,
 		func(m results.Metrics, r *TrialResult) {
 			r.Set("mean_est", m["estimate_"+stats.AggMean.String()])
 			r.Set("mom_est", m["estimate_"+stats.AggMedianOfMeans.String()])
 			r.Set("vote_frac", m["vote_fraction"])
 			r.Set("trimmed_vote_frac", m["trimmed_vote_fraction"])
 		})
-}
-
-func cellE28(p Params, pt Point) ([]results.Cell, error) {
-	res, err := e28Measure(p, pt.String("strategy"), pt.Index("strategy"))
 	if err != nil {
 		return nil, err
 	}
@@ -189,25 +170,13 @@ func cellE28(p Params, pt Point) ([]results.Cell, error) {
 }
 
 func runE28(p Params, rep *Report) error {
-	tb := rep.Table("strategy", "mean estimate", "med-of-means estimate", "vote fraction", "trimmed vote fraction")
-	if err := Grid(p, e28Axes, func(pt Point) error {
-		s := pt.String("strategy")
-		res, err := e28Measure(p, s, pt.Index("strategy"))
-		if err != nil {
-			return err
-		}
-		mean := res.MeanValue("mean_est")
-		mom := res.MeanValue("mom_est")
-		vf := res.MeanValue("vote_frac")
-		tvf := res.MeanValue("trimmed_vote_frac")
-		tb.AddRow(s, mean, mom, vf, tvf)
-		rep.SetMetric("mean_"+s, mean)
-		rep.SetMetric("mom_"+s, mom)
-		rep.SetMetric("votefrac_"+s, vf)
-		rep.SetMetric("trimvote_"+s, tvf)
-		return nil
-	}); err != nil {
-		return err
+	mean, mom := rep.Floats("mean_est"), rep.Floats("mom_est")
+	vf, tvf := rep.Floats("vote_frac"), rep.Floats("trimmed_vote_frac")
+	for i, s := range rep.Labels("strategy") {
+		rep.SetMetric("mean_"+s, mean[i])
+		rep.SetMetric("mom_"+s, mom[i])
+		rep.SetMetric("votefrac_"+s, vf[i])
+		rep.SetMetric("trimvote_"+s, tvf[i])
 	}
 	rep.Notef("honest d = 0.1025 sits above theta = %v, so the honest vote is yes; inflate inflates the mean, deflate/crash drag it toward zero, and the trimmed vote discards the 20%% Byzantine tail the plain vote counts", e28Threshold)
 	return nil
@@ -215,19 +184,15 @@ func runE28(p Params, rep *Report) error {
 
 var e29Axes = []Axis{FloatAxis("f", []float64{0.1, 0.2, 0.3, 0.4}, nil)}
 
-// e29Measure scores the co-location audit every adversarial Run
-// carries against f-fraction inflators on the ground-truth mask.
-func e29Measure(p Params, f float64, fi int) (*ExperimentResult, error) {
-	return advTrials(p, "E29", fi, pick(p, 1500, 300), antdensity.DensitySpec, "inflate", f, advBoost,
+// cellE29 scores the co-location audit every adversarial Run carries
+// against f-fraction inflators on the ground-truth mask.
+func cellE29(p Params, pt Point) ([]results.Cell, error) {
+	res, err := advTrials(p, "E29", pt.Index("f"), pick(p, 1500, 300), antdensity.DensitySpec, "inflate", pt.Float("f"), advBoost,
 		func(m results.Metrics, r *TrialResult) {
 			r.Set("tpr", m["detect_tpr"])
 			r.Set("fpr", m["detect_fpr"])
 			r.Set("flagged_frac", m["detect_flagged"]/advAgents)
 		})
-}
-
-func cellE29(p Params, pt Point) ([]results.Cell, error) {
-	res, err := e29Measure(p, pt.Float("f"), pt.Index("f"))
 	if err != nil {
 		return nil, err
 	}
@@ -240,23 +205,11 @@ func cellE29(p Params, pt Point) ([]results.Cell, error) {
 }
 
 func runE29(p Params, rep *Report) error {
-	tb := rep.Table("adversary fraction f", "TPR", "FPR", "flagged fraction")
-	if err := Grid(p, e29Axes, func(pt Point) error {
-		f := pt.Float("f")
-		res, err := e29Measure(p, f, pt.Index("f"))
-		if err != nil {
-			return err
-		}
-		tpr := res.MeanValue("tpr")
-		fpr := res.MeanValue("fpr")
-		ff := res.MeanValue("flagged_frac")
-		tb.AddRow(f, tpr, fpr, ff)
-		rep.SetMetric(fmtRatioMetric("tpr", f), tpr)
-		rep.SetMetric(fmtRatioMetric("fpr", f), fpr)
-		rep.SetMetric(fmtRatioMetric("flagged", f), ff)
-		return nil
-	}); err != nil {
-		return err
+	tpr, fpr, ff := rep.Floats("tpr"), rep.Floats("fpr"), rep.Floats("flagged_frac")
+	for i, f := range rep.Labels("f") {
+		rep.SetMetric("tpr_"+f, tpr[i])
+		rep.SetMetric("fpr_"+f, fpr[i])
+		rep.SetMetric("flagged_"+f, ff[i])
 	}
 	rep.Notef("co-located honest agents agree on what they both saw; a +%d inflator contradicts every cellmate, so TPR approaches 1 quickly while FPR only rises as liars start dominating shared cells", advBoost)
 	return nil

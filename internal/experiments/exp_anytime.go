@@ -72,14 +72,16 @@ func anytimeQuorumTrials(p Params, name string, ratio float64, trials int, seed 
 	})
 }
 
-// e26Measure runs E26 at one density ratio; ri is the ratio's position
-// in the active axis list (the historical seed offset).
-func e26Measure(p Params, ratio float64, ri int) (res *ExperimentResult, err error) {
+// cellE26 runs E26 at one density ratio, seeded by its position in the
+// registered axis list (the historical seed offset), and compares the
+// agents' stopping rounds with the fixed horizon.
+func cellE26(p Params, pt Point) ([]results.Cell, error) {
+	ratio := pt.Float("ratio")
 	want := -1
 	if ratio > 1 {
 		want = +1
 	}
-	return anytimeQuorumTrials(p, "E26", ratio, pick(p, 12, 6), p.Seed+uint64(ri)<<18, func(ar *antdensity.QuorumAnytimeResult, r *TrialResult) {
+	res, err := anytimeQuorumTrials(p, "E26", ratio, pick(p, 12, 6), p.Seed+uint64(pt.Index("ratio"))<<18, func(ar *antdensity.QuorumAnytimeResult, r *TrialResult) {
 		correct, undecided := 0, 0
 		for i, d := range ar.Decision {
 			switch d {
@@ -94,10 +96,6 @@ func e26Measure(p Params, ratio float64, ri int) (res *ExperimentResult, err err
 		r.Set("correct", float64(correct)/n)
 		r.Set("undecided", float64(undecided)/n)
 	})
-}
-
-func cellE26(p Params, pt Point) ([]results.Cell, error) {
-	res, err := e26Measure(p, pt.Float("ratio"), pt.Index("ratio"))
 	if err != nil {
 		return nil, err
 	}
@@ -115,28 +113,12 @@ func cellE26(p Params, pt Point) ([]results.Cell, error) {
 }
 
 func runE26(p Params, rep *Report) error {
-	tFixed := e26Fixed()
-	tb := rep.Table("d/theta", "fixed t", "mean stop round", "p90 stop round", "correct", "undecided", "rounds saved vs fixed")
-	if err := Grid(p, e26Axes, func(pt Point) error {
-		ratio := pt.Float("ratio")
-		res, err := e26Measure(p, ratio, pt.Index("ratio"))
-		if err != nil {
-			return err
-		}
-		stops := res.Samples()
-		meanStop := stats.Mean(stops)
-		p90 := stats.Quantile(stops, 0.9)
-		correct := res.MeanValue("correct")
-		undecided := res.MeanValue("undecided")
-		saving := float64(tFixed) / meanStop
-		tb.AddRow(ratio, tFixed, meanStop, p90, correct, undecided, saving)
-		rep.SetMetric(fmtRatioMetric("correct", ratio), correct)
-		rep.SetMetric(fmtRatioMetric("meanstop", ratio), meanStop)
-		rep.SetMetric(fmtRatioMetric("saving", ratio), saving)
-		return nil
-	}); err != nil {
-		return err
+	correct, meanStops, savings := rep.Floats("correct"), rep.Floats("mean_stop"), rep.Floats("saving")
+	for i, ratio := range rep.Labels("ratio") {
+		rep.SetMetric("correct_"+ratio, correct[i])
+		rep.SetMetric("meanstop_"+ratio, meanStops[i])
+		rep.SetMetric("saving_"+ratio, savings[i])
 	}
-	rep.Notef("paper (Section 6.2): adaptive agents pay for the margin, not the threshold — stopping times at 4x/0.25x theta sit far below both the fixed t=%d horizon and the 2x/0.5x stopping times", tFixed)
+	rep.Notef("paper (Section 6.2): adaptive agents pay for the margin, not the threshold — stopping times at 4x/0.25x theta sit far below both the fixed t=%d horizon and the 2x/0.5x stopping times", e26Fixed())
 	return nil
 }

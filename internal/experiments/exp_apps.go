@@ -77,49 +77,39 @@ func init() {
 	})
 }
 
-// e24Measure runs E24 at one density ratio; ri is the ratio's position
-// in the active axis list (the historical seed offset). Each trial
-// scores agent 0's decision. It returns the correct/undecided counts,
-// the mean round among correct decisions (NaN if none), and the trial
-// count.
-func e24Measure(p Params, ratio float64, ri int) (correct, undecided int, meanRounds float64, trials int, err error) {
-	trials = pick(p, 20, 8)
-	res, err := anytimeQuorumTrials(p, "E24", ratio, trials, p.Seed+uint64(ri)<<20, func(ar *antdensity.QuorumAnytimeResult, r *TrialResult) {
+// cellE24 runs E24 at one density ratio, seeded by its position in the
+// registered axis list (the historical seed offset). Each trial scores
+// agent 0's decision; the cell counts correct and undecided trials and
+// averages the round of the correct decisions (NaN if none).
+func cellE24(p Params, pt Point) ([]results.Cell, error) {
+	ratio := pt.Float("ratio")
+	trials := e24Trials(p)
+	res, err := anytimeQuorumTrials(p, "E24", ratio, trials, p.Seed+uint64(pt.Index("ratio"))<<20, func(ar *antdensity.QuorumAnytimeResult, r *TrialResult) {
 		r.Set("decision", float64(ar.Decision[0]))
 		r.Set("rounds", float64(ar.StopRound[0]))
 	})
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return nil, err
 	}
 	want := -1.0
 	if ratio > 1 {
 		want = +1
 	}
+	var correct, undecided int
 	var rounds []float64
-	decisions := res.ValueSlice("decision")
 	decidedAts := res.ValueSlice("rounds")
-	for i, decision := range decisions {
+	for i, decision := range res.ValueSlice("decision") {
 		switch decision {
 		case 0:
 			undecided++
 		case want:
 			correct++
 			rounds = append(rounds, decidedAts[i])
-		default:
-			// wrong decision: counted implicitly below
 		}
 	}
-	meanRounds = math.NaN()
+	meanRounds := math.NaN()
 	if len(rounds) > 0 {
 		meanRounds = stats.Mean(rounds)
-	}
-	return correct, undecided, meanRounds, trials, nil
-}
-
-func cellE24(p Params, pt Point) ([]results.Cell, error) {
-	correct, undecided, meanRounds, trials, err := e24Measure(p, pt.Float("ratio"), pt.Index("ratio"))
-	if err != nil {
-		return nil, err
 	}
 	return []results.Cell{
 		results.Int(int64(correct)).WithN(trials),
@@ -128,24 +118,16 @@ func cellE24(p Params, pt Point) ([]results.Cell, error) {
 	}, nil
 }
 
+// e24Trials is E24's trial count per ratio.
+func e24Trials(p Params) int { return pick(p, 20, 8) }
+
 func runE24(p Params, rep *Report) error {
-	tb := rep.Table("d/theta", "correct decisions", "mean rounds to decide", "undecided")
-	trials := pick(p, 20, 8)
-	var meanRounds []float64
-	if err := Grid(p, e24Axes, func(pt Point) error {
-		ratio := pt.Float("ratio")
-		correct, undecided, mr, _, err := e24Measure(p, ratio, pt.Index("ratio"))
-		if err != nil {
-			return err
-		}
-		tb.AddRow(ratio, correct, mr, undecided)
-		rep.SetMetric(fmtRatioMetric("correct", ratio), float64(correct)/float64(trials))
-		meanRounds = append(meanRounds, mr)
-		return nil
-	}); err != nil {
-		return err
+	correct := rep.Floats("correct")
+	for i, ratio := range rep.Labels("ratio") {
+		rep.SetMetric("correct_"+ratio, correct[i]/float64(e24Trials(p)))
 	}
 	// Decisions should be fastest at the extreme ratios.
+	meanRounds := rep.Floats("mean_rounds")
 	if !math.IsNaN(meanRounds[0]) && !math.IsNaN(meanRounds[1]) {
 		rep.SetMetric("speedup_low", meanRounds[1]/meanRounds[0])
 	}
@@ -154,11 +136,6 @@ func runE24(p Params, rep *Report) error {
 	}
 	rep.Notef("paper (Section 6.2): detection effort is set by the threshold and shrinks with the margin; decisions at 4x/0.25x theta come much faster than at 2x/0.5x")
 	return nil
-}
-
-// fmtRatioMetric names per-ratio metrics like correct_0.25.
-func fmtRatioMetric(prefix string, ratio float64) string {
-	return prefix + "_" + strconv.FormatFloat(ratio, 'g', -1, 64)
 }
 
 // e19Horizons returns E19's short and long detection horizons.
@@ -198,19 +175,16 @@ func e19Curve(p Params, ratio float64, ri, t int, seed uint64) (float64, error) 
 	return res.SumValue("yes") / float64(trials*agents), nil
 }
 
-// e19Point returns P[quorum] at one ratio for the short and the long
+// cellE19 measures P[quorum] at one ratio for the short and the long
 // horizon.
-func e19Point(p Params, ratio float64, ri int) (short, long float64, err error) {
-	tShort, tLong := e19Horizons(p)
-	if short, err = e19Curve(p, ratio, ri, tShort, p.Seed); err != nil {
-		return 0, 0, err
-	}
-	long, err = e19Curve(p, ratio, ri, tLong, p.Seed+1)
-	return short, long, err
-}
-
 func cellE19(p Params, pt Point) ([]results.Cell, error) {
-	short, long, err := e19Point(p, pt.Float("ratio"), pt.Index("ratio"))
+	ratio, ri := pt.Float("ratio"), pt.Index("ratio")
+	tShort, tLong := e19Horizons(p)
+	short, err := e19Curve(p, ratio, ri, tShort, p.Seed)
+	if err != nil {
+		return nil, err
+	}
+	long, err := e19Curve(p, ratio, ri, tLong, p.Seed+1)
 	if err != nil {
 		return nil, err
 	}
@@ -223,20 +197,7 @@ func cellE19(p Params, pt Point) ([]results.Cell, error) {
 
 func runE19(p Params, rep *Report) error {
 	tShort, tLong := e19Horizons(p)
-	var curveShort, curveLong []float64
-	tb := rep.Table("d/theta", "P[quorum] short t", "P[quorum] long t")
-	if err := Grid(p, e19Axes, func(pt Point) error {
-		short, long, err := e19Point(p, pt.Float("ratio"), pt.Index("ratio"))
-		if err != nil {
-			return err
-		}
-		tb.AddRow(pt.Float("ratio"), short, long)
-		curveShort = append(curveShort, short)
-		curveLong = append(curveLong, long)
-		return nil
-	}); err != nil {
-		return err
-	}
+	curveShort, curveLong := rep.Floats("p_quorum_short"), rep.Floats("p_quorum_long")
 	// Sharpness: difference between detection at 2x and at 0.5x the
 	// threshold; longer horizons should separate better.
 	sharpShort := curveShort[5] - curveShort[1]
@@ -307,24 +268,18 @@ func e21Graph(name string) (topology.Graph, error) {
 	return nil, fmt.Errorf("E21: unknown topology %q", name)
 }
 
-// e21Measure compares token vs independent sampling RMSE at one
+// cellE21 compares token vs independent sampling RMSE at one
 // (topology, horizon) point.
-func e21Measure(p Params, topo string, t int) (cmp sensors.RMSEComparison, trials int, err error) {
-	trials = pick(p, 6000, 1500)
-	g, err := e21Graph(topo)
-	if err != nil {
-		return sensors.RMSEComparison{}, 0, err
-	}
-	f := sensors.BernoulliField(0.5, p.Seed+77)
-	s := rng.New(p.Seed)
-	return sensors.CompareRMSE(g, f, t, trials, s.Split(uint64(t))), trials, nil
-}
-
 func cellE21(p Params, pt Point) ([]results.Cell, error) {
-	cmp, trials, err := e21Measure(p, pt.String("topo"), pt.Int("steps"))
+	t := pt.Int("steps")
+	trials := pick(p, 6000, 1500)
+	g, err := e21Graph(pt.String("topo"))
 	if err != nil {
 		return nil, err
 	}
+	f := sensors.BernoulliField(0.5, p.Seed+77)
+	s := rng.New(p.Seed)
+	cmp := sensors.CompareRMSE(g, f, t, trials, s.Split(uint64(t)))
 	return []results.Cell{
 		results.Float(cmp.TokenRMSE).WithN(trials),
 		results.Float(cmp.IndependentRMSE).WithN(trials),
@@ -333,20 +288,11 @@ func cellE21(p Params, pt Point) ([]results.Cell, error) {
 }
 
 func runE21(p Params, rep *Report) error {
-	tb := rep.Table("topology", "steps t", "token RMSE", "indep RMSE", "inflation")
-	if err := Grid(p, e21Axes, func(pt Point) error {
-		topo, t := pt.String("topo"), pt.Int("steps")
-		cmp, _, err := e21Measure(p, topo, t)
-		if err != nil {
-			return err
-		}
-		tb.AddRow(topo, t, cmp.TokenRMSE, cmp.IndependentRMSE, cmp.Inflation)
-		// The last horizon of each topology wins: metrics record the
-		// longest-t inflation, as the pre-grid nested loops did.
-		rep.SetMetric("inflation_"+topo, cmp.Inflation)
-		return nil
-	}); err != nil {
-		return err
+	// The last horizon of each topology wins: metrics record the
+	// longest-t inflation, as the pre-grid nested loops did.
+	inflations := rep.Floats("inflation")
+	for i, topo := range rep.Labels("topo") {
+		rep.SetMetric("inflation_"+topo, inflations[i])
 	}
 	rep.Notef("paper: on the 2-D grid the memoryless token pays only a log-factor penalty (Cor. 15); the ring pays sqrt(t)-like, 3-D almost nothing")
 	return nil

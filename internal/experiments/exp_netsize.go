@@ -91,6 +91,8 @@ func init() {
 		Claim: "Section 6.3.3: counting full-path intersections extracts more signal from the same link queries",
 		Axes:  e23Axes,
 		Columns: []results.Column{
+			{Name: "walkers", Unit: "walkers"},
+			{Name: "steps", Unit: "rounds"},
 			{Name: "same_round_rmse"},
 			{Name: "cross_round_rmse"},
 			{Name: "gain"},
@@ -114,15 +116,15 @@ func e23Config(cfg string) (n, t int, err error) {
 	return n, t, nil
 }
 
-// e23Measure runs one E23 configuration and returns the same-round and
-// cross-round RMSE of C.
-func e23Measure(p Params, cfg string) (rs, rc float64, trials int, err error) {
+// cellE23 runs one E23 walker/steps configuration and compares the
+// same-round and cross-round RMSE of C.
+func cellE23(p Params, pt Point) ([]results.Cell, error) {
 	g := topology.MustTorus(3, 9) // 729 nodes, regular, non-bipartite
-	trials = pick(p, 30, 12)
+	trials := pick(p, 30, 12)
 	truth := 1 / float64(g.NumNodes())
-	n, t, err := e23Config(cfg)
+	n, t, err := e23Config(pt.String("cfg"))
 	if err != nil {
-		return 0, 0, 0, err
+		return nil, err
 	}
 	res, err := p.runTrials(TrialSpec{
 		Name:   "E23",
@@ -152,47 +154,25 @@ func e23Measure(p Params, cfg string) (rs, rc float64, trials int, err error) {
 		},
 	})
 	if err != nil {
-		return 0, 0, 0, err
-	}
-	rs = rmseTo(res.ValueSlice("same"), truth)
-	rc = rmseTo(res.ValueSlice("cross"), truth)
-	return rs, rc, trials, nil
-}
-
-func cellE23(p Params, pt Point) ([]results.Cell, error) {
-	rs, rc, trials, err := e23Measure(p, pt.String("cfg"))
-	if err != nil {
 		return nil, err
 	}
+	rs := rmseTo(res.ValueSlice("same"), truth)
+	rc := rmseTo(res.ValueSlice("cross"), truth)
 	return []results.Cell{
+		results.Int(int64(n)),
+		results.Int(int64(t)),
 		results.Float(rs).WithN(trials),
 		results.Float(rc).WithN(trials),
 		results.Float(rs / rc),
 	}, nil
 }
 
+// runE23 reports the gain of the last, largest configuration.
 func runE23(p Params, rep *Report) error {
-	tb := rep.Table("walkers n", "steps t", "same-round RMSE of C", "cross-round RMSE of C", "gain")
-	var lastGain float64
-	if err := Grid(p, e23Axes, func(pt Point) error {
-		cfg := pt.String("cfg")
-		n, t, err := e23Config(cfg)
-		if err != nil {
-			return err
-		}
-		rs, rc, _, err := e23Measure(p, cfg)
-		if err != nil {
-			return err
-		}
-		gain := rs / rc
-		tb.AddRow(n, t, rs, rc, gain)
-		lastGain = gain
-		return nil
-	}); err != nil {
-		return err
-	}
-	rep.SetMetric("gain", lastGain)
-	rep.Notef("paper (Section 6.3.3, open question): storing full paths helps; measured RMSE gain %.2fx at equal query budgets", lastGain)
+	gains := rep.Floats("gain")
+	gain := gains[len(gains)-1]
+	rep.SetMetric("gain", gain)
+	rep.Notef("paper (Section 6.3.3, open question): storing full paths helps; measured RMSE gain %.2fx at equal query budgets", gain)
 	return nil
 }
 
@@ -255,21 +235,13 @@ func e14Graph(p Params, name string) (topology.Graph, error) {
 	return nil, fmt.Errorf("E14: unknown graph family %q", name)
 }
 
-// e14Measure runs the stationary size estimator on the named family.
-func e14Measure(p Params, name string) (g topology.Graph, bias, relStd float64, err error) {
-	trials := pick(p, 12, 4)
-	walkers := pick(p, 60, 30)
-	steps := pick(p, 150, 50)
-	g, err = e14Graph(p, name)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	bias, relStd, err = sizeTrialStats(p, g, walkers, steps, trials, p.Seed+uint64(g.NumNodes()))
-	return g, bias, relStd, err
-}
-
+// cellE14 runs the stationary size estimator on the named family.
 func cellE14(p Params, pt Point) ([]results.Cell, error) {
-	g, bias, relStd, err := e14Measure(p, pt.String("graph"))
+	g, err := e14Graph(p, pt.String("graph"))
+	if err != nil {
+		return nil, err
+	}
+	bias, relStd, err := sizeTrialStats(p, g, e14Walkers(p), e14Steps(p), e14Trials(p), p.Seed+uint64(g.NumNodes()))
 	if err != nil {
 		return nil, err
 	}
@@ -280,35 +252,29 @@ func cellE14(p Params, pt Point) ([]results.Cell, error) {
 	}, nil
 }
 
+// e14Trials, e14Walkers and e14Steps are E14's estimator budget.
+func e14Trials(p Params) int  { return pick(p, 12, 4) }
+func e14Walkers(p Params) int { return pick(p, 60, 30) }
+func e14Steps(p Params) int   { return pick(p, 150, 50) }
+
+// runE14 records each family's bias and spread, then measures what no
+// cell does: concentration improves with n^2 t, so quadrupling t on
+// the 3-D torus should about halve the relative std.
 func runE14(p Params, rep *Report) error {
-	tb := rep.Table("graph", "|V|", "bias E[C]*|V|", "rel std of C")
-	if err := Grid(p, e14Axes, func(pt Point) error {
-		name := pt.String("graph")
-		g, bias, relStd, err := e14Measure(p, name)
-		if err != nil {
-			return err
-		}
-		tb.AddRow(name, g.NumNodes(), bias, relStd)
-		rep.SetMetric("bias_"+name, bias)
-		rep.SetMetric("relstd_"+name, relStd)
-		return nil
-	}); err != nil {
-		return err
+	biases, relStds := rep.Floats("bias"), rep.Floats("rel_std")
+	for i, name := range rep.Labels("graph") {
+		rep.SetMetric("bias_"+name, biases[i])
+		rep.SetMetric("relstd_"+name, relStds[i])
 	}
-	// Concentration improves with n^2 t: quadruple t, expect relative
-	// std to drop by about half.
-	trials := pick(p, 12, 4)
-	walkers := pick(p, 60, 30)
-	steps := pick(p, 150, 50)
 	g0, err := e14Graph(p, "torus3d")
 	if err != nil {
 		return err
 	}
-	_, rs1, err := sizeTrialStats(p, g0, walkers, steps, trials, p.Seed+101)
+	_, rs1, err := sizeTrialStats(p, g0, e14Walkers(p), e14Steps(p), e14Trials(p), p.Seed+101)
 	if err != nil {
 		return err
 	}
-	_, rs4, err := sizeTrialStats(p, g0, walkers, 4*steps, trials, p.Seed+202)
+	_, rs4, err := sizeTrialStats(p, g0, e14Walkers(p), 4*e14Steps(p), e14Trials(p), p.Seed+202)
 	if err != nil {
 		return err
 	}
@@ -317,19 +283,18 @@ func runE14(p Params, rep *Report) error {
 	return nil
 }
 
-// e15Measure runs E15's inverse-degree sampling at one walker count.
-func e15Measure(p Params, n int) (res *ExperimentResult, truth float64, err error) {
+// cellE15 runs E15's inverse-degree sampling at one walker count.
+func cellE15(p Params, pt Point) ([]results.Cell, error) {
+	n := pt.Int("n")
 	s := rng.New(p.Seed)
 	g, err := socialnet.BarabasiAlbert(int64(pick(p, 5000, 1000)), 3, s)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	st := socialnet.Degrees(g)
-	truth = 1 / st.Mean
-	trials := pick(p, 200, 50)
-	res, err = p.runTrials(TrialSpec{
+	truth := 1 / socialnet.Degrees(g).Mean
+	res, err := p.runTrials(TrialSpec{
 		Name:   "E15",
-		Trials: trials,
+		Trials: pick(p, 200, 50),
 		Seed:   p.Seed + uint64(n)<<20,
 		Run: func(tr Trial) (TrialResult, error) {
 			w, err := netsize.NewWalkersStationary(g, n, tr.Stream)
@@ -339,12 +304,6 @@ func e15Measure(p Params, n int) (res *ExperimentResult, truth float64, err erro
 			return TrialResult{Samples: []float64{w.EstimateAvgDegree()}}, nil
 		},
 	})
-	return res, truth, err
-}
-
-func cellE15(p Params, pt Point) ([]results.Cell, error) {
-	n := pt.Int("n")
-	res, truth, err := e15Measure(p, n)
 	if err != nil {
 		return nil, err
 	}
@@ -358,27 +317,12 @@ func cellE15(p Params, pt Point) ([]results.Cell, error) {
 }
 
 func runE15(p Params, rep *Report) error {
-	tb := rep.Table("samples n", "mean D", "truth 1/degAvg", "rel std", "rel std * sqrt(n)")
-	var lastRelStd float64
-	var scaled []float64
-	if err := Grid(p, e15Axes, func(pt Point) error {
-		n := pt.Int("n")
-		res, truth, err := e15Measure(p, n)
-		if err != nil {
-			return err
-		}
-		relStd := res.StdDev() / truth
-		tb.AddRow(n, res.Mean(), truth, relStd, relStd*math.Sqrt(float64(n)))
-		lastRelStd = relStd
-		scaled = append(scaled, relStd*math.Sqrt(float64(n)))
-		return nil
-	}); err != nil {
-		return err
-	}
+	relStds := rep.Floats("rel_std")
 	// 1/sqrt(n) scaling: the scaled column should be roughly flat.
+	scaled := rep.Floats("rel_std_sqrt_n")
 	spread := stats.Max(scaled) / stats.Min(scaled)
 	rep.SetMetric("scaled_spread", spread)
-	rep.SetMetric("final_rel_std", lastRelStd)
+	rep.SetMetric("final_rel_std", relStds[len(relStds)-1])
 	rep.Notef("paper: error ~ 1/sqrt(n) (Chebyshev, Theorem 31); rel-std x sqrt(n) spread across n = %.2f (1 = perfect)", spread)
 	return nil
 }
@@ -416,18 +360,20 @@ func e16Budget(p Params, strategy string) (walkers, steps int, err error) {
 	return 0, 0, fmt.Errorf("E16: unknown strategy %q", strategy)
 }
 
-// e16Measure runs one E16 strategy and returns its mean query bill,
-// median size estimate, and mean relative error of C.
-func e16Measure(p Params, strategy string) (meanQueries, medianSize, relErr float64, walkers, steps, trials int, err error) {
+// cellE16 runs one E16 strategy from burned-in seed-vertex walkers
+// and reports its mean query bill, median size estimate, and mean
+// relative error of C.
+func cellE16(p Params, pt Point) ([]results.Cell, error) {
+	strategy := pt.String("strategy")
 	g, _, m, err := e16Setup(p)
 	if err != nil {
-		return 0, 0, 0, 0, 0, 0, err
+		return nil, err
 	}
-	walkers, steps, err = e16Budget(p, strategy)
+	walkers, steps, err := e16Budget(p, strategy)
 	if err != nil {
-		return 0, 0, 0, 0, 0, 0, err
+		return nil, err
 	}
-	trials = pick(p, 10, 4)
+	trials := pick(p, 10, 4)
 	truth := 1 / float64(g.NumNodes())
 	res, err := p.runTrials(TrialSpec{
 		Name:   "E16-" + strategy,
@@ -456,28 +402,19 @@ func e16Measure(p Params, strategy string) (meanQueries, medianSize, relErr floa
 		},
 	})
 	if err != nil {
-		return 0, 0, 0, 0, 0, 0, err
+		return nil, err
 	}
 	cs := res.Samples()
-	med := stats.Median(cs)
-	medianSize = math.Inf(1)
-	if med > 0 {
+	medianSize := math.Inf(1)
+	if med := stats.Median(cs); med > 0 {
 		medianSize = 1 / med
-	}
-	return res.MeanValue("queries"), medianSize, stats.Mean(stats.RelErrors(cs, truth)), walkers, steps, trials, nil
-}
-
-func cellE16(p Params, pt Point) ([]results.Cell, error) {
-	queries, size, relErr, walkers, steps, trials, err := e16Measure(p, pt.String("strategy"))
-	if err != nil {
-		return nil, err
 	}
 	return []results.Cell{
 		results.Int(int64(walkers)),
 		results.Int(int64(steps)),
-		results.Float(queries).WithN(trials),
-		results.Float(size),
-		results.Float(relErr).WithN(trials),
+		results.Float(res.MeanValue("queries")).WithN(trials),
+		results.Float(medianSize),
+		results.Float(stats.Mean(stats.RelErrors(cs, truth))).WithN(trials),
 	}, nil
 }
 
@@ -486,19 +423,10 @@ func runE16(p Params, rep *Report) error {
 	if err != nil {
 		return err
 	}
-	tb := rep.Table("strategy", "walkers n", "steps t", "queries n(M+t)", "median size", "mean |rel err| of C")
-	if err := Grid(p, e16Axes, func(pt Point) error {
-		name := pt.String("strategy")
-		queries, size, relErr, walkers, steps, _, err := e16Measure(p, name)
-		if err != nil {
-			return err
-		}
-		tb.AddRow(name, walkers, steps, queries, size, relErr)
-		rep.SetMetric("relerr_"+name, relErr)
-		rep.SetMetric("queries_"+name, queries)
-		return nil
-	}); err != nil {
-		return err
+	relErrs, queries := rep.Floats("mean_abs_rel_err"), rep.Floats("queries")
+	for i, name := range rep.Labels("strategy") {
+		rep.SetMetric("relerr_"+name, relErrs[i])
+		rep.SetMetric("queries_"+name, queries[i])
 	}
 	rep.SetMetric("mixing_time", float64(m))
 	rep.SetMetric("lambda", lambda)
@@ -525,17 +453,17 @@ func e17Setup(p Params) (g topology.Graph, m int, err error) {
 	return g, m, nil
 }
 
-// e17Measure runs one E17 start mode and returns its bias E[C]*|V| and
-// the burn-in it used.
-func e17Measure(p Params, start string) (bias float64, burn int, err error) {
+// cellE17 runs one E17 start mode and reports the burn-in it used and
+// its bias E[C]*|V|.
+func cellE17(p Params, pt Point) ([]results.Cell, error) {
+	start := pt.String("start")
 	g, m, err := e17Setup(p)
 	if err != nil {
-		return 0, 0, err
+		return nil, err
 	}
-	trials := pick(p, 12, 4)
 	walkers := pick(p, 50, 25)
 	steps := pick(p, 100, 40)
-	truth := 1 / float64(g.NumNodes())
+	var burn int
 	var stationary bool
 	var seedBase uint64
 	switch start {
@@ -546,11 +474,11 @@ func e17Measure(p Params, start string) (bias float64, burn int, err error) {
 	case "stationary":
 		burn, stationary, seedBase = 0, true, 30000
 	default:
-		return 0, 0, fmt.Errorf("E17: unknown start mode %q", start)
+		return nil, fmt.Errorf("E17: unknown start mode %q", start)
 	}
 	res, err := p.runTrials(TrialSpec{
 		Name:   "E17-" + start,
-		Trials: trials,
+		Trials: pick(p, 12, 4),
 		Seed:   p.Seed + seedBase,
 		Run: func(tr Trial) (TrialResult, error) {
 			var w *netsize.Walkers
@@ -574,19 +502,12 @@ func e17Measure(p Params, start string) (bias float64, burn int, err error) {
 		},
 	})
 	if err != nil {
-		return 0, 0, err
-	}
-	return res.Mean() / truth, burn, nil
-}
-
-func cellE17(p Params, pt Point) ([]results.Cell, error) {
-	bias, burn, err := e17Measure(p, pt.String("start"))
-	if err != nil {
 		return nil, err
 	}
+	truth := 1 / float64(g.NumNodes())
 	return []results.Cell{
 		results.Int(int64(burn)),
-		results.Float(bias),
+		results.Float(res.Mean() / truth),
 	}, nil
 }
 
@@ -595,25 +516,9 @@ func runE17(p Params, rep *Report) error {
 	if err != nil {
 		return err
 	}
-	tb := rep.Table("start", "burn-in", "bias E[C]*|V|")
-	if err := Grid(p, e17Axes, func(pt Point) error {
-		start := pt.String("start")
-		bias, burn, err := e17Measure(p, start)
-		if err != nil {
-			return err
-		}
-		switch start {
-		case "noburn":
-			tb.AddRow("seed vertex", 0, bias)
-		case "fullburn":
-			tb.AddRow("seed vertex", burn, bias)
-		case "stationary":
-			tb.AddRow("stationary", "-", bias)
-		}
-		rep.SetMetric("bias_"+start, bias)
-		return nil
-	}); err != nil {
-		return err
+	biases := rep.Floats("bias")
+	for i, start := range rep.Labels("start") {
+		rep.SetMetric("bias_"+start, biases[i])
 	}
 	rep.SetMetric("mixing_time", float64(m))
 	rep.Notef("paper: without burn-in, clustered walkers over-collide (C inflated, size underestimated); after M = %d steps the bias matches stationary starts", m)

@@ -64,16 +64,18 @@ func e25Budget(p Params, side int) (g *topology.Torus, m, nK, nOurs int, err err
 	return g, m, nK, nOurs, nil
 }
 
-// e25Measure runs one (side, strategy) cell and returns the mean query
-// bill and mean relative error of C alongside the cell's walker/step
-// budget.
-func e25Measure(p Params, side int, strategy string) (queries, relErr float64, walkers, steps, trials int, err error) {
-	trials = pick(p, 8, 4)
+// cellE25 runs one (side, strategy) cell from burned-in seed-vertex
+// walkers and reports its walker/step budget, mean query bill, and
+// mean relative error of C.
+func cellE25(p Params, pt Point) ([]results.Cell, error) {
+	side, strategy := pt.Int("side"), pt.String("strategy")
+	trials := pick(p, 8, 4)
 	g, m, nK, nOurs, err := e25Budget(p, side)
 	if err != nil {
-		return 0, 0, 0, 0, 0, err
+		return nil, err
 	}
 	truth := 1 / float64(g.NumNodes())
+	var walkers, steps int
 	var seedBase uint64
 	switch strategy {
 	case "katzir":
@@ -81,7 +83,7 @@ func e25Measure(p Params, side int, strategy string) (queries, relErr float64, w
 	case "multiround":
 		walkers, steps, seedBase = nOurs, m, uint64(side)*100+50
 	default:
-		return 0, 0, 0, 0, 0, fmt.Errorf("E25: unknown strategy %q", strategy)
+		return nil, fmt.Errorf("E25: unknown strategy %q", strategy)
 	}
 	res, err := p.runTrials(TrialSpec{
 		Name:   "E25",
@@ -110,24 +112,14 @@ func e25Measure(p Params, side int, strategy string) (queries, relErr float64, w
 		},
 	})
 	if err != nil {
-		return 0, 0, 0, 0, 0, err
-	}
-	return res.MeanValue("queries"), stats.Mean(stats.RelErrors(res.Samples(), truth)), walkers, steps, trials, nil
-}
-
-func cellE25(p Params, pt Point) ([]results.Cell, error) {
-	side := pt.Int("side")
-	queries, relErr, walkers, steps, trials, err := e25Measure(p, side, pt.String("strategy"))
-	if err != nil {
 		return nil, err
 	}
-	g := topology.MustTorus(3, int64(side))
 	return []results.Cell{
 		results.Int(g.NumNodes()),
 		results.Int(int64(walkers)),
 		results.Int(int64(steps)),
-		results.Float(queries).WithN(trials),
-		results.Float(relErr).WithN(trials),
+		results.Float(res.MeanValue("queries")).WithN(trials),
+		results.Float(stats.Mean(stats.RelErrors(res.Samples(), truth))).WithN(trials),
 	}, nil
 }
 
@@ -135,37 +127,26 @@ func cellE25(p Params, pt Point) ([]results.Cell, error) {
 // on k-dimensional tori (k=3) the snapshot estimator's query bill is
 // dominated by n_K ~ sqrt(|V|) walkers each paying the burn-in M,
 // while the multi-round estimator runs n ~ n_K/4 walkers for t = M
-// extra steps and still collects more collision signal. We sweep |V|,
-// charge both strategies their actual link queries, and fit query
-// growth exponents.
+// extra steps and still collects more collision signal. The cells
+// sweep |V| and charge both strategies their actual link queries; the
+// body fits query growth exponents.
 func runE25(p Params, rep *Report) error {
-	tb := rep.Table("|V|", "strategy", "walkers", "steps", "mean queries", "mean |rel err| of C")
-	var sizes, qKatzir, qOurs []float64
-	var lastRatio float64
-	var lastKatzir float64
-	if err := Grid(p, e25Axes, func(pt Point) error {
-		side, strategy := pt.Int("side"), pt.String("strategy")
-		queries, relErr, walkers, steps, _, err := e25Measure(p, side, strategy)
-		if err != nil {
-			return err
-		}
-		vcount := topology.MustTorus(3, int64(side)).NumNodes()
-		tb.AddRow(vcount, strategy, walkers, steps, queries, relErr)
+	sizes, queries := rep.Floats("num_nodes"), rep.Floats("queries")
+	var katzirSizes, qKatzir, qOurs []float64
+	var lastRatio, lastKatzir float64
+	for i, strategy := range rep.Labels("strategy") {
 		switch strategy {
 		case "katzir":
-			sizes = append(sizes, float64(vcount))
-			qKatzir = append(qKatzir, queries)
-			lastKatzir = queries
+			katzirSizes = append(katzirSizes, sizes[i])
+			qKatzir = append(qKatzir, queries[i])
+			lastKatzir = queries[i]
 		case "multiround":
-			qOurs = append(qOurs, queries)
-			lastRatio = queries / lastKatzir
+			qOurs = append(qOurs, queries[i])
+			lastRatio = queries[i] / lastKatzir
 		}
-		return nil
-	}); err != nil {
-		return err
 	}
-	expK, _, _ := stats.FitPowerLaw(sizes, qKatzir)
-	expO, _, _ := stats.FitPowerLaw(sizes, qOurs)
+	expK, _, _ := stats.FitPowerLaw(katzirSizes, qKatzir)
+	expO, _, _ := stats.FitPowerLaw(katzirSizes, qOurs)
 	rep.SetMetric("exponent_katzir", expK)
 	rep.SetMetric("exponent_ours", expO)
 	rep.SetMetric("query_ratio_largest", lastRatio)

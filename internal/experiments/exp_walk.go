@@ -10,7 +10,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"strconv"
 
 	"antdensity/internal/core"
 	"antdensity/internal/results"
@@ -28,7 +27,10 @@ var (
 	e08Axes = []Axis{IntAxis("k", []int{3, 4}, nil).WithUnit("dims")}
 	e09Axes = []Axis{IntRangeAxis("m", 20, 12).WithUnit("steps")}
 	e10Axes = []Axis{IntRangeAxis("m", 40, 20).WithUnit("steps")}
-	e11Axes = []Axis{StringAxis("topo", []string{"ring", "torus2d", "torus3d", "hypercube", "expander8"}, nil)}
+	e11Axes = []Axis{
+		StringAxis("topo", []string{"ring", "torus2d", "torus3d", "hypercube", "expander8"}, nil),
+		IntAxis("t", []int{64, 256, 1024, 4096}, []int{64, 256, 512}).WithUnit("rounds"),
+	}
 )
 
 func init() {
@@ -131,6 +133,7 @@ func init() {
 		Claim: "Section 4: B(t) = Theta(log t) on 2-D torus, Theta(sqrt t) on ring, O(1) for k>=3 tori, expanders, hypercubes",
 		Axes:  e11Axes,
 		Columns: []results.Column{
+			{Name: "bt"},
 			{Name: "growth"},
 			{Name: "growth_class"},
 		},
@@ -204,31 +207,25 @@ func mcSamples(p Params, name string, trials int, seed uint64, measure func(tria
 	return res.Samples(), nil
 }
 
-// e04Curve measures E04's re-collision curve up to maxM.
-func e04Curve(p Params, maxM int) ([]float64, int, error) {
-	g := topology.MustTorus(2, 512)
-	trials := pick(p, 200000, 20000)
-	curve, err := mcCurve(p, "E04", trials, p.Seed, func(n int, s *rng.Stream) []float64 {
-		return walk.RecollisionCurve(g, 0, maxM, n, s)
-	})
-	return curve, trials, err
-}
-
+// cellE04 reads P[re-collision after m] off one curve sized to the
+// sweep's largest horizon, which serves every cell: curve prefixes are
+// draw-identical regardless of the measured maximum (each trial's
+// substream advances step by step).
 func cellE04(p Params, pt Point) ([]results.Cell, error) {
 	m := pt.Int("m")
-	// One curve sized to the sweep's largest horizon serves every cell:
-	// curve prefixes are draw-identical regardless of the measured
-	// maximum (each trial's substream advances step by step).
+	trials := pick(p, 200000, 20000)
 	curve, err := sweepShared("E04", p,
 		func(c []float64) bool { return len(c) > m },
 		func() ([]float64, error) {
-			c, _, err := e04Curve(p, activeMaxInt(pt, "m"))
-			return c, err
+			g := topology.MustTorus(2, 512)
+			maxM := activeMaxInt(pt, "m")
+			return mcCurve(p, "E04", trials, p.Seed, func(n int, s *rng.Stream) []float64 {
+				return walk.RecollisionCurve(g, 0, maxM, n, s)
+			})
 		})
 	if err != nil {
 		return nil, err
 	}
-	trials := pick(p, 200000, 20000)
 	return []results.Cell{
 		results.Float(curve[m]).WithN(trials),
 		results.Float(float64(m) * curve[m]),
@@ -237,64 +234,51 @@ func cellE04(p Params, pt Point) ([]results.Cell, error) {
 }
 
 func runE04(p Params, rep *Report) error {
-	curve, _, err := e04Curve(p, axisMaxInt(p, e04Axes[0]))
-	if err != nil {
-		return err
-	}
-	tb := rep.Table("m", "P[re-collision]", "m * P", "Lemma4 1/(m+1)")
-	var xs, ys []float64
-	if err := Grid(p, e04Axes, func(pt Point) error {
-		m := pt.Int("m")
-		tb.AddRow(m, curve[m], float64(m)*curve[m], 1/float64(m+1))
-		xs = append(xs, float64(m))
-		ys = append(ys, curve[m])
-		return nil
-	}); err != nil {
-		return err
-	}
-	alpha, _, r2 := stats.FitPowerLaw(xs, ys)
+	alpha, _, r2 := stats.FitPowerLaw(rep.Floats("m"), rep.Floats("p_recollision"))
 	rep.SetMetric("decay_exponent", alpha)
 	rep.SetMetric("r2", r2)
 	rep.Notef("paper: decay exponent -1 (Lemma 4); measured %.3f (R2 = %.3f)", alpha, r2)
 	return nil
 }
 
-// e05Curve measures E05's equalization curve up to maxM.
-func e05Curve(p Params, maxM int) ([]float64, int, error) {
-	g := topology.MustTorus(2, 512)
-	trials := pick(p, 300000, 30000)
-	curve, err := mcCurve(p, "E05", trials, p.Seed, func(n int, s *rng.Stream) []float64 {
-		return walk.EqualizationCurve(g, g.Node(11, 13), maxM, n, s)
-	})
-	return curve, trials, err
+// e05Trials is E05's walk budget.
+func e05Trials(p Params) int { return pick(p, 300000, 30000) }
+
+// e05Curve returns E05's equalization curve, shared by every cell of a
+// sweep and by the body: one covering step m, measured through step
+// maxM on a miss.
+func e05Curve(p Params, m, maxM int) ([]float64, error) {
+	return sweepShared("E05", p,
+		func(c []float64) bool { return len(c) > m },
+		func() ([]float64, error) {
+			g := topology.MustTorus(2, 512)
+			return mcCurve(p, "E05", e05Trials(p), p.Seed, func(n int, s *rng.Stream) []float64 {
+				return walk.EqualizationCurve(g, g.Node(11, 13), maxM, n, s)
+			})
+		})
 }
 
 func cellE05(p Params, pt Point) ([]results.Cell, error) {
 	m := pt.Int("m")
-	curve, err := sweepShared("E05", p,
-		func(c []float64) bool { return len(c) > m },
-		func() ([]float64, error) {
-			c, _, err := e05Curve(p, activeMaxInt(pt, "m"))
-			return c, err
-		})
+	curve, err := e05Curve(p, m, activeMaxInt(pt, "m"))
 	if err != nil {
 		return nil, err
 	}
-	trials := pick(p, 300000, 30000)
 	return []results.Cell{
-		results.Float(curve[m]).WithN(trials),
+		results.Float(curve[m]).WithN(e05Trials(p)),
 		results.Float(float64(m) * curve[m]),
 		results.Float(2 / (math.Pi * float64(m))),
 	}, nil
 }
 
+// runE05 fits every even step of the cells' shared curve, not only
+// the table's powers of two, and sums its odd steps.
 func runE05(p Params, rep *Report) error {
-	maxM := axisMaxInt(p, e05Axes[0])
-	curve, _, err := e05Curve(p, maxM)
+	maxM := int(stats.Max(rep.Floats("m")))
+	curve, err := e05Curve(p, maxM, maxM)
 	if err != nil {
 		return err
 	}
-	tb := rep.Table("m", "P[equalize]", "m * P", "2/(pi m)")
 	var xs, ys []float64
 	oddMass := 0.0
 	for m := 1; m <= maxM; m++ {
@@ -305,14 +289,6 @@ func runE05(p Params, rep *Report) error {
 		xs = append(xs, float64(m))
 		ys = append(ys, curve[m])
 	}
-	// The table shows powers of two only — the declared axis points.
-	if err := Grid(p, e05Axes, func(pt Point) error {
-		m := pt.Int("m")
-		tb.AddRow(m, curve[m], float64(m)*curve[m], 2/(math.Pi*float64(m)))
-		return nil
-	}); err != nil {
-		return err
-	}
 	alpha, _, r2 := stats.FitPowerLaw(xs, ys)
 	rep.SetMetric("decay_exponent", alpha)
 	rep.SetMetric("r2", r2)
@@ -321,93 +297,60 @@ func runE05(p Params, rep *Report) error {
 	return nil
 }
 
-// e06Measure runs E06's grid cell at one horizon; ci is the horizon's
-// position in the active axis list (the historical seed offset).
-func e06Measure(p Params, t, ci int) (varCJ, scale, eqMean float64, err error) {
+// cellE06 measures E06's collision and equalization counts at one
+// horizon, seeded by its position in the registered axis list (the
+// historical seed offset).
+func cellE06(p Params, pt Point) ([]results.Cell, error) {
+	t, ci := pt.Int("steps"), pt.Index("steps")
 	g := topology.MustTorus(2, 64) // A = 4096
 	trials := pick(p, 40000, 5000)
 	pair, err := mcSamples(p, "E06-pair", trials, p.Seed+uint64(ci), func(n int, s *rng.Stream) []float64 {
 		return walk.PairCollisionCounts(g, t, n, s)
 	})
 	if err != nil {
-		return 0, 0, 0, err
+		return nil, err
 	}
-	varCJ = stats.Variance(pair)
-	scale = float64(t) / float64(g.NumNodes()) * math.Pow(math.Log(2*float64(t)), 2)
 	eq, err := mcSamples(p, "E06-eq", trials/2, p.Seed+uint64(100+ci), func(n int, s *rng.Stream) []float64 {
 		return walk.EqualizationCounts(g, t, n, s)
 	})
 	if err != nil {
-		return 0, 0, 0, err
-	}
-	return varCJ, scale, stats.Mean(eq), nil
-}
-
-func cellE06(p Params, pt Point) ([]results.Cell, error) {
-	t := pt.Int("steps")
-	varCJ, scale, eqMean, err := e06Measure(p, t, pt.Index("steps"))
-	if err != nil {
 		return nil, err
 	}
+	varCJ := stats.Variance(pair)
+	scale := float64(t) / float64(g.NumNodes()) * math.Pow(math.Log(2*float64(t)), 2)
 	return []results.Cell{
 		results.Float(varCJ),
 		results.Float(scale),
 		results.Float(varCJ / scale),
-		results.Float(eqMean),
+		results.Float(stats.Mean(eq)),
 		results.Float(math.Log(2 * float64(t))),
 	}, nil
 }
 
 func runE06(p Params, rep *Report) error {
-	tb := rep.Table("t", "Var(c_j)", "(t/A) log^2 2t", "ratio", "E[equalizations]", "log 2t")
-	var ratios []float64
-	var eqMeans, eqLogs []float64
-	if err := Grid(p, e06Axes, func(pt Point) error {
-		t := pt.Int("steps")
-		v, scale, eqMean, err := e06Measure(p, t, pt.Index("steps"))
-		if err != nil {
-			return err
-		}
-		tb.AddRow(t, v, scale, v/scale, eqMean, math.Log(2*float64(t)))
-		ratios = append(ratios, v/scale)
-		eqMeans = append(eqMeans, eqMean)
-		eqLogs = append(eqLogs, math.Log(2*float64(t)))
-		return nil
-	}); err != nil {
-		return err
-	}
-	rep.SetMetric("max_var_ratio", stats.Max(ratios))
+	maxRatio := stats.Max(rep.Floats("ratio"))
+	rep.SetMetric("max_var_ratio", maxRatio)
 	// E[equalizations] should grow linearly in log t: fit against log.
-	fit := stats.FitLine(eqLogs, eqMeans)
+	fit := stats.FitLine(rep.Floats("log_2t"), rep.Floats("mean_equalizations"))
 	rep.SetMetric("equalization_log_slope", fit.Slope)
-	rep.Notef("paper: Var(c_j) within constant x (t/A) log^2 2t (Lemma 11, k=2); measured max ratio %.3f", stats.Max(ratios))
+	rep.Notef("paper: Var(c_j) within constant x (t/A) log^2 2t (Lemma 11, k=2); measured max ratio %.3f", maxRatio)
 	rep.Notef("paper: E[equalizations] = Theta(log t) (Cor. 10/16); measured linear-in-log slope %.3f", fit.Slope)
 	return nil
 }
 
-// e07Estimate runs E07's estimation cell: Algorithm 1 on the
-// 1000-node ring at one horizon; callers derive errors from the
-// result's samples and the returned true density.
-func e07Estimate(p Params, t int) (res *ExperimentResult, d float64, err error) {
-	ringSmall, err := topology.NewRing(1000)
-	if err != nil {
-		return nil, 0, err
-	}
-	const agents = 101 // d = 0.1
-	trials := pick(p, 6, 2)
-	res, err = algorithm1Trials(p, ringSmall, agents, t, trials, p.Seed+uint64(t))
-	if err != nil {
-		return nil, 0, err
-	}
-	return res, res.Value("density"), nil
-}
-
+// cellE07 runs Algorithm 1 on the 1000-node ring at one horizon.
 func cellE07(p Params, pt Point) ([]results.Cell, error) {
 	t := pt.Int("steps")
-	res, d, err := e07Estimate(p, t)
+	ringSmall, err := topology.NewRing(1000)
 	if err != nil {
 		return nil, err
 	}
+	const agents = 101 // d = 0.1
+	res, err := algorithm1Trials(p, ringSmall, agents, t, pick(p, 6, 2), p.Seed+uint64(t))
+	if err != nil {
+		return nil, err
+	}
+	d := res.Value("density")
 	errs := stats.RelErrors(res.Samples(), d)
 	return []results.Cell{
 		results.FloatCI(stats.Mean(errs), relErrCI95(res, d), len(res.Trials)),
@@ -415,6 +358,9 @@ func cellE07(p Params, pt Point) ([]results.Cell, error) {
 	}, nil
 }
 
+// runE07 measures the ring's re-collision curve, which no cell does,
+// and fits the cells' estimation errors, which Theorem 21 predicts
+// fall like t^(-1/4).
 func runE07(p Params, rep *Report) error {
 	ringBig, err := topology.NewRing(1 << 20)
 	if err != nil {
@@ -434,26 +380,7 @@ func runE07(p Params, rep *Report) error {
 		ys = append(ys, curve[m])
 	}
 	alpha, _, r2 := stats.FitPowerLaw(xs, ys)
-
-	// Density estimation error scaling on a ring: Theorem 21 predicts
-	// error ~ t^(-1/4).
-	tb := rep.Table("rounds t", "mean |rel err|", "Thm21 shape t^(-1/4)")
-	var exs, eys []float64
-	if err := Grid(p, e07Axes, func(pt Point) error {
-		t := pt.Int("steps")
-		res, d, err := e07Estimate(p, t)
-		if err != nil {
-			return err
-		}
-		mean := stats.Mean(stats.RelErrors(res.Samples(), d))
-		tb.AddRow(t, mean, math.Pow(float64(t), -0.25))
-		exs = append(exs, float64(t))
-		eys = append(eys, mean)
-		return nil
-	}); err != nil {
-		return err
-	}
-	estAlpha, _, _ := stats.FitPowerLaw(exs, eys)
+	estAlpha, _, _ := stats.FitPowerLaw(rep.Floats("steps"), rep.Floats("mean_abs_rel_err"))
 	rep.SetMetric("recollision_exponent", alpha)
 	rep.SetMetric("recollision_r2", r2)
 	rep.SetMetric("error_exponent", estAlpha)
@@ -462,11 +389,12 @@ func runE07(p Params, rep *Report) error {
 	return nil
 }
 
-// e08Measure fits the re-collision decay exponent and measures B(maxM)
+// cellE08 fits the re-collision decay exponent and measures B(maxM)
 // on the k-dimensional torus.
-func e08Measure(p Params, k int) (alpha, bt float64, maxM int, err error) {
+func cellE08(p Params, pt Point) ([]results.Cell, error) {
+	k := pt.Int("k")
 	trials := pick(p, 150000, 15000)
-	maxM = pick(p, 64, 32)
+	maxM := pick(p, 64, 32)
 	side := int64(64)
 	if k == 4 {
 		side = 32
@@ -476,7 +404,7 @@ func e08Measure(p Params, k int) (alpha, bt float64, maxM int, err error) {
 		return walk.RecollisionCurve(g, 0, maxM, n, s)
 	})
 	if err != nil {
-		return 0, 0, 0, err
+		return nil, err
 	}
 	var xs, ys []float64
 	for m := 2; m <= maxM; m += 2 {
@@ -485,42 +413,24 @@ func e08Measure(p Params, k int) (alpha, bt float64, maxM int, err error) {
 			ys = append(ys, curve[m])
 		}
 	}
-	alpha, _, _ = stats.FitPowerLaw(xs, ys)
-	bt = walk.SumCurve(curve)[maxM]
-	return alpha, bt, maxM, nil
-}
-
-func cellE08(p Params, pt Point) ([]results.Cell, error) {
-	k := pt.Int("k")
-	alpha, bt, maxM, err := e08Measure(p, k)
-	if err != nil {
-		return nil, err
-	}
+	alpha, _, _ := stats.FitPowerLaw(xs, ys)
 	return []results.Cell{
 		results.Float(alpha),
 		results.Float(-float64(k) / 2),
-		results.Float(bt),
+		results.Float(walk.SumCurve(curve)[maxM]),
 		results.Float(core.BTorusK(maxM, k)),
 	}, nil
 }
 
+// runE08 records the cells' exponents and B(t) per k, then compares
+// estimation accuracy on the 3-D torus with the complete graph
+// (sampling-optimal) at equal (t, d), which no cell measures.
 func runE08(p Params, rep *Report) error {
-	tb := rep.Table("k", "measured exponent", "paper -k/2", "B(64) measured", "B(64) series")
-	if err := Grid(p, e08Axes, func(pt Point) error {
-		k := pt.Int("k")
-		alpha, bt, maxM, err := e08Measure(p, k)
-		if err != nil {
-			return err
-		}
-		tb.AddRow(k, alpha, -float64(k)/2, bt, core.BTorusK(maxM, k))
-		rep.SetMetric(metricName("exponent_k", k), alpha)
-		rep.SetMetric(metricName("bt_k", k), bt)
-		return nil
-	}); err != nil {
-		return err
+	alphas, bts := rep.Floats("exponent"), rep.Floats("bt_measured")
+	for i, k := range rep.Labels("k") {
+		rep.SetMetric("exponent_k"+k, alphas[i])
+		rep.SetMetric("bt_k"+k, bts[i])
 	}
-	// Estimation accuracy on the 3-D torus matches the complete graph
-	// (sampling-optimal): compare mean errors at equal (t, d).
 	g3 := topology.MustTorus(3, 12) // A = 1728
 	complete := topology.MustComplete(g3.NumNodes())
 	const agents = 174 // d ~ 0.1
@@ -540,114 +450,98 @@ func runE08(p Params, rep *Report) error {
 	return nil
 }
 
-func metricName(prefix string, k int) string {
-	return prefix + strconv.Itoa(k)
-}
-
-// e09Setup builds E09's expander and measures its spectral gap and
-// re-collision curve up to maxM.
-func e09Setup(p Params, maxM int) (curve []float64, lambda float64, n int64, trials int, err error) {
-	s := rng.New(p.Seed)
-	n = int64(pick(p, 20000, 2000))
-	g, err := topology.NewRandomRegular(n, 8, s)
-	if err != nil {
-		return nil, 0, 0, 0, err
-	}
-	lambda = topology.SpectralGap(g, 300, s.Split(1))
-	trials = pick(p, 200000, 20000)
-	curve, err = mcCurve(p, "E09", trials, p.Seed+2, func(n int, s *rng.Stream) []float64 {
-		return walk.RecollisionCurve(g, 0, maxM, n, s)
-	})
-	return curve, lambda, n, trials, err
-}
-
-// e09Shared is the sweep-wide shared state of E09's cells.
-type e09Shared struct {
+// e09Walk is E09's sweep-shared measurement: the expander's spectral
+// gap and its re-collision curve.
+type e09Walk struct {
 	curve  []float64
 	lambda float64
-	n      int64
-	trials int
 }
+
+// e09Expander returns E09's shared measurement, shared by every cell
+// of a sweep and by the body: one whose curve covers step m, measured
+// through step maxM on a miss.
+func e09Expander(p Params, m, maxM int) (e09Walk, error) {
+	return sweepShared("E09", p,
+		func(w e09Walk) bool { return len(w.curve) > m },
+		func() (e09Walk, error) {
+			s := rng.New(p.Seed)
+			g, err := topology.NewRandomRegular(e09Nodes(p), 8, s)
+			if err != nil {
+				return e09Walk{}, err
+			}
+			lambda := topology.SpectralGap(g, 300, s.Split(1))
+			curve, err := mcCurve(p, "E09", e09Trials(p), p.Seed+2, func(n int, s *rng.Stream) []float64 {
+				return walk.RecollisionCurve(g, 0, maxM, n, s)
+			})
+			return e09Walk{curve: curve, lambda: lambda}, err
+		})
+}
+
+// e09Nodes and e09Trials size E09's expander and walk budget.
+func e09Nodes(p Params) int64 { return int64(pick(p, 20000, 2000)) }
+func e09Trials(p Params) int  { return pick(p, 200000, 20000) }
 
 func cellE09(p Params, pt Point) ([]results.Cell, error) {
 	m := pt.Int("m")
-	sh, err := sweepShared("E09", p,
-		func(s e09Shared) bool { return len(s.curve) > m },
-		func() (e09Shared, error) {
-			curve, lambda, n, trials, err := e09Setup(p, activeMaxInt(pt, "m"))
-			return e09Shared{curve: curve, lambda: lambda, n: n, trials: trials}, err
-		})
+	w, err := e09Expander(p, m, activeMaxInt(pt, "m"))
 	if err != nil {
 		return nil, err
 	}
-	curve, lambda, n, trials := sh.curve, sh.lambda, sh.n, sh.trials
-	bound := math.Pow(lambda, float64(m)) + 1/float64(n)
-	slack := 3*math.Sqrt(bound/float64(trials)) + 1e-4
+	bound := math.Pow(w.lambda, float64(m)) + 1/float64(e09Nodes(p))
+	slack := 3*math.Sqrt(bound/float64(e09Trials(p))) + 1e-4
 	return []results.Cell{
-		results.Float(curve[m]).WithN(trials),
+		results.Float(w.curve[m]).WithN(e09Trials(p)),
 		results.Float(bound),
-		results.Bool(curve[m] <= bound+slack),
+		results.Bool(w.curve[m] <= bound+slack),
 	}, nil
 }
 
 func runE09(p Params, rep *Report) error {
-	curve, lambda, n, trials, err := e09Setup(p, axisMaxInt(p, e09Axes[0]))
+	ms := rep.Floats("m")
+	maxM := int(stats.Max(ms))
+	w, err := e09Expander(p, maxM, maxM)
 	if err != nil {
 		return err
 	}
-	tb := rep.Table("m", "P[re-collision]", "lambda^m + 1/A", "within bound")
-	violations := 0
-	if err := Grid(p, e09Axes, func(pt Point) error {
-		m := pt.Int("m")
-		bound := math.Pow(lambda, float64(m)) + 1/float64(n)
-		slack := 3*math.Sqrt(bound/float64(trials)) + 1e-4
-		ok := curve[m] <= bound+slack
-		if !ok {
-			violations++
-		}
-		tb.AddRow(m, curve[m], bound, ok)
-		return nil
-	}); err != nil {
-		return err
-	}
-	rep.SetMetric("lambda", lambda)
+	violations := countFalse(rep.Labels("within_bound"))
+	rep.SetMetric("lambda", w.lambda)
 	rep.SetMetric("violations", float64(violations))
-	rep.Notef("paper: P <= lambda^m + 1/A with measured lambda = %.3f (Lemma 23); bound violations: %d", lambda, violations)
+	rep.Notef("paper: P <= lambda^m + 1/A with measured lambda = %.3f (Lemma 23); bound violations: %d", w.lambda, violations)
 	return nil
 }
 
-// e10Setup measures E10's hypercube re-collision curve up to maxM.
-func e10Setup(p Params, maxM int) (curve []float64, floor float64, trials int, err error) {
-	bits := pick(p, 16, 12)
-	h := topology.MustHypercube(bits)
-	trials = pick(p, 200000, 20000)
-	curve, err = mcCurve(p, "E10", trials, p.Seed, func(n int, s *rng.Stream) []float64 {
-		return walk.RecollisionCurve(h, 0, maxM, n, s)
-	})
-	floor = 1 / math.Sqrt(float64(h.NumNodes()))
-	return curve, floor, trials, err
+// countFalse counts the "false" cells of a bool column.
+func countFalse(labels []string) int {
+	n := 0
+	for _, l := range labels {
+		if l == "false" {
+			n++
+		}
+	}
+	return n
 }
 
-// e10Shared is the sweep-wide shared state of E10's cells.
-type e10Shared struct {
-	curve  []float64
-	floor  float64
-	trials int
+// e10Floor is Lemma 25's 1/sqrt(A) floor on E10's hypercube.
+func e10Floor(p Params) float64 {
+	return 1 / math.Sqrt(float64(topology.MustHypercube(pick(p, 16, 12)).NumNodes()))
 }
 
 func cellE10(p Params, pt Point) ([]results.Cell, error) {
 	m := pt.Int("m")
-	sh, err := sweepShared("E10", p,
-		func(s e10Shared) bool { return len(s.curve) > m },
-		func() (e10Shared, error) {
-			curve, floor, trials, err := e10Setup(p, activeMaxInt(pt, "m"))
-			return e10Shared{curve: curve, floor: floor, trials: trials}, err
+	trials := pick(p, 200000, 20000)
+	curve, err := sweepShared("E10", p,
+		func(c []float64) bool { return len(c) > m },
+		func() ([]float64, error) {
+			h := topology.MustHypercube(pick(p, 16, 12))
+			maxM := activeMaxInt(pt, "m")
+			return mcCurve(p, "E10", trials, p.Seed, func(n int, s *rng.Stream) []float64 {
+				return walk.RecollisionCurve(h, 0, maxM, n, s)
+			})
 		})
 	if err != nil {
 		return nil, err
 	}
-	curve, floor, trials := sh.curve, sh.floor, sh.trials
-	bound := math.Pow(0.9, float64(m-1)) + floor
+	bound := math.Pow(0.9, float64(m-1)) + e10Floor(p)
 	slack := 3*math.Sqrt(bound/float64(trials)) + 1e-4
 	return []results.Cell{
 		results.Float(curve[m]).WithN(trials),
@@ -657,29 +551,9 @@ func cellE10(p Params, pt Point) ([]results.Cell, error) {
 }
 
 func runE10(p Params, rep *Report) error {
-	curve, floor, trials, err := e10Setup(p, axisMaxInt(p, e10Axes[0]))
-	if err != nil {
-		return err
-	}
-	tb := rep.Table("m", "P[re-collision]", "(9/10)^(m-1) + 1/sqrt(A)", "within bound")
-	violations := 0
-	if err := Grid(p, e10Axes, func(pt Point) error {
-		m := pt.Int("m")
-		bound := math.Pow(0.9, float64(m-1)) + floor
-		slack := 3*math.Sqrt(bound/float64(trials)) + 1e-4
-		ok := curve[m] <= bound+slack
-		if !ok {
-			violations++
-		}
-		if m <= 8 || m%4 == 0 {
-			tb.AddRow(m, curve[m], bound, ok)
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
+	violations := countFalse(rep.Labels("within_bound"))
 	rep.SetMetric("violations", float64(violations))
-	rep.SetMetric("floor", floor)
+	rep.SetMetric("floor", e10Floor(p))
 	rep.Notef("paper: geometric decay to the 1/sqrt(A) floor (Lemma 25); bound violations: %d", violations)
 	return nil
 }
@@ -702,85 +576,57 @@ func e11Graph(p Params, name string) (topology.Graph, error) {
 	return nil, fmt.Errorf("E11: unknown topology %q", name)
 }
 
-// e11Checkpoints are the B(t) sampling points for the mode.
-func e11Checkpoints(p Params) []int {
-	if p.Quick {
-		return []int{64, 256, 512}
-	}
-	return []int{64, 256, 1024, 4096}
-}
+// e11Base is the horizon E11 measures B(t)'s growth from.
+const e11Base = 64
 
-// e11Bt measures the named topology's B(t) prefix sums; ci is the
-// topology's position in the active axis list (the historical seed
-// offset).
-func e11Bt(p Params, name string, ci int) ([]float64, error) {
+// cellE11 reads B(t) off one prefix-summed re-collision curve per
+// topology, shared by every cell of that topology and sized to the
+// sweep's largest horizon (at least e11Base), and classifies its
+// growth since e11Base. The curve is seeded by the topology's position
+// in the registered axis list (the historical seed offset).
+func cellE11(p Params, pt Point) ([]results.Cell, error) {
+	name, t := pt.String("topo"), pt.Int("t")
 	trials := pick(p, 100000, 10000)
-	maxM := pick(p, 4096, 512)
-	g, err := e11Graph(p, name)
+	bt, err := sweepShared("E11/"+name, p,
+		func(bt []float64) bool { return len(bt) > max(t, e11Base) },
+		func() ([]float64, error) {
+			g, err := e11Graph(p, name)
+			if err != nil {
+				return nil, err
+			}
+			maxM := max(activeMaxInt(pt, "t"), e11Base)
+			curve, err := mcCurve(p, "E11-"+name, trials, p.Seed+uint64(pt.Index("topo")), func(n int, s *rng.Stream) []float64 {
+				return walk.RecollisionCurve(g, 0, maxM, n, s)
+			})
+			if err != nil {
+				return nil, err
+			}
+			return walk.SumCurve(curve), nil
+		})
 	if err != nil {
 		return nil, err
 	}
-	curve, err := mcCurve(p, "E11-"+name, trials, p.Seed+uint64(ci), func(n int, s *rng.Stream) []float64 {
-		return walk.RecollisionCurve(g, 0, maxM, n, s)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return walk.SumCurve(curve), nil
-}
-
-// e11Growth classifies B(t)'s growth between the first and last
-// checkpoints.
-func e11Growth(bt []float64, checkpoints []int) (growth float64, class string) {
-	last := len(checkpoints) - 1
-	growth = bt[checkpoints[last]] / bt[checkpoints[0]]
-	class = "O(1)"
+	growth := bt[t] / bt[e11Base]
+	class := "O(1)"
 	switch {
 	case growth > 4:
 		class = "sqrt(t)-like"
 	case growth > 1.5:
 		class = "log(t)-like"
 	}
-	return growth, class
-}
-
-func cellE11(p Params, pt Point) ([]results.Cell, error) {
-	bt, err := e11Bt(p, pt.String("topo"), pt.Index("topo"))
-	if err != nil {
-		return nil, err
-	}
-	growth, class := e11Growth(bt, e11Checkpoints(p))
 	return []results.Cell{
+		results.Float(bt[t]).WithN(trials),
 		results.Float(growth),
 		results.String(class),
 	}, nil
 }
 
+// runE11 records each topology's growth at its largest horizon: the
+// last row of the topology wins.
 func runE11(p Params, rep *Report) error {
-	checkpoints := e11Checkpoints(p)
-	tbHeaders := []string{"topology"}
-	for _, c := range checkpoints {
-		tbHeaders = append(tbHeaders, "B("+strconv.Itoa(c)+")")
-	}
-	tbHeaders = append(tbHeaders, "growth class")
-	tb := rep.Table(tbHeaders...)
-	if err := Grid(p, e11Axes, func(pt Point) error {
-		name := pt.String("topo")
-		bt, err := e11Bt(p, name, pt.Index("topo"))
-		if err != nil {
-			return err
-		}
-		row := []any{name}
-		for _, c := range checkpoints {
-			row = append(row, bt[c])
-		}
-		growth, class := e11Growth(bt, checkpoints)
-		row = append(row, class)
-		tb.AddRow(row...)
-		rep.SetMetric("growth_"+name, growth)
-		return nil
-	}); err != nil {
-		return err
+	growths := rep.Floats("growth")
+	for i, name := range rep.Labels("topo") {
+		rep.SetMetric("growth_"+name, growths[i])
 	}
 	rep.Notef("paper: B(t) grows like sqrt(t) on the ring, log t on the 2-D torus, O(1) on k>=3 tori / expanders / hypercubes")
 	return nil

@@ -4,14 +4,16 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"antdensity/internal/results"
 )
 
 // This file holds the declarative parameter-grid layer: Axis (one
 // experiment parameter dimension as data), Point (one cell of an axis
-// cross-product), and Grid (the generic executor that replaced the
-// per-experiment nested parameter loops). Axis values are canonical
-// strings so the CLI sweep engine can override them without knowing
-// each experiment's types; Point's typed accessors parse them back.
+// cross-product), and gridOver (the one walk over a cross-product,
+// which the sweep engine runs). Axis values are canonical strings so
+// the CLI sweep engine can override them without knowing each
+// experiment's types; Point's typed accessors parse them back.
 
 // AxisKind is the value type of an axis.
 type AxisKind uint8
@@ -105,6 +107,21 @@ func (a Axis) Check(v string) error {
 	return nil
 }
 
+// Cell returns the value v of the axis as a typed cell carrying the
+// axis unit: a float, an int, or a label, by the axis kind.
+func (a Axis) Cell(v string) results.Cell {
+	switch a.Kind {
+	case AxisFloat:
+		f, _ := strconv.ParseFloat(v, 64)
+		return results.Float(f).WithUnit(a.Unit)
+	case AxisInt:
+		n, _ := strconv.Atoi(v)
+		return results.Int(int64(n)).WithUnit(a.Unit)
+	default:
+		return results.String(v)
+	}
+}
+
 func formatFloats(vs []float64) []string {
 	if vs == nil {
 		return nil
@@ -174,6 +191,10 @@ func (pt Point) lookup(name string) int {
 	panic(fmt.Sprintf("experiments: point has no axis %q (axes: %s)", name, axisNames(pt.axes)))
 }
 
+// Active returns the i-th axis's active value list: the registered
+// values for the run's mode, or a sweep's override.
+func (pt Point) Active(i int) []string { return pt.act[i] }
+
 // String returns the named axis's value.
 func (pt Point) String(name string) string { return pt.vals[pt.lookup(name)] }
 
@@ -232,21 +253,12 @@ func (pt Point) Index(name string) int {
 	return pt.idx[i]
 }
 
-// Grid invokes fn once per point of the axes' cross-product, in
-// row-major order (first axis slowest, last axis fastest) — exactly
-// the nested-loop order the experiments used before their loops became
-// data. The first error aborts the grid.
-func Grid(p Params, axes []Axis, fn func(pt Point) error) error {
-	values := make([][]string, len(axes))
-	for i, a := range axes {
-		values[i] = a.Values(p.Quick)
-	}
-	return gridOver(axes, values, values, fn)
-}
-
-// gridOver is Grid with explicit per-axis value lists (the sweep
-// engine substitutes overridden active lists while keeping the
-// registered lists for Point.Index).
+// gridOver invokes fn once per point of the cross-product of the
+// per-axis value lists, in row-major order (first axis slowest, last
+// axis fastest): the nested-loop order the experiments used before
+// their loops became data. registered holds the registered lists for
+// Point.Index; the sweep engine passes overridden active lists in
+// values. The first error aborts the walk.
 func gridOver(axes []Axis, values, registered [][]string, fn func(pt Point) error) error {
 	if len(axes) == 0 {
 		return fmt.Errorf("experiments: grid needs at least one axis")
@@ -274,29 +286,4 @@ func gridOver(axes []Axis, values, registered [][]string, fn func(pt Point) erro
 		}
 	}
 	return nil
-}
-
-// axisInts returns an axis's active values parsed as ints.
-func axisInts(p Params, a Axis) []int {
-	vs := a.Values(p.Quick)
-	out := make([]int, len(vs))
-	for i, v := range vs {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: axis %q value %q is not an int", a.Name, v))
-		}
-		out[i] = n
-	}
-	return out
-}
-
-// axisMaxInt returns the maximum active value of an int axis.
-func axisMaxInt(p Params, a Axis) int {
-	max := 0
-	for _, v := range axisInts(p, a) {
-		if v > max {
-			max = v
-		}
-	}
-	return max
 }

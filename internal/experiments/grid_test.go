@@ -5,13 +5,23 @@ import (
 	"testing"
 )
 
+// walkFull runs gridOver over the axes' full values, as a run of the
+// registered grid does.
+func walkFull(axes []Axis, fn func(pt Point) error) error {
+	values := make([][]string, len(axes))
+	for i, a := range axes {
+		values[i] = a.Values(false)
+	}
+	return gridOver(axes, values, values, fn)
+}
+
 func TestGridRowMajorOrder(t *testing.T) {
 	axes := []Axis{
 		StringAxis("a", []string{"x", "y"}, nil),
 		IntAxis("b", []int{1, 2, 3}, nil),
 	}
 	var got [][2]string
-	err := Grid(Params{}, axes, func(pt Point) error {
+	err := walkFull(axes, func(pt Point) error {
 		got = append(got, [2]string{pt.String("a"), pt.String("b")})
 		return nil
 	})
@@ -48,7 +58,7 @@ func TestPointAccessors(t *testing.T) {
 		StringAxis("topo", []string{"ring"}, nil),
 	}
 	calls := 0
-	err := Grid(Params{}, axes, func(pt Point) error {
+	err := walkFull(axes, func(pt Point) error {
 		calls++
 		if pt.Len() != 3 {
 			t.Errorf("Len = %d", pt.Len())
@@ -79,7 +89,7 @@ func TestPointUnknownAxisPanics(t *testing.T) {
 			t.Error("unknown axis lookup did not panic")
 		}
 	}()
-	_ = Grid(Params{}, []Axis{IntAxis("t", []int{1}, nil)}, func(pt Point) error {
+	_ = walkFull([]Axis{IntAxis("t", []int{1}, nil)}, func(pt Point) error {
 		pt.Int("nope")
 		return nil
 	})
@@ -135,11 +145,11 @@ func TestExpandAxisSpec(t *testing.T) {
 }
 
 func TestGridEmptyAxisErrors(t *testing.T) {
-	if err := Grid(Params{}, nil, func(Point) error { return nil }); err == nil {
+	if err := walkFull(nil, func(Point) error { return nil }); err == nil {
 		t.Error("zero axes accepted")
 	}
 	empty := []Axis{{Name: "x", Kind: AxisInt}}
-	if err := Grid(Params{}, empty, func(Point) error { return nil }); err == nil {
+	if err := walkFull(empty, func(Point) error { return nil }); err == nil {
 		t.Error("axis with no values accepted")
 	}
 }

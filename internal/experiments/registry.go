@@ -8,13 +8,15 @@
 // Experiments are declarative: each registry entry carries its
 // parameter axes (densities, horizons, grid sizes, policies) as data
 // (Axis), a Cell function that measures one point of that grid, and a
-// Body that produces the full report. Bodies iterate their axes
-// through the generic Grid executor and emit structured output — a
-// results.Result of typed series, metrics, and notes — which the
-// harness renders as text (internal/expfmt), JSON, or CSV. The sweep
-// engine (Experiment.Sweep) executes user-supplied axis cross-products
-// through the same Cell functions and the same parallel trial runner,
-// with no per-experiment code change.
+// Body that summarizes the rows into metrics and notes. A run is the
+// sweep of the registered grid: Experiment.Sweep runs every point
+// through Cell on the shared parallel trial runner, the rows become
+// the experiment's one table, and Body reads them back by column name.
+// The CLI's sweep runs the same cells over user-supplied axis
+// cross-products. Output is structured — a results.Result of typed
+// series, metrics, and notes — which the harness renders as text
+// (internal/expfmt), JSON, or CSV. The two experiments without a grid
+// (E20, E22) build their own tables in Body.
 package experiments
 
 import (
@@ -79,21 +81,23 @@ type Experiment struct {
 	Title string
 	// Claim cites the paper statement being reproduced.
 	Claim string
-	// Axes declare the experiment's parameter grid as data; the Body
-	// iterates them via Grid and the sweep engine overrides them from
-	// the CLI. Nil for experiments without free parameters.
+	// Axes declare the experiment's parameter grid as data; a run
+	// sweeps their registered values and the CLI's sweep overrides
+	// them by name. Nil for experiments without free parameters.
 	Axes []Axis
 	// Columns name the measurements Cell returns, in order.
 	Columns []results.Column
 	// Cell measures one point of Axes' cross-product; nil disables
 	// sweeps for this experiment.
 	Cell CellFunc
-	// Body runs the full experiment, writing tables, metrics, and
-	// notes through rep.
+	// Body turns the run's table into metrics and notes through rep.
+	// An experiment without a grid builds its own table here.
 	Body func(p Params, rep *Report) error
 }
 
-// RunResult executes the experiment and returns its structured result.
+// RunResult executes the experiment and returns its structured result:
+// the sweep of the registered grid as its table, under SweepColumns,
+// then Body's metrics and notes.
 func (e Experiment) RunResult(p Params) (*results.Result, error) {
 	if e.Body == nil {
 		return nil, fmt.Errorf("experiments: %s has no body", e.ID)
@@ -105,6 +109,15 @@ func (e Experiment) RunResult(p Params) (*results.Result, error) {
 		Seed:  p.Seed,
 		Quick: p.Quick,
 	}}
+	if e.Sweepable() {
+		tb := rep.res.AddSeries("", e.SweepColumns()...)
+		if err := e.Sweep(p, nil, func(r SweepRow) error {
+			tb.AddCells(append(r.AxisValues(), r.Cells...)...)
+			return nil
+		}); err != nil {
+			return nil, err
+		}
+	}
 	if err := e.Body(p, rep); err != nil {
 		return nil, err
 	}

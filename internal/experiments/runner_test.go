@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"math"
@@ -9,6 +10,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"antdensity/internal/results"
 )
 
 // collatzSpec is a deterministic spec whose per-trial output depends
@@ -182,11 +185,15 @@ func TestMeanCurveWeighted(t *testing.T) {
 }
 
 // TestExperimentsWorkerInvariance is the acceptance test for the
-// refactor: every registered experiment must produce bit-identical
-// metrics and rendered tables for workers=1 and workers=NumCPU. The
-// parallel side runs at least 4 workers so the concurrent path is
-// genuinely exercised (goroutines interleave even on one core) —
-// comparing 1 vs NumCPU alone would be vacuous on a 1-CPU host.
+// parallel runner: every registered experiment must produce
+// bit-identical results — table cells, metrics and notes, compared as
+// their exact JSON encoding — for workers=1 and workers=NumCPU. Each
+// pass first clears the experiment's sweep-shared measurements, which
+// are keyed by seed and mode but not by worker count, so the parallel
+// pass measures them itself. The parallel side runs at least 4
+// workers so the concurrent path is genuinely exercised (goroutines
+// interleave even on one core) — comparing 1 vs NumCPU alone would be
+// vacuous on a 1-CPU host.
 func TestExperimentsWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment twice")
@@ -199,31 +206,21 @@ func TestExperimentsWorkerInvariance(t *testing.T) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			run := func(workers int) (map[string]float64, string) {
-				var sb strings.Builder
-				out, err := e.Run(Params{Seed: 12345, Quick: true, Out: &sb, Workers: workers})
+			run := func(workers int) []byte {
+				clearMemo(e.ID)
+				res, err := e.RunResult(Params{Seed: 12345, Quick: true, Workers: workers})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
-				return out.Metrics, sb.String()
-			}
-			m1, t1 := run(1)
-			mN, tN := run(parWorkers)
-			for name, v1 := range m1 {
-				vN, ok := mN[name]
-				if !ok {
-					t.Fatalf("metric %q missing from parallel run", name)
+				var buf bytes.Buffer
+				if err := results.WriteJSON(&buf, res); err != nil {
+					t.Fatal(err)
 				}
-				if v1 != vN && !(math.IsNaN(v1) && math.IsNaN(vN)) {
-					t.Errorf("metric %q: workers=1 %v != workers=%d %v",
-						name, v1, parWorkers, vN)
-				}
+				return buf.Bytes()
 			}
-			if len(m1) != len(mN) {
-				t.Errorf("metric sets differ: %d vs %d", len(m1), len(mN))
-			}
-			if t1 != tN {
-				t.Errorf("rendered tables differ between worker counts:\n--- workers=1\n%s\n--- workers=N\n%s", t1, tN)
+			r1, rN := run(1), run(parWorkers)
+			if !bytes.Equal(r1, rN) {
+				t.Errorf("results differ between worker counts:\n--- workers=1\n%s\n--- workers=%d\n%s", r1, parWorkers, rN)
 			}
 		})
 	}

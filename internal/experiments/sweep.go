@@ -10,12 +10,11 @@ import (
 	"antdensity/internal/results"
 )
 
-// This file is the sweep engine: it executes a user-supplied axis
-// cross-product through an experiment's Cell function — the same
-// measurement the experiment's own tables are built from, running on
-// the same parallel trial runner — and streams one typed results row
-// per grid cell. No experiment code changes to run a new sweep: axes
-// are overridden by name from the CLI.
+// This file is the sweep engine: it executes an axis cross-product
+// through an experiment's Cell function, on the shared parallel trial
+// runner, and streams one typed results row per grid cell. Run is the
+// sweep of the registered grid; the CLI's sweep overrides axes by
+// name, with no per-experiment code change.
 
 // sweepMemo caches sweep-wide shared measurements across cell
 // invocations; see sweepShared.
@@ -25,15 +24,17 @@ var sweepMemo sync.Map
 
 // sweepShared memoizes a measurement shared by every cell of a sweep
 // — e.g. a Monte Carlo curve whose prefix serves all smaller horizons
-// — keyed by (experiment, seed, mode), the inputs that change its
-// value. The first cell computes it (sized to the whole active axis
-// via activeMaxInt); later cells reuse it. covers reports
-// whether a cached value satisfies the current cell; a rejected or
-// missing entry is recomputed. Cached values are deterministic
-// functions of the key, so concurrent recomputation and
+// — keyed by (name, seed, mode), the inputs that change its value.
+// name is the experiment ID, followed by "/" and a qualifier when one
+// experiment shares several (E11 keeps one curve per topology). The
+// first cell computes it (sized to the whole active axis via
+// activeMaxInt); later cells, and the body that summarizes the run's
+// rows, reuse it. covers reports whether a cached value satisfies the
+// caller; a rejected or missing entry is recomputed. Cached values are
+// deterministic functions of the key, so concurrent recomputation and
 // last-write-wins storage are benign.
-func sweepShared[T any](id string, p Params, covers func(T) bool, measure func() (T, error)) (T, error) {
-	key := fmt.Sprintf("%s/%d/%t", id, p.Seed, p.Quick)
+func sweepShared[T any](name string, p Params, covers func(T) bool, measure func() (T, error)) (T, error) {
+	key := fmt.Sprintf("%s/%d/%t", name, p.Seed, p.Quick)
 	if v, ok := sweepMemo.Load(key); ok {
 		if t, ok := v.(T); ok && covers(t) {
 			return t, nil
@@ -60,17 +61,7 @@ type SweepRow struct {
 func (r SweepRow) AxisValues() []results.Cell {
 	out := make([]results.Cell, r.Point.Len())
 	for i := range out {
-		a, v := r.Point.Axis(i), r.Point.Value(i)
-		switch a.Kind {
-		case AxisFloat:
-			f, _ := strconv.ParseFloat(v, 64)
-			out[i] = results.Float(f).WithUnit(a.Unit)
-		case AxisInt:
-			n, _ := strconv.Atoi(v)
-			out[i] = results.Int(int64(n)).WithUnit(a.Unit)
-		default:
-			out[i] = results.String(v)
-		}
+		out[i] = r.Point.Axis(i).Cell(r.Point.Value(i))
 	}
 	return out
 }

@@ -1,8 +1,8 @@
 package experiments
 
 import (
+	"encoding/json"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -89,38 +89,6 @@ func TestSweepE25RefusesBipartiteSide(t *testing.T) {
 	}
 }
 
-// TestSweepMatchesRunPath checks that a sweep at the registered default
-// axes reproduces the same numbers the experiment's own table reports:
-// E01's mean d-tilde cell must equal the run-path measurement at the
-// same (d, steps) point, proving sweep and run share one measurement.
-func TestSweepMatchesRunPath(t *testing.T) {
-	e, _ := ByID("E01")
-	p := Params{Seed: 12345, Quick: true}
-	rows := sweepOnce(t, e, p, nil)
-	if len(rows) != 4 {
-		t.Fatalf("default quick sweep has %d rows, want 4", len(rows))
-	}
-	res, err := e.RunResult(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	table := res.Series[0]
-	// Table columns: density, agents, rounds, mean, CI, bias, rel std.
-	// Sweep columns:  density, mean(CI), bias, rel std.
-	for i, row := range rows {
-		trow := table.Rows[i]
-		if row.Cells[0].Value != trow[0].Value {
-			t.Errorf("row %d: sweep density %v != table %v", i, row.Cells[0].Value, trow[0].Value)
-		}
-		if row.Cells[1].Value != trow[3].Value {
-			t.Errorf("row %d: sweep mean %v != table %v", i, row.Cells[1].Value, trow[3].Value)
-		}
-		if row.Cells[1].CI95 != trow[4].Value {
-			t.Errorf("row %d: sweep CI %v != table %v", i, row.Cells[1].CI95, trow[4].Value)
-		}
-	}
-}
-
 // TestSweepOutOfDomainValueErrors pins panic containment: an axis
 // value that parses but violates a library precondition (negative
 // step count) must fail the sweep with an error naming the grid
@@ -136,71 +104,38 @@ func TestSweepOutOfDomainValueErrors(t *testing.T) {
 	}
 }
 
-// TestSweepSubsetMatchesRun pins the Index seed contract: sweeping a
-// SUBSET of an index-seeded axis must reproduce the exact numbers of
-// the full run at the same points, because Point.Index anchors to the
-// registered value list, not the override's positions. E18's last
-// variant historically took seed offset 5<<24; a single-variant sweep
-// must still use it.
-func TestSweepSubsetMatchesRun(t *testing.T) {
-	// A one-value sweep of a registered axis value seeds its cell as
-	// the full run seeds that value's row (Point.Index), so the two
-	// agree.
-	for _, tc := range []struct {
-		id, axis string
-		row      int      // the value's row in the run's first table
-		cols     [][2]int // (sweep cell, table column) pairs that agree
-	}{
-		// Table: variant, mean d-tilde, predicted, ratio; cells:
-		// mean_dtilde, predicted, ratio.
-		{"E18", "variant=biased_2111", 5, [][2]int{{0, 1}, {2, 3}}},
-		// Table: d/theta, short t, long t; cells: short, long.
-		{"E19", "ratio=0.5", 1, [][2]int{{0, 1}, {1, 2}}},
-	} {
-		t.Run(tc.id, func(t *testing.T) {
-			e, _ := ByID(tc.id)
-			p := Params{Seed: 12345, Quick: true}
-			rows := sweepOnce(t, e, p, []string{tc.axis})
-			if len(rows) != 1 {
-				t.Fatalf("subset sweep has %d rows, want 1", len(rows))
-			}
-			res, err := e.RunResult(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			trow := res.Series[0].Rows[tc.row]
-			for _, c := range tc.cols {
-				if got, want := rows[0].Cells[c[0]].Value, trow[c[1]].Value; got != want {
-					t.Errorf("subset sweep cell %d = %v, full run column %d = %v", c[0], got, c[1], want)
-				}
-			}
-		})
-	}
-}
-
-// sweepSmokeSpecs returns tiny axis overrides for an experiment: the
-// first quick value of every axis, two for the first axis when
-// available — a 1-2 cell grid.
-func sweepSmokeSpecs(e Experiment) map[string][]string {
-	out := map[string][]string{}
-	for i, a := range e.Axes {
-		vs := a.Values(true)
-		n := 1
-		if i == 0 && len(vs) > 1 {
-			n = 2
+// clearMemo deletes experiment id's sweep-shared measurements, so the
+// next cell that needs one measures it afresh.
+func clearMemo(id string) {
+	sweepMemo.Range(func(k, _ any) bool {
+		if strings.HasPrefix(k.(string), id+"/") {
+			sweepMemo.Delete(k)
 		}
-		out[a.Name] = vs[:n]
-	}
-	return out
+		return true
+	})
 }
 
-// TestSweepSmokeAllCells executes a miniature sweep for every
-// sweepable experiment, checking that each cell function runs at
-// overridden points and returns the declared column count.
-func TestSweepSmokeAllCells(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a cell of every experiment")
+// cellsJSON encodes a row's cells, exact bits and NaN included, for
+// comparison.
+func cellsJSON(t *testing.T, cells []results.Cell) string {
+	t.Helper()
+	b, err := json.Marshal(cells)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return string(b)
+}
+
+// TestSweepMatchesRunPath pins that run and sweep print one table: for
+// every sweepable experiment, each registered quick point's row of
+// RunResult's table is exactly the row a one-cell sweep at that point
+// returns, with the sweep-shared memo cleared first. A one-cell sweep
+// shares nothing with the run: an Index-seeded axis keeps its
+// registered seed offset, and a shared curve is measured afresh, sized
+// to the one point. Every float cell of a column that declares a CI
+// carries one, and no other column's cells do, so the CSV and text
+// writers' ci95/n columns are the declared ones.
+func TestSweepMatchesRunPath(t *testing.T) {
 	for _, e := range All() {
 		if !e.Sweepable() {
 			continue
@@ -208,70 +143,60 @@ func TestSweepSmokeAllCells(t *testing.T) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			rows := 0
-			err := e.Sweep(Params{Seed: 12345, Quick: true}, sweepSmokeSpecs(e), func(r SweepRow) error {
-				rows++
-				if len(r.Cells) != len(e.Columns) {
-					t.Errorf("cell count %d != column count %d", len(r.Cells), len(e.Columns))
+			p := Params{Seed: 12345, Quick: true}
+			res, err := e.RunResult(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Series) != 1 {
+				t.Fatalf("run wrote %d tables, want the sweep's one", len(res.Series))
+			}
+			table := res.Series[0]
+			if !reflect.DeepEqual(table.Columns, e.SweepColumns()) {
+				t.Errorf("run table columns %v, want the sweep columns %v", table.Columns, e.SweepColumns())
+			}
+			registered := make([][]string, len(e.Axes))
+			for i, a := range e.Axes {
+				registered[i] = a.Values(true)
+			}
+			n := 0
+			err = gridOver(e.Axes, registered, registered, func(pt Point) error {
+				if n >= len(table.Rows) {
+					t.Fatalf("run table has %d rows, fewer than the registered grid", len(table.Rows))
 				}
-				for i, c := range r.Cells {
-					if c.Kind == results.KindFloat && e.Columns[i].CI && !c.HasCI {
-						t.Errorf("column %q declares a CI but cell has none", e.Columns[i].Name)
+				want := table.Rows[n]
+				n++
+				for j, c := range want {
+					col := table.Columns[j]
+					if c.Kind == results.KindFloat && col.CI != c.HasCI {
+						t.Errorf("%s: column %q declares CI %v, cell has CI %v", pointLabel(pt), col.Name, col.CI, c.HasCI)
 					}
+				}
+				one := map[string][]string{}
+				for i := 0; i < pt.Len(); i++ {
+					one[pt.Axis(i).Name] = []string{pt.Value(i)}
+				}
+				clearMemo(e.ID)
+				rows := 0
+				if err := e.Sweep(p, one, func(r SweepRow) error {
+					rows++
+					if got := cellsJSON(t, append(r.AxisValues(), r.Cells...)); got != cellsJSON(t, want) {
+						t.Errorf("%s: one-cell sweep row\n%s\nrun table row\n%s", pointLabel(pt), got, cellsJSON(t, want))
+					}
+					return nil
+				}); err != nil {
+					return err
+				}
+				if rows != 1 {
+					t.Errorf("%s: one-cell sweep emitted %d rows", pointLabel(pt), rows)
 				}
 				return nil
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rows == 0 {
-				t.Error("sweep emitted no rows")
-			}
-		})
-	}
-}
-
-// TestSweepWorkerInvariance is the sweep-path half of the acceptance
-// test: the same miniature sweeps must produce bit-identical cells for
-// workers=1 and a parallel worker count, because every cell runs its
-// trials through the order-deterministic parallel runner.
-func TestSweepWorkerInvariance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every sweepable experiment twice")
-	}
-	parWorkers := runtime.NumCPU()
-	if parWorkers < 4 {
-		parWorkers = 4
-	}
-	for _, e := range All() {
-		if !e.Sweepable() {
-			continue
-		}
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			t.Parallel()
-			specs := sweepSmokeSpecs(e)
-			collect := func(workers int) []SweepRow {
-				var rows []SweepRow
-				err := e.Sweep(Params{Seed: 12345, Quick: true, Workers: workers}, specs, func(r SweepRow) error {
-					rows = append(rows, r)
-					return nil
-				})
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				return rows
-			}
-			r1 := collect(1)
-			rN := collect(parWorkers)
-			if len(r1) != len(rN) {
-				t.Fatalf("row counts differ: %d vs %d", len(r1), len(rN))
-			}
-			for i := range r1 {
-				if !reflect.DeepEqual(r1[i].Cells, rN[i].Cells) {
-					t.Errorf("row %d differs between worker counts:\nworkers=1: %+v\nworkers=%d: %+v",
-						i, r1[i].Cells, parWorkers, rN[i].Cells)
-				}
+			if n != len(table.Rows) {
+				t.Errorf("run table has %d rows, registered grid %d points", len(table.Rows), n)
 			}
 		})
 	}

@@ -31,17 +31,31 @@ func RenderResult(w io.Writer, r *results.Result) error {
 	return nil
 }
 
-// RenderSeries writes one series as an aligned fixed-width table.
+// RenderSeries writes one series as an aligned fixed-width table. A
+// column whose cells carry a 95% CI expands into "<name>",
+// "<name> ci95" and "<name> n", as the CSV and sweep writers expand
+// it; a cell without one leaves both blank.
 func RenderSeries(w io.Writer, s *results.Series) error {
-	headers := make([]string, len(s.Columns))
+	withCI := results.CIColumns(s)
+	var headers []string
 	for i, c := range s.Columns {
-		headers[i] = c.Name
+		headers = append(headers, c.Name)
+		if withCI[i] {
+			headers = append(headers, c.Name+" ci95", c.Name+" n")
+		}
 	}
 	tb := NewTable(headers...)
 	for _, row := range s.Rows {
-		cells := make([]any, len(row))
+		var cells []any
 		for i, c := range row {
-			cells[i] = CellText(c)
+			cells = append(cells, CellText(c))
+			if withCI[i] {
+				ci95, n := "", ""
+				if c.HasCI {
+					ci95, n = formatFloat(c.CI95), strconv.Itoa(c.N)
+				}
+				cells = append(cells, ci95, n)
+			}
 		}
 		tb.AddRow(cells...)
 	}

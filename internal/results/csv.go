@@ -30,7 +30,7 @@ func WriteCSV(w io.Writer, r *Result) error {
 // writeSeriesCSV writes one series with its header row.
 func writeSeriesCSV(w io.Writer, s *Series) error {
 	cw := csv.NewWriter(w)
-	withCI := ciColumns(s)
+	withCI := CIColumns(s)
 	header := make([]string, 0, len(s.Columns))
 	for ci, col := range s.Columns {
 		header = append(header, col.Name)
@@ -59,9 +59,10 @@ func writeSeriesCSV(w io.Writer, s *Series) error {
 	return cw.Error()
 }
 
-// ciColumns reports, per column, whether any cell carries a CI — those
-// columns get ci95/n subcolumns.
-func ciColumns(s *Series) []bool {
+// CIColumns reports, per column, whether the column declares a CI or
+// any of its cells carries one — the tabular writers give those
+// columns ci95/n subcolumns.
+func CIColumns(s *Series) []bool {
 	out := make([]bool, len(s.Columns))
 	for ci, col := range s.Columns {
 		out[ci] = col.CI
