@@ -289,7 +289,7 @@ func cellE21(p Params, pt Point) ([]results.Cell, error) {
 
 func runE21(p Params, rep *Report) error {
 	// The last horizon of each topology wins: metrics record the
-	// longest-t inflation, as the pre-grid nested loops did.
+	// longest-t inflation.
 	inflations := rep.Floats("inflation")
 	for i, topo := range rep.Labels("topo") {
 		rep.SetMetric("inflation_"+topo, inflations[i])

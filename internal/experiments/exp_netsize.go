@@ -241,7 +241,8 @@ func cellE14(p Params, pt Point) ([]results.Cell, error) {
 	if err != nil {
 		return nil, err
 	}
-	bias, relStd, err := sizeTrialStats(p, g, e14Walkers(p), e14Steps(p), e14Trials(p), p.Seed+uint64(g.NumNodes()))
+	trials, walkers, steps := e14Budget(p)
+	bias, relStd, err := sizeTrialStats(p, g, walkers, steps, trials, p.Seed+uint64(g.NumNodes()))
 	if err != nil {
 		return nil, err
 	}
@@ -252,10 +253,10 @@ func cellE14(p Params, pt Point) ([]results.Cell, error) {
 	}, nil
 }
 
-// e14Trials, e14Walkers and e14Steps are E14's estimator budget.
-func e14Trials(p Params) int  { return pick(p, 12, 4) }
-func e14Walkers(p Params) int { return pick(p, 60, 30) }
-func e14Steps(p Params) int   { return pick(p, 150, 50) }
+// e14Budget is E14's estimator budget.
+func e14Budget(p Params) (trials, walkers, steps int) {
+	return pick(p, 12, 4), pick(p, 60, 30), pick(p, 150, 50)
+}
 
 // runE14 records each family's bias and spread, then measures what no
 // cell does: concentration improves with n^2 t, so quadrupling t on
@@ -270,11 +271,12 @@ func runE14(p Params, rep *Report) error {
 	if err != nil {
 		return err
 	}
-	_, rs1, err := sizeTrialStats(p, g0, e14Walkers(p), e14Steps(p), e14Trials(p), p.Seed+101)
+	trials, walkers, steps := e14Budget(p)
+	_, rs1, err := sizeTrialStats(p, g0, walkers, steps, trials, p.Seed+101)
 	if err != nil {
 		return err
 	}
-	_, rs4, err := sizeTrialStats(p, g0, e14Walkers(p), 4*e14Steps(p), e14Trials(p), p.Seed+202)
+	_, rs4, err := sizeTrialStats(p, g0, walkers, 4*steps, trials, p.Seed+202)
 	if err != nil {
 		return err
 	}

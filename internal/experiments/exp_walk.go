@@ -497,8 +497,7 @@ func cellE09(p Params, pt Point) ([]results.Cell, error) {
 }
 
 func runE09(p Params, rep *Report) error {
-	ms := rep.Floats("m")
-	maxM := int(stats.Max(ms))
+	maxM := int(stats.Max(rep.Floats("m")))
 	w, err := e09Expander(p, maxM, maxM)
 	if err != nil {
 		return err

@@ -255,8 +255,7 @@ func (pt Point) Index(name string) int {
 
 // gridOver invokes fn once per point of the cross-product of the
 // per-axis value lists, in row-major order (first axis slowest, last
-// axis fastest): the nested-loop order the experiments used before
-// their loops became data. registered holds the registered lists for
+// axis fastest). registered holds the registered lists for
 // Point.Index; the sweep engine passes overridden active lists in
 // values. The first error aborts the walk.
 func gridOver(axes []Axis, values, registered [][]string, fn func(pt Point) error) error {
