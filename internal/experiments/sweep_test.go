@@ -3,6 +3,7 @@ package experiments
 import (
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -197,6 +198,141 @@ func TestSweepMatchesRunPath(t *testing.T) {
 			}
 			if n != len(table.Rows) {
 				t.Errorf("run table has %d rows, registered grid %d points", len(table.Rows), n)
+			}
+		})
+	}
+}
+
+// TestSweepSubsetMatchesRun pins the Index seed contract: sweeping a
+// SUBSET of an index-seeded axis, in an order of its own, must
+// reproduce the exact rows of the full run at the same values, because
+// Point.Index anchors to the registered value list, not the override's
+// positions. E18's last variant historically took seed offset 5<<24; a
+// subset sweep that lists it first must still use it.
+func TestSweepSubsetMatchesRun(t *testing.T) {
+	for _, tc := range []struct {
+		id   string
+		axis string
+		rows []int // each value's row in the run's table
+	}{
+		{"E18", "variant=biased_2111,detect_0.8", []int{5, 1}},
+		{"E19", "ratio=2.0,0.5", []int{5, 1}},
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			e, _ := ByID(tc.id)
+			p := Params{Seed: 12345, Quick: true}
+			res, err := e.RunResult(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := sweepOnce(t, e, p, []string{tc.axis})
+			if len(rows) != len(tc.rows) {
+				t.Fatalf("subset sweep has %d rows, want %d", len(rows), len(tc.rows))
+			}
+			for i, r := range rows {
+				want := res.Series[0].Rows[tc.rows[i]]
+				if got := cellsJSON(t, append(r.AxisValues(), r.Cells...)); got != cellsJSON(t, want) {
+					t.Errorf("subset sweep row %d\n%s\nfull run row %d\n%s", i, got, tc.rows[i], cellsJSON(t, want))
+				}
+			}
+		})
+	}
+}
+
+// sweepSmokeSpecs returns tiny axis overrides for an experiment: the
+// first quick value of every axis, two for the first axis when
+// available — a 1-2 cell grid.
+func sweepSmokeSpecs(e Experiment) map[string][]string {
+	out := map[string][]string{}
+	for i, a := range e.Axes {
+		vs := a.Values(true)
+		n := 1
+		if i == 0 && len(vs) > 1 {
+			n = 2
+		}
+		out[a.Name] = vs[:n]
+	}
+	return out
+}
+
+// TestSweepSmokeAllCells executes a miniature sweep for every
+// sweepable experiment, checking that each cell function runs at
+// overridden points and returns the declared column count, with a CI
+// on every float cell of a column that declares one.
+func TestSweepSmokeAllCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a cell of every experiment")
+	}
+	for _, e := range All() {
+		if !e.Sweepable() {
+			continue
+		}
+		e := e
+		t.Run(e.ID, func(t *testing.T) {
+			t.Parallel()
+			rows := 0
+			err := e.Sweep(Params{Seed: 12345, Quick: true}, sweepSmokeSpecs(e), func(r SweepRow) error {
+				rows++
+				if len(r.Cells) != len(e.Columns) {
+					t.Errorf("cell count %d != column count %d", len(r.Cells), len(e.Columns))
+				}
+				for i, c := range r.Cells {
+					if c.Kind == results.KindFloat && e.Columns[i].CI && !c.HasCI {
+						t.Errorf("column %q declares a CI but cell has none", e.Columns[i].Name)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rows == 0 {
+				t.Error("sweep emitted no rows")
+			}
+		})
+	}
+}
+
+// TestSweepWorkerInvariance is the sweep-path half of the acceptance
+// test: the same miniature sweeps at overridden points must produce
+// bit-identical rows, compared as their exact JSON encoding, for
+// workers=1 and a parallel worker count, because every cell runs its
+// trials through the order-deterministic parallel runner. Each pass
+// first clears the experiment's sweep-shared measurements, which are
+// not keyed by worker count, so the parallel pass measures them itself.
+func TestSweepWorkerInvariance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every sweepable experiment twice")
+	}
+	parWorkers := runtime.NumCPU()
+	if parWorkers < 4 {
+		parWorkers = 4
+	}
+	for _, e := range All() {
+		if !e.Sweepable() {
+			continue
+		}
+		e := e
+		t.Run(e.ID, func(t *testing.T) {
+			t.Parallel()
+			specs := sweepSmokeSpecs(e)
+			collect := func(workers int) []string {
+				clearMemo(e.ID)
+				var rows []string
+				err := e.Sweep(Params{Seed: 12345, Quick: true, Workers: workers}, specs, func(r SweepRow) error {
+					rows = append(rows, cellsJSON(t, append(r.AxisValues(), r.Cells...)))
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				return rows
+			}
+			r1 := collect(1)
+			rN := collect(parWorkers)
+			if !reflect.DeepEqual(r1, rN) {
+				t.Errorf("rows differ between worker counts:\n--- workers=1\n%s\n--- workers=%d\n%s",
+					strings.Join(r1, "\n"), parWorkers, strings.Join(rN, "\n"))
 			}
 		})
 	}
